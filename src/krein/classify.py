@@ -37,7 +37,7 @@ from .exceptions import (
     S0NotNeutral,
     WrongSpectrum,
 )
-from .matrices import COMPLEX, REAL, Matrix, char_poly, hstack
+from .matrices import COMPLEX, REAL, Matrix, char_poly, hstack, vstack
 from .polynomials import Polynomial, Root, poly_roots
 from .scalars import GaussianRational, as_scalar, format_scalar
 from .spaces import (
@@ -210,15 +210,8 @@ class JointEigenstructure:
     is_neutral_s0: bool
 
 
-def _vstack(mats: Sequence[Matrix]) -> Matrix:
-    rows = []
-    for m in mats:
-        rows.extend(m.to_lists())
-    return Matrix.from_rows(rows, mats[0].field)
-
-
 def _joint_kernel(mats: Sequence[Matrix]) -> list[Matrix]:
-    return _vstack(mats).kernel_basis()
+    return vstack(mats).kernel_basis()
 
 
 def joint_eigenspace(pair: MatrixPair, lam) -> JointEigenstructure:
@@ -258,11 +251,7 @@ def joint_eigenspace_real(pair: MatrixPair, alpha, beta) -> JointEigenstructure:
     adj = h_adjoint(cpair.n_op, cpair.space)
     prime = _joint_kernel([a_mat, adj - ident * lam.conjugate()])
     dprime = _joint_kernel([a_mat, adj - ident * lam])
-    vectors: list[Matrix] = []
-    for z in prime + dprime:
-        re = Matrix.column([GaussianRational(z[i, 0].re) for i in range(n)], REAL)
-        im = Matrix.column([GaussianRational(z[i, 0].im) for i in range(n)], REAL)
-        vectors.extend([re, im])
+    vectors = [part for z in prime + dprime for part in (z.real_part(), z.imag_part())]
     basis = SubspaceBasis(vectors, n, REAL)
     return JointEigenstructure(
         s0_basis=basis,
@@ -291,7 +280,7 @@ def _corner_transform(pair: MatrixPair, u_basis: SubspaceBasis) -> tuple[Matrix,
     w0 = uh.solve_right(Matrix.identity(d, pair.field))
     g0 = w0.conj_transpose() @ h @ w0
     w = w0 - u @ (g0 * Fraction(1, 2))
-    rows = _vstack([uh, w.conj_transpose() @ h])
+    rows = vstack([uh, w.conj_transpose() @ h])
     v_vecs = rows.kernel_basis()
     v = SubspaceBasis(v_vecs, n, pair.field).matrix if v_vecs else Matrix.zeros(n, 0, pair.field)
     mats = [u] + ([v] if v.cols else []) + [w]

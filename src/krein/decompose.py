@@ -6,11 +6,16 @@ selfadjoint idempotent commuting with both, so:
 
 * if the selfadjoint commutant is exactly the real scalars, the pair is
   indecomposable (certificate ``scalar_selfadjoint_commutant``);
-* conversely, the searcher samples selfadjoint commutant elements with small
-  integer coefficients, extracts their exact rational eigenvalues, and tests
-  the resulting root subspaces exactly. Found witnesses are verified before
-  being reported, so ``decomposable`` verdicts are sound; exhausting the
-  budget yields ``unknown``. Verdicts are deterministic given (budget, seed).
+* conversely, the searcher samples selfadjoint commutant elements X with small
+  integer coefficients. For each rational root mu of the exact characteristic
+  polynomial of X, of multiplicity m < n, the generalized eigenspace
+  ker (X - mu)^m is a decomposition: it is invariant because X commutes with
+  both operators, and nondegenerate because an H-selfadjoint X has
+  H-orthogonal generalized eigenspaces for eigenvalues lambda != conj(nu)
+  (Gohberg, Lancaster and Rodman, *Indefinite Linear Algebra and Its
+  Applications*, 2005). Candidates are still verified exactly before being
+  reported, so ``decomposable`` verdicts are sound; exhausting the budget
+  yields ``unknown``. Verdicts are deterministic given (budget, seed).
 
 Family certificates re-derive the specific argument that makes each witness
 family indecomposable (unique chain eigenline, scalar commuting projection,
@@ -37,8 +42,8 @@ from .matrices import (
     kernel_of_sparse_rows,
     mat_power,
 )
-from .polynomials import Polynomial, poly_lcm, poly_roots
-from .scalars import GaussianRational, I_UNIT, ONE, ZERO, as_scalar, format_scalar, parse_scalar
+from .polynomials import Polynomial, poly_roots
+from .scalars import GaussianRational, I_UNIT, ZERO, as_scalar, format_scalar, parse_scalar
 from .spaces import (
     MatrixPair,
     SubspaceBasis,
@@ -55,6 +60,7 @@ from .witnesses import (
     REAL_D,
     REAL_E,
     WitnessPair,
+    _split_h,
     chain_matrix,
 )
 from .classify import joint_eigenspace_real
@@ -226,16 +232,10 @@ def _evidence_scalar_commutant(pair: MatrixPair, basis=None) -> dict:
 # -- family certificates -----------------------------------------------------
 
 
-def _split_h_matrix(k: int, field: str) -> Matrix:
-    z = Matrix.zeros(k, k, field)
-    i = Matrix.identity(k, field)
-    return Matrix.from_blocks([[z, i], [i, z]])
-
-
 def _evidence_jordan_chain(pair: MatrixPair, k: int) -> dict:
     n = pair.n
     nmat, h = pair.n_op, pair.space.h
-    layout_ok = n == 2 * k and h == _split_h_matrix(k, pair.field)
+    layout_ok = n == 2 * k and h == _split_h(k, pair.field)
     lam = nmat[0, 0]
     if layout_ok:
         li = Matrix.identity(k, pair.field) * lam
@@ -285,9 +285,7 @@ def _evidence_projection_scalar(pair: MatrixPair, k: int) -> dict:
 def _real_span_of_complex(vectors: Sequence[Matrix], n: int) -> SubspaceBasis:
     reals: list[Matrix] = []
     for z in vectors:
-        re = Matrix.column([GaussianRational(z[i, 0].re) for i in range(n)], REAL)
-        im = Matrix.column([GaussianRational(z[i, 0].im) for i in range(n)], REAL)
-        for v in (re, im):
+        for v in (z.real_part(), z.imag_part()):
             if not v.is_zero:
                 cand = reals + [v]
                 if hstack(cand).rank() == len(cand):
@@ -433,70 +431,6 @@ def verify_certificate(pair: MatrixPair, cert: Certificate) -> bool:
 # -- decomposition search ------------------------------------------------------
 
 
-def _matvec(m: Matrix, v: list[GaussianRational]) -> list[GaussianRational]:
-    n, c = m.rows, m.cols
-    out = [ZERO] * n
-    ents = m.entries
-    for i in range(n):
-        acc = ZERO
-        base = i * c
-        for j in range(c):
-            e = ents[base + j]
-            if e and v[j]:
-                acc = acc + e * v[j]
-        out[i] = acc
-    return out
-
-
-def _local_min_poly(x: Matrix, v0: list[GaussianRational]) -> Polynomial:
-    """Minimal polynomial of x relative to the cyclic vector v0 (Krylov)."""
-    basis: list[tuple[int, list[GaussianRational], list[GaussianRational]]] = []
-    raw = list(v0)
-    k = 0
-    while True:
-        vec = list(raw)
-        comb = [ZERO] * k + [ONE]
-        for piv, bvec, bcomb in basis:
-            f = vec[piv]
-            if f:
-                for i, bv in enumerate(bvec):
-                    if bv:
-                        vec[i] = vec[i] - f * bv
-                for i, bc in enumerate(bcomb):
-                    if bc:
-                        comb[i] = comb[i] - f * bc
-        piv = next((i for i, val in enumerate(vec) if val), None)
-        if piv is None:
-            return Polynomial(comb)
-        inv = ONE / vec[piv]
-        basis.append(
-            (piv, [val * inv for val in vec], [c * inv for c in comb])
-        )
-        raw = _matvec(x, raw)
-        k += 1
-        if k > x.rows:
-            raise KreinError("Krylov chain failed to terminate (bug)")
-
-
-def _probe_min_poly(x: Matrix) -> Polynomial:
-    """lcm of local minimal polynomials over a few deterministic probe vectors.
-
-    A divisor of the true minimal polynomial is fine here: the search only
-    uses its rational roots as candidates, and every candidate subspace is
-    verified exactly before use.
-    """
-    n = x.rows
-    probes = [0, n - 1] if n > 1 else [0]
-    vecs = [[ONE if i == p else ZERO for i in range(n)] for p in probes]
-    vecs.append([ONE] * n)
-    p = Polynomial([1])
-    for v in vecs:
-        p = poly_lcm(p, _local_min_poly(x, v))
-        if p.degree >= n:
-            break
-    return p
-
-
 def _rational_roots_with_mult(p: Polynomial) -> list[tuple[Fraction, int]]:
     out = []
     for r in poly_roots(p):
@@ -529,9 +463,12 @@ def search_decomposition(
 ) -> DecompositionVerdict:
     """Look for an exact decomposition witness; sound and reproducible.
 
-    Returns ``indecomposable`` when the scalar-commutant certificate applies,
-    ``decomposable`` with an exactly verified witness subspace when the
-    sampler finds one, and ``unknown`` once the budget is exhausted.
+    Returns ``indecomposable`` when the scalar-commutant certificate applies.
+    Otherwise each of up to ``budget`` seeded draws X offers as candidates the
+    rational roots mu of ``char_poly(X)`` with multiplicity m < n, whose
+    generalized eigenspaces are invariant and nondegenerate (module
+    docstring). The first that passes the exact checks is returned as
+    ``decomposable``; ``unknown`` once the budget is exhausted.
     """
     if seed is None:
         seed = default_seed()
@@ -568,7 +505,9 @@ def search_decomposition(
             for idx, val in sparse[j]:
                 ents[idx] = ents[idx] + val * cs
         x = Matrix(n, n, ents, pair.field)
-        for mu, mult in _rational_roots_with_mult(_probe_min_poly(x)):
+        for mu, mult in _rational_roots_with_mult(char_poly(x)):
+            if mult == n:  # ker (X - mu)^n is the whole space
+                continue
             sub = _try_root_subspace(pair, x, mu, mult)
             if sub is not None:
                 return DecompositionVerdict(STATUS_DECOMPOSABLE, None, sub, budget, seed)

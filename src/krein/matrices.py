@@ -191,6 +191,12 @@ class Matrix:
     def with_field(self, field: str) -> "Matrix":
         return Matrix(self.rows, self.cols, self.entries, field)
 
+    def real_part(self) -> "Matrix":
+        return Matrix(self.rows, self.cols, [GaussianRational(e.re) for e in self.entries], REAL)
+
+    def imag_part(self) -> "Matrix":
+        return Matrix(self.rows, self.cols, [GaussianRational(e.im) for e in self.entries], REAL)
+
     def _join_field(self, other: "Matrix") -> str:
         if self.field != other.field:
             raise FieldMismatch(f"field tags differ: {self.field} vs {other.field}")
@@ -365,6 +371,11 @@ def hstack(mats: Sequence[Matrix]) -> Matrix:
             row.extend(m.row_list(i))
         out_rows.append(row)
     return Matrix.from_rows(out_rows, field)
+
+
+def vstack(mats: Sequence[Matrix]) -> Matrix:
+    rows = [row for m in mats for row in m.to_lists()]
+    return Matrix.from_rows(rows, mats[0].field)
 
 
 def _rref(rows: list[list[GaussianRational]], stop_col: int | None = None):

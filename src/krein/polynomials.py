@@ -252,7 +252,8 @@ def poly_roots(
     Exact Gaussian-rational roots are detected first: the polynomial is split
     into squarefree factors, numeric roots of each factor are snapped to
     nearby small-denominator candidates, and a candidate is accepted only if
-    exact evaluation gives zero. Remaining roots are reported as approximate
+    it is nearest to the numeric root it was snapped from and exact
+    evaluation gives zero. Remaining roots are reported as approximate
     complex values, grouped to within ``grouping_tol``.
     """
     if p.degree < 1:
@@ -262,11 +263,15 @@ def poly_roots(
     for factor, mult in squarefree_decomposition(p.monic()):
         rem = factor
         leftovers: list[complex] = []
-        for z in _numeric_roots(factor):
+        numeric = _numeric_roots(factor)
+        for z in numeric:
             if rem.degree < 1:
                 break
             for cand in _snap_candidates(z, max_denominator):
-                if not rem.evaluate(cand):
+                # z claims only a candidate it is the nearest numeric root to,
+                # never a neighbouring exact root
+                c = cand.to_complex()
+                if abs(z - c) <= min(abs(w - c) for w in numeric) and not rem.evaluate(cand):
                     exact.append(Root(cand, mult, True))
                     rem = rem // Polynomial([-cand, 1])
                     break

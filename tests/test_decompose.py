@@ -299,3 +299,44 @@ def test_mutual_exclusion_on_witnesses_and_glued_sums():
         elif verdict.status == "indecomposable":
             assert verify_certificate(pair, verdict.certificate)
             assert verdict.witness_subspace is None
+
+
+def test_witnesses_never_build_a_candidate_subspace(monkeypatch):
+    # a witness's selfadjoint commutant elements have one real eigenvalue of
+    # multiplicity n or no rational one, so no draw yields a candidate
+    import krein.decompose as decompose
+
+    calls = []
+    real_power = decompose.mat_power
+
+    def counting_power(m, k):
+        calls.append(k)
+        return real_power(m, k)
+
+    monkeypatch.setattr(decompose, "mat_power", counting_power)
+    for family in ALL_FAMILIES:
+        for k in admissible_ks(family, 2):
+            w = build_witness(family, k, {})
+            search_decomposition(w.pair, budget=60, seed=SEED)
+            assert calls == [], (family, k)
+
+
+def test_search_golden_verdict_on_b_sum():
+    g = direct_sum(witness_complex_b(1, 0, 1).pair, witness_complex_b(1, 2, 3).pair)
+    assert search_decomposition(g, seed=1729).to_json_dict() == {
+        "status": "decomposable",
+        "budget": 200,
+        "seed": 1729,
+        "witness_subspace": [["0", "0", "1", "0"], ["0", "0", "0", "1"]],
+    }
+
+
+def test_search_golden_verdict_on_d_plus_e_sum():
+    g = direct_sum(witness_real_d(2, 5, 0, 1).pair, witness_real_e(2, 0, 1, 1, 1).pair)
+    units = [["1" if i == j else "0" for i in range(8)] for j in range(4, 8)]
+    assert search_decomposition(g, seed=1729).to_json_dict() == {
+        "status": "decomposable",
+        "budget": 200,
+        "seed": 1729,
+        "witness_subspace": units,
+    }

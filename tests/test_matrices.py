@@ -13,6 +13,7 @@ from krein.matrices import (
     faddeev_leverrier,
     hstack,
     kernel_of_sparse_rows,
+    vstack,
 )
 from krein.polynomials import Polynomial
 from krein.scalars import GaussianRational
@@ -234,6 +235,17 @@ def test_hstack_and_submatrix():
     h = hstack([a, b])
     assert h.cols == 3 and h[0, 2] == 5
     assert h.submatrix(0, 2, 0, 2) == a
+
+
+def test_vstack_and_real_imag_parts():
+    a = Matrix.from_rows([[1, GaussianRational(2, 3)]], COMPLEX)
+    b = Matrix.from_rows([[GaussianRational(0, -1), Fraction(1, 2)]], COMPLEX)
+    v = vstack([a, b])
+    assert (v.rows, v.cols, v.field) == (2, 2, COMPLEX)
+    assert v.submatrix(1, 2, 0, 2) == b
+    assert v.real_part() == Matrix.from_rows([[1, 2], [0, Fraction(1, 2)]], REAL)
+    assert v.imag_part() == Matrix.from_rows([[0, 3], [-1, 0]], REAL)
+    assert v.real_part().field == v.imag_part().field == REAL
 
 
 def test_solve_right_particular_solution():

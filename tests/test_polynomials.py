@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from krein.decompose import certify_family, verify_certificate
 from krein.exceptions import ParameterError, RootFindingError
+from krein.matrices import char_poly
 from krein.polynomials import (
     Polynomial,
     poly_from_roots,
@@ -14,6 +16,7 @@ from krein.polynomials import (
     squarefree_decomposition,
 )
 from krein.scalars import GaussianRational
+from krein.witnesses import witness_complex_b, witness_real_e
 
 
 def test_basic_arithmetic():
@@ -121,3 +124,29 @@ def test_poly_from_roots_round_trip():
         (GaussianRational(Fraction(1, 2)), 2),
         (GaussianRational(Fraction(-3)), 1),
     }
+
+
+def _exact_values(p):
+    return sorted((r.value.re, r.value.im, r.multiplicity) for r in poly_roots(p) if r.is_exact)
+
+
+def test_snap_does_not_claim_a_neighbouring_exact_root():
+    # the numeric root near 3/2 + i rounds to the Gaussian integer 1 + i,
+    # which is an exact root of the same factor; it must not take it
+    w = witness_complex_b(1, GaussianRational(Fraction(3, 2), 1), GaussianRational(1, 1))
+    roots = poly_roots(char_poly(w.pair.n_op))
+    assert all(r.is_exact for r in roots)
+    assert _exact_values(char_poly(w.pair.n_op)) == [(1, 1, 1), (Fraction(3, 2), 1, 1)]
+    cert = certify_family(w)
+    assert verify_certificate(w.pair, cert)
+
+
+def test_snap_on_real_e_neighbouring_conjugate_pairs():
+    w = witness_real_e(2, -1, 1, Fraction(-3, 2), 1)
+    assert _exact_values(char_poly(w.pair.n_op)) == [
+        (Fraction(-3, 2), -1, 1),
+        (Fraction(-3, 2), 1, 1),
+        (-1, -1, 1),
+        (-1, 1, 1),
+    ]
+    assert verify_certificate(w.pair, certify_family(w))
