@@ -38,7 +38,7 @@ from .exceptions import (
     WrongSpectrum,
 )
 from .matrices import COMPLEX, REAL, Matrix, char_poly, hstack, vstack
-from .polynomials import Polynomial, Root, poly_roots
+from .polynomials import GROUPING_TOL, Polynomial, Root, poly_roots
 from .scalars import GaussianRational, as_scalar, format_scalar
 from .spaces import (
     MatrixPair,
@@ -120,19 +120,19 @@ class ClassificationReport:
         }
 
 
-def _root_is_real(r: Root, tol: float) -> bool:
+def _root_is_real(r: Root) -> bool:
     if r.is_exact:
         return r.value.is_real
-    return abs(r.value.imag) <= tol
+    return abs(r.value.imag) <= GROUPING_TOL
 
 
-def classify(pair: MatrixPair, grouping_tol: float = 1e-9) -> ClassificationReport:
+def classify(pair: MatrixPair) -> ClassificationReport:
     """Classify an H-normal pair into the indecomposable-size taxonomy."""
     if not is_h_normal(pair):
         raise NotHNormal("classification requires an H-normal pair")
     n = pair.n
     k = pair.space.rank_v
-    roots = tuple(poly_roots(char_poly(pair.n_op), grouping_tol=grouping_tol))
+    roots = tuple(poly_roots(char_poly(pair.n_op)))
     exact = all(r.is_exact for r in roots)
     notes: list[str] = []
     if not exact:
@@ -149,7 +149,7 @@ def classify(pair: MatrixPair, grouping_tol: float = 1e-9) -> ClassificationRepo
         elif len(roots) == 2:
             case = COMPLEX_B
     else:
-        n_real = sum(1 for r in roots if _root_is_real(r, grouping_tol))
+        n_real = sum(1 for r in roots if _root_is_real(r))
         n_conj_pairs, rem = divmod(len(roots) - n_real, 2)
         if rem:
             notes.append("nonreal eigenvalues do not pair up; spectrum looks inconsistent")

@@ -17,6 +17,10 @@ selfadjoint idempotent commuting with both, so:
   reported, so ``decomposable`` verdicts are sound; exhausting the budget
   yields ``unknown``. Verdicts are deterministic given (budget, seed).
 
+Every linear solve here (the commutant, its selfadjoint part, the real span
+of complex vectors and the candidate subspaces) is an exact kernel or pivot
+set read off the one sparse Gauss-Jordan core of :mod:`krein.matrices`.
+
 Family certificates re-derive the specific argument that makes each witness
 family indecomposable (unique chain eigenline, scalar commuting projection,
 neutral eigenspan, two-dimensional joint eigenspace); every certificate
@@ -37,6 +41,7 @@ from .matrices import (
     COMPLEX,
     REAL,
     Matrix,
+    _gauss_jordan,
     char_poly,
     hstack,
     kernel_of_sparse_rows,
@@ -165,52 +170,58 @@ def commutant_basis(pair: MatrixPair) -> list[Matrix]:
     return _commutant_of([pair.n_op, adj], pair.n, pair.field)
 
 
-def _real_span_solutions(
-    gens: Sequence[Matrix], defect: Callable[[Matrix], Matrix]
-) -> list[Matrix]:
-    """Elements X = sum c_i gens[i] (real rational c) with defect(X) = 0.
+def _sparse_entries(m: Matrix) -> list[tuple[int, GaussianRational]]:
+    return [(idx, val) for idx, val in enumerate(m.entries) if val]
 
-    ``defect`` must be real-linear; the system is realified and solved
-    exactly over the rationals.
+
+def _combination(terms, sparse: Sequence[list], n: int, field: str) -> Matrix:
+    """The n x n matrix sum c * sparse[j] over the (j, c) in ``terms``."""
+    ents = [ZERO] * (n * n)
+    for j, c in terms:
+        for idx, val in sparse[j]:
+            ents[idx] = ents[idx] + val * c
+    return Matrix(n, n, ents, field)
+
+
+def _real_span_solutions(
+    basis: Sequence[Matrix], defect: Callable[[Matrix], Matrix]
+) -> list[Matrix]:
+    """Real basis of {X in span(basis) : defect(X) = 0}.
+
+    Over the complex field the span is taken over C, as the real span of
+    ``basis`` and ``i * basis``. ``defect`` must be real-linear; the system
+    in the real coefficients is realified into sparse rows (real and
+    imaginary part of each entry of defect(X)) and its kernel is read off
+    the one Gauss-Jordan core. Each solution is rebuilt as the sparse
+    combination sum c_i gens[i].
     """
+    gens: list[Matrix] = []
+    for b in basis:
+        gens.append(b)
+        if b.field == COMPLEX:
+            gens.append(b * I_UNIT)
     if not gens:
         return []
-    cols = [defect(g) for g in gens]
-    nrows = 2 * cols[0].rows * cols[0].cols
     rows = []
-    for pos in range(cols[0].rows * cols[0].cols):
-        rows.append([c.entries[pos].re for c in cols])
-        rows.append([c.entries[pos].im for c in cols])
-    assert len(rows) == nrows
-    coeff_mat = Matrix.from_rows(rows, REAL)
-    out = []
-    for kv in coeff_mat.kernel_basis():
-        x = None
-        for i, g in enumerate(gens):
-            c = kv[i, 0]
-            if not c:
-                continue
-            term = g * c
-            x = term if x is None else x + term
-        if x is not None:
-            out.append(x)
-    return out
+    for at_pos in zip(*(defect(g).entries for g in gens)):  # one entry per generator
+        rows.append({i: GaussianRational(e.re) for i, e in enumerate(at_pos) if e.re})
+        rows.append({i: GaussianRational(e.im) for i, e in enumerate(at_pos) if e.im})
+    sparse = [_sparse_entries(g) for g in gens]
+    n, field = gens[0].rows, gens[0].field
+    return [
+        _combination(v.items(), sparse, n, field)
+        for v in kernel_of_sparse_rows(rows, len(gens))
+    ]
 
 
 def selfadjoint_commutant_basis(pair: MatrixPair) -> list[Matrix]:
     """Real basis of the selfadjoint part {X in commutant : X^[*] = X}."""
-    cbasis = commutant_basis(pair)
-    gens: list[Matrix] = []
-    for b in cbasis:
-        gens.append(b)
-        if pair.field == COMPLEX:
-            gens.append(b * I_UNIT)
     h = pair.space.h
 
     def defect(x: Matrix) -> Matrix:
         return h @ x - x.conj_transpose() @ h  # zero iff X^[*] = X
 
-    return _real_span_solutions(gens, defect)
+    return _real_span_solutions(commutant_basis(pair), defect)
 
 
 def certify_scalar_commutant(pair: MatrixPair) -> Optional[Certificate]:
@@ -266,12 +277,7 @@ def _evidence_projection_scalar(pair: MatrixPair, k: int) -> dict:
         raise CertificateCheckFailed("pair size does not match a 4k layout")
     n1 = pair.n_op.submatrix(k, 2 * k, 3 * k, n)
     cbasis = _commutant_of([n1], k, pair.field)
-    gens: list[Matrix] = []
-    for b in cbasis:
-        gens.append(b)
-        if pair.field == COMPLEX:
-            gens.append(b * I_UNIT)
-    sols = _real_span_solutions(gens, lambda x: x - x.conj_transpose())
+    sols = _real_span_solutions(cbasis, lambda x: x - x.conj_transpose())
     dim = len(sols)
     scalar = dim == 1 and sols[0] == Matrix.identity(k, pair.field) * sols[0][0, 0]
     return {
@@ -283,14 +289,14 @@ def _evidence_projection_scalar(pair: MatrixPair, k: int) -> dict:
 
 
 def _real_span_of_complex(vectors: Sequence[Matrix], n: int) -> SubspaceBasis:
-    reals: list[Matrix] = []
-    for z in vectors:
-        for v in (z.real_part(), z.imag_part()):
-            if not v.is_zero:
-                cand = reals + [v]
-                if hstack(cand).rank() == len(cand):
-                    reals.append(v)
-    return SubspaceBasis(reals, n, REAL)
+    """Real basis of the real span of the real and imaginary parts of ``vectors``.
+
+    The parts are taken in order and a part is kept when it is independent
+    of the parts before it: these are the pivot columns of one elimination.
+    """
+    parts = [v for z in vectors for v in (z.real_part(), z.imag_part())]
+    rows = [{j: v[i, 0] for j, v in enumerate(parts) if v[i, 0]} for i in range(n)]
+    return SubspaceBasis([parts[j] for j in sorted(_gauss_jordan(rows))], n, REAL)
 
 
 def _exact_spectrum_strings(pair: MatrixPair) -> list[str]:
@@ -479,9 +485,7 @@ def search_decomposition(
             STATUS_INDECOMPOSABLE, Certificate(CERT_SCALAR_COMMUTANT, ev), None, budget, seed
         )
     n = pair.n
-    sparse = [
-        [(idx, val) for idx, val in enumerate(b.entries) if val] for b in basis
-    ]
+    sparse = [_sparse_entries(b) for b in basis]
     m = len(basis)
     # for large commutants each draw touches a bounded number of basis
     # elements; the remaining coefficients are zero (still "small integers")
@@ -497,14 +501,7 @@ def search_decomposition(
         if not any(c for _, c in picks) or picks in seen:
             continue
         seen.add(picks)
-        ents = [ZERO] * (n * n)
-        for j, c in picks:
-            if not c:
-                continue
-            cs = as_scalar(c)
-            for idx, val in sparse[j]:
-                ents[idx] = ents[idx] + val * cs
-        x = Matrix(n, n, ents, pair.field)
+        x = _combination(((j, as_scalar(c)) for j, c in picks if c), sparse, n, pair.field)
         for mu, mult in _rational_roots_with_mult(char_poly(x)):
             if mult == n:  # ker (X - mu)^n is the whole space
                 continue

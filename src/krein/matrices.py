@@ -1,10 +1,16 @@
 """Exact dense matrices over the rationals and Gaussian rationals.
 
-Matrices are immutable, carry a real/complex field tag, and all arithmetic,
-elimination, inversion and kernel computations are exact. Characteristic
-polynomials are computed by an exact Hessenberg reduction followed by the
-last-column determinant expansion; the Faddeev-LeVerrier iteration is kept
-as an independent cross-check.
+Matrices are immutable, carry a real/complex field tag, and all arithmetic is
+exact. Every row reduction in the package goes through one sparse
+Gauss-Jordan core, ``_gauss_jordan``, which returns the reduced row echelon
+form of a system of {column: coefficient} rows. Rank, kernels, inverses and
+particular solutions are read off it, and so are the sparse commutant systems
+of :mod:`krein.decompose` (through :func:`kernel_of_sparse_rows`). The RREF
+is unique, so these results do not depend on how rows are ordered or stored.
+Characteristic polynomials are computed by an exact Hessenberg reduction
+followed by the last-column determinant expansion, and the determinant is
+read off the characteristic polynomial; the Faddeev-LeVerrier iteration is
+kept as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -278,82 +284,58 @@ class Matrix:
 
     # -- elimination-based operations -----------------------------------------
 
+    def _sparse_rows(self, offset: int = 0) -> list[dict[int, GaussianRational]]:
+        """The rows as {column + offset: entry} dicts without zero entries."""
+        return [
+            {offset + j: v for j, v in enumerate(self.row_list(i)) if v}
+            for i in range(self.rows)
+        ]
+
     def det(self) -> GaussianRational:
+        """det(M) = (-1)^n char_poly(M)(0)."""
         if not self.is_square:
             raise DimensionMismatch("determinant of a non-square matrix")
-        a = self.to_lists()
-        n = self.rows
-        det = ONE
-        for c in range(n):
-            piv = next((r for r in range(c, n) if a[r][c]), None)
-            if piv is None:
-                return ZERO
-            if piv != c:
-                a[c], a[piv] = a[piv], a[c]
-                det = -det
-            det = det * a[c][c]
-            inv = ONE / a[c][c]
-            for r in range(c + 1, n):
-                f = a[r][c] * inv
-                if f:
-                    arow, crow = a[r], a[c]
-                    for j in range(c, n):
-                        arow[j] = arow[j] - f * crow[j]
-        return det
+        c0 = char_poly(self).coeffs[0]
+        return -c0 if self.rows % 2 else c0
 
     def rank(self) -> int:
-        _, pivots = _rref(self.to_lists())
-        return len(pivots)
+        return len(_gauss_jordan(self._sparse_rows()))
 
     def inverse(self) -> "Matrix":
         if not self.is_square:
             raise DimensionMismatch("inverse of a non-square matrix")
-        n = self.rows
-        aug = [
-            self.row_list(i) + [ONE if i == j else ZERO for j in range(n)]
-            for i in range(n)
-        ]
-        red, pivots = _rref(aug)
-        if len(pivots) < n or any(p >= n for p in pivots):
-            raise SingularMatrix("matrix is singular")
-        inv_rows = [None] * n
-        for r, p in enumerate(pivots):
-            inv_rows[p] = red[r][n:]
-        return Matrix.from_rows(inv_rows, self.field)
+        return self._solve(Matrix.identity(self.rows, self.field), "matrix is singular")
 
     def kernel_basis(self) -> list["Matrix"]:
         """Exact basis of the null space; empty list when trivial."""
-        red, pivots = _rref(self.to_lists())
-        pivot_set = dict((p, r) for r, p in enumerate(pivots))
-        basis = []
-        for f in range(self.cols):
-            if f in pivot_set:
-                continue
-            v = [ZERO] * self.cols
-            v[f] = ONE
-            for p, r in pivot_set.items():
-                w = red[r][f]
-                if w:
-                    v[p] = -w
-            basis.append(Matrix.column(v, self.field))
-        return basis
+        return [
+            Matrix.column([v.get(j, ZERO) for j in range(self.cols)], self.field)
+            for v in kernel_of_sparse_rows(self._sparse_rows(), self.cols)
+        ]
 
     def solve_right(self, rhs: "Matrix") -> "Matrix":
         """A particular solution X of self @ X = rhs (free variables set to 0)."""
-        field = self._join_field(rhs)
+        self._join_field(rhs)
         if self.rows != rhs.rows:
             raise DimensionMismatch("row count mismatch in solve")
+        return self._solve(rhs, "inconsistent linear system")
+
+    def _solve(self, rhs: "Matrix", failure: str) -> "Matrix":
+        # Reduce [self | rhs]: the system is consistent exactly when no pivot
+        # lands in the rhs columns, and then each pivot row holds the value
+        # of its pivot variable with the free variables set to 0.
         m = self.cols
-        aug = [self.row_list(i) + rhs.row_list(i) for i in range(self.rows)]
-        red, pivots = _rref([row[:] for row in aug], stop_col=m)
-        sol = [[ZERO] * rhs.cols for _ in range(m)]
-        for r, p in enumerate(pivots):
-            sol[p] = red[r][m:]
-        # consistency: rows without a pivot must have zero right-hand side
-        for r in range(len(pivots), len(red)):
-            if any(red[r][m:]):
-                raise SingularMatrix("inconsistent linear system")
-        return Matrix.from_rows(sol, field)
+        reduced = _gauss_jordan(
+            a | b for a, b in zip(self._sparse_rows(), rhs._sparse_rows(offset=m))
+        )
+        if any(p >= m for p in reduced):
+            raise SingularMatrix(failure)
+        ents = [
+            reduced.get(i, {}).get(m + j, ZERO)
+            for i in range(m)
+            for j in range(rhs.cols)
+        ]
+        return Matrix(m, rhs.cols, ents, self.field)
 
 
 def hstack(mats: Sequence[Matrix]) -> Matrix:
@@ -378,38 +360,48 @@ def vstack(mats: Sequence[Matrix]) -> Matrix:
     return Matrix.from_rows(rows, mats[0].field)
 
 
-def _rref(rows: list[list[GaussianRational]], stop_col: int | None = None):
-    """In-place reduced row echelon form (leftmost pivots, pivot rows first).
+def _gauss_jordan(
+    rows: Iterable[dict[int, GaussianRational]],
+) -> dict[int, dict[int, GaussianRational]]:
+    """Reduced row echelon form of a sparse row system, as {pivot column: row}.
 
-    Returns (rows, pivot_columns). Only columns < stop_col are eligible as
-    pivots; trailing columns ride along (used for augmented systems).
+    Rows are {column: coefficient} dicts. Rows are taken smallest first, and
+    each is reduced against the pivot rows so far, pivots on its leftmost
+    column and is then eliminated from the earlier pivot rows. Each pivot row
+    thus stays 1 at its pivot, 0 at every other pivot column and 0 left of
+    its pivot, so the result is the unique RREF of the row space: pivots,
+    kernels and solutions do not depend on the order rows arrive in.
     """
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    limit = ncols if stop_col is None else stop_col
-    pivots: list[int] = []
-    r = 0
-    for c in range(limit):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
+    pivot_rows: dict[int, dict[int, GaussianRational]] = {}
+    pending = [dict(r) for r in rows if r]
+    pending.sort(key=lambda r: (len(r), sorted(r)))
+    for row in pending:
+        # pivot rows are mutually reduced, so one sweep removes every hit
+        for c in [c for c in row if c in pivot_rows]:
+            _eliminate(row, c, pivot_rows[c])
+        if not row:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = ONE / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        prow = rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                irow = rows[i]
-                for j in range(c, ncols):
-                    if prow[j]:
-                        irow[j] = irow[j] - f * prow[j]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+        p = min(row)
+        inv = ONE / row[p]
+        nrow = {c: v * inv for c, v in row.items()}
+        for prow in pivot_rows.values():
+            if p in prow:
+                _eliminate(prow, p, nrow)
+        pivot_rows[p] = nrow
+    return pivot_rows
+
+
+def _eliminate(row: dict, c: int, prow: dict) -> None:
+    """row -= row[c] * prow, for a pivot row prow that is 1 at column c."""
+    coef = row.pop(c)
+    for cc, vv in prow.items():
+        if cc == c:
+            continue
+        nv = row.get(cc, ZERO) - coef * vv
+        if nv:
+            row[cc] = nv
+        else:
+            row.pop(cc, None)
 
 
 def kernel_of_sparse_rows(
@@ -417,46 +409,11 @@ def kernel_of_sparse_rows(
 ) -> list[dict[int, GaussianRational]]:
     """Kernel basis of a sparse row system; rows are {column: coefficient}.
 
-    Gauss-Jordan with smallest-row-first processing; pivot rows are kept
-    mutually reduced so kernel vectors read off directly. Deterministic.
+    One vector per free (non-pivot) column f, in increasing f: 1 at f, 0 at
+    every other free column, and minus the reduced rows' column f at the
+    pivots. Deterministic.
     """
-    pivot_rows: dict[int, dict[int, GaussianRational]] = {}
-    pending = [dict(r) for r in rows if r]
-    pending.sort(key=lambda r: (len(r), sorted(r)))
-    for row in pending:
-        # pivot rows are mutually reduced, so one sweep removes all hits
-        hits = [c for c in row if c in pivot_rows]
-        while hits:
-            for c in hits:
-                coef = row.pop(c, None)
-                if not coef:
-                    continue
-                for cc, vv in pivot_rows[c].items():
-                    if cc == c:
-                        continue
-                    nv = row.get(cc, ZERO) - coef * vv
-                    if nv:
-                        row[cc] = nv
-                    else:
-                        row.pop(cc, None)
-            hits = [c for c in row if c in pivot_rows]
-        if not row:
-            continue
-        p = min(row)
-        inv = ONE / row[p]
-        nrow = {c: v * inv for c, v in row.items()}
-        for prow in pivot_rows.values():
-            coef = prow.pop(p, None)
-            if coef:
-                for cc, vv in nrow.items():
-                    if cc == p:
-                        continue
-                    nv = prow.get(cc, ZERO) - coef * vv
-                    if nv:
-                        prow[cc] = nv
-                    else:
-                        prow.pop(cc, None)
-        pivot_rows[p] = nrow
+    pivot_rows = _gauss_jordan(rows)
     basis = []
     for f in range(ncols):
         if f in pivot_rows:

@@ -211,30 +211,34 @@ class Root:
 
 
 _SNAP_DENOMINATORS = (1, 6, 60, 1000, 10**6)
+# approximate roots closer than this are one root; approximate imaginary
+# parts within it of zero are read as real
+GROUPING_TOL = 1e-9
 
 
-def _snap_candidates(z: complex, max_denominator: int):
+def _snap_candidates(z: complex):
     for bound in _SNAP_DENOMINATORS:
-        if bound > max_denominator:
-            break
         re = Fraction(z.real).limit_denominator(bound)
         im = Fraction(z.imag).limit_denominator(bound)
         yield GaussianRational(re, im)
 
 
 def _numeric_roots(q: Polynomial) -> list[complex]:
-    coeffs = [c.to_complex() for c in reversed(q.coeffs)]
+    try:
+        coeffs = [c.to_complex() for c in reversed(q.coeffs)]
+    except OverflowError as exc:
+        raise RootFindingError(f"coefficient too large for a float ({exc})") from None
     vals = np.roots(np.asarray(coeffs, dtype=complex))
     if not np.all(np.isfinite(vals)):
         raise RootFindingError("numeric root finder returned non-finite values")
     return [complex(v) for v in vals]
 
 
-def _group_approx(values: list[complex], tol: float) -> list[tuple[complex, int]]:
+def _group_approx(values: list[complex]) -> list[tuple[complex, int]]:
     groups: list[tuple[complex, int]] = []
     for z in sorted(values, key=lambda v: (v.real, v.imag)):
         for idx, (c, cnt) in enumerate(groups):
-            if abs(z - c) <= tol:
+            if abs(z - c) <= GROUPING_TOL:
                 groups[idx] = ((c * cnt + z) / (cnt + 1), cnt + 1)
                 break
         else:
@@ -242,11 +246,7 @@ def _group_approx(values: list[complex], tol: float) -> list[tuple[complex, int]
     return groups
 
 
-def poly_roots(
-    p: Polynomial,
-    grouping_tol: float = 1e-9,
-    max_denominator: int = 10**6,
-) -> list[Root]:
+def poly_roots(p: Polynomial) -> list[Root]:
     """All complex roots with multiplicity.
 
     Exact Gaussian-rational roots are detected first: the polynomial is split
@@ -254,7 +254,7 @@ def poly_roots(
     nearby small-denominator candidates, and a candidate is accepted only if
     it is nearest to the numeric root it was snapped from and exact
     evaluation gives zero. Remaining roots are reported as approximate
-    complex values, grouped to within ``grouping_tol``.
+    complex values, grouped to within ``GROUPING_TOL``.
     """
     if p.degree < 1:
         raise ParameterError("root finding needs degree >= 1")
@@ -267,7 +267,7 @@ def poly_roots(
         for z in numeric:
             if rem.degree < 1:
                 break
-            for cand in _snap_candidates(z, max_denominator):
+            for cand in _snap_candidates(z):
                 # z claims only a candidate it is the nearest numeric root to,
                 # never a neighbouring exact root
                 c = cand.to_complex()
@@ -279,7 +279,7 @@ def poly_roots(
                 leftovers.append(z)
         # keep only as many approximate roots as the deflated factor demands
         if rem.degree > 0:
-            for z, cnt in _group_approx(leftovers[: rem.degree], grouping_tol):
+            for z, cnt in _group_approx(leftovers[: rem.degree]):
                 approx_pool.append((z, cnt * mult))
 
     exact.sort(key=lambda r: r.value.sort_key())

@@ -166,3 +166,12 @@ def test_audit_tampered_extra_fails(tmp_path, capsys):
 def test_version_flag(capsys):
     rc, out, _ = run(capsys, "--version")
     assert rc == 0
+
+
+def test_classify_overflowing_eigenvalue_is_exit_one(tmp_path, capsys):
+    # 10^400 has no float; root finding must fail as a KreinError, not escape
+    path = tmp_path / "huge.json"
+    path.write_text(serialize_pair(witness_complex_b(1, 10**400, 0).pair))
+    rc, _, err = run(capsys, "classify", str(path))
+    assert rc == 1
+    assert err.startswith("error:")

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 from krein.decompose import (
     Certificate,
+    _evidence_projection_scalar,
     certify_family,
     certify_scalar_commutant,
     commutant_basis,
@@ -10,6 +11,7 @@ from krein.decompose import (
     verify_certificate,
 )
 from krein.matrices import COMPLEX, REAL, Matrix, hstack
+from krein.scalars import GaussianRational
 from krein.spaces import (
     MatrixPair,
     direct_sum,
@@ -339,4 +341,38 @@ def test_search_golden_verdict_on_d_plus_e_sum():
         "budget": 200,
         "seed": 1729,
         "witness_subspace": units,
+    }
+
+
+# Golden selfadjoint bases: the search verdicts pin these bases only indirectly.
+
+
+def test_selfadjoint_commutant_golden_basis_complex_a_upper():
+    pair = witness_complex_a_upper(1, GaussianRational(1, 2)).pair
+    assert [repr(x) for x in selfadjoint_commutant_basis(pair)] == [
+        "Matrix[4x4,complex](0 0 0 1; 0 0 0 0; 0 0 0 0; 0 0 0 0)",
+        "Matrix[4x4,complex](0 3 1 0; 0 0 0 3; 0 0 0 1; 0 0 0 0)",
+        "Matrix[4x4,complex](0 1/3i -1i 0; 0 0 0 -1/3i; 0 0 0 1i; 0 0 0 0)",
+        "Matrix[4x4,complex](1 0 0 0; 0 1 0 0; 0 0 1 0; 0 0 0 1)",
+    ]
+
+
+def test_selfadjoint_commutant_golden_basis_real_c_odd():
+    pair = witness_real_c_odd(3, Fraction(1, 2), 1).pair
+    assert [repr(x) for x in selfadjoint_commutant_basis(pair)] == [
+        "Matrix[6x6,real](0 0 0 0 0 1; 0 0 0 0 1 0; 0 0 0 0 0 0; 0 0 0 0 0 0; 0 0 0 0 0 0; 0 0 0 0 0 0)",
+        "Matrix[6x6,real](0 0 0 0 -1 0; 0 0 0 0 0 1; 0 0 0 0 0 0; 0 0 0 0 0 0; 0 0 0 0 0 0; 0 0 0 0 0 0)",
+        "Matrix[6x6,real](0 0 1 0 0 0; 0 0 0 1 0 0; 0 0 0 0 0 1; 0 0 0 0 1 0; 0 0 0 0 0 0; 0 0 0 0 0 0)",
+        "Matrix[6x6,real](0 0 0 -1 -2 0; 0 0 1 0 0 0; 0 0 0 0 -1 0; 0 0 0 0 0 1; 0 0 0 0 0 0; 0 0 0 0 0 0)",
+        "Matrix[6x6,real](0 1 0 2 2 0; -1 0 0 0 0 0; 0 0 0 1 2 0; 0 0 -1 0 0 0; 0 0 0 0 0 -1; 0 0 0 0 1 0)",
+        "Matrix[6x6,real](1 0 0 0 0 0; 0 1 0 0 0 0; 0 0 1 0 0 0; 0 0 0 1 0 0; 0 0 0 0 1 0; 0 0 0 0 0 1)",
+    ]
+
+
+def test_projection_scalar_golden_evidence_a_upper_k2():
+    assert _evidence_projection_scalar(witness_complex_a_upper(2, 0).pair, 2) == {
+        "k": 2,
+        "n1_nonsingular": True,
+        "hermitian_commutant_dim": 1,
+        "hermitian_commutant_scalar": True,
     }

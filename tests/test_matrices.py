@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from krein.exceptions import DimensionMismatch, SingularMatrix
 from krein.matrices import (
@@ -173,18 +175,126 @@ def test_kernel_vectors_annihilate_and_count():
             assert (m @ v).is_zero
 
 
-def test_sparse_kernel_matches_dense():
+def _zero_root_multiplicity(p: Polynomial) -> int:
+    return next(i for i, c in enumerate(p.coeffs) if c)
+
+
+def test_sparse_kernel_has_the_nullity_of_the_gram_matrix():
+    # nullity(A) = nullity(A* A), the multiplicity of the eigenvalue 0 of the
+    # Hermitian matrix A* A: read off char_poly, which eliminates nothing
     rng = random.Random(5)
-    for _ in range(15):
-        m = rand_matrix(rng, rng.randint(2, 5), rng.randint(2, 6))
-        rows = []
-        for i in range(m.rows):
-            rows.append({j: m[i, j] for j in range(m.cols) if m[i, j]})
-        sparse = kernel_of_sparse_rows(rows, m.cols)
-        assert len(sparse) == len(m.kernel_basis())
+    for trial in range(30):
+        field = REAL if trial % 2 else COMPLEX
+        n, m, r = rng.randint(2, 5), rng.randint(2, 6), rng.randint(0, 2)
+        if trial % 3:
+            a = rand_matrix(rng, n, m, field)
+        elif r:
+            a = rand_matrix(rng, n, r, field) @ rand_matrix(rng, r, m, field)
+        else:
+            a = Matrix.zeros(n, m, field)
+        rows = [{j: a[i, j] for j in range(m) if a[i, j]} for i in range(n)]
+        sparse = kernel_of_sparse_rows(rows, m)
+        assert len(sparse) == _zero_root_multiplicity(char_poly(a.conj_transpose() @ a))
         for vec in sparse:
-            v = Matrix.column([vec.get(j, 0) for j in range(m.cols)], m.field)
-            assert (m @ v).is_zero
+            v = Matrix.column([vec.get(j, 0) for j in range(m)], field)
+            assert (a @ v).is_zero
+
+
+def _rationals():
+    return st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+
+
+@st.composite
+def _low_rank_matrices(draw):
+    """A = B C with B n x r and C r x m, so rank(A) <= r; r = min(n, m) is allowed."""
+    field = draw(st.sampled_from([REAL, COMPLEX]))
+    if field == REAL:
+        entry = _rationals().map(GaussianRational)
+    else:
+        entry = st.builds(GaussianRational, _rationals(), _rationals())
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    r = draw(st.integers(0, min(n, m)))
+
+    def mat(rows, cols):
+        ents = draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))
+        return Matrix(rows, cols, ents, field)
+
+    a = mat(n, r) @ mat(r, m) if r else Matrix.zeros(n, m, field)
+    return a, r, mat(m, 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_low_rank_matrices())
+def test_elimination_properties(case):
+    a, r, x = case
+    basis = a.kernel_basis()
+    rank = a.rank()
+    assert rank <= r
+    assert rank + len(basis) == a.cols
+    # each kernel vector ends at its free column, where it is 1, and is 0
+    # at every other free column
+    frees = [max(i for i in range(a.cols) if v[i, 0]) for v in basis]
+    for v, f in zip(basis, frees):
+        assert (a @ v).is_zero
+        assert [v[g, 0] for g in frees] == [1 if g == f else 0 for g in frees]
+    if a.is_square:
+        n = a.rows
+        det = a.det()
+        assert det == faddeev_leverrier(a).coeffs[0] * (-1) ** n
+        if det:
+            assert a.inverse() @ a == Matrix.identity(n, a.field)
+        else:
+            with pytest.raises(SingularMatrix):
+                a.inverse()
+    b = a @ x
+    assert a @ a.solve_right(b) == b
+    if rank < a.rows:
+        # y != 0 with A* y = 0 is orthogonal to the column space of A
+        y = a.conj_transpose().kernel_basis()[0]
+        assert (a.conj_transpose() @ y).is_zero and not y.is_zero
+        with pytest.raises(SingularMatrix):
+            a.solve_right(b + y)
+
+
+# Golden elimination results on fixed matrices.
+
+
+def test_kernel_basis_golden():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    a = Matrix.from_rows([[1, 2, 3, 4], [half, 1, 3 * half, 2], [0, 1, -1, third]], REAL)
+    assert a.kernel_basis() == [
+        Matrix.column([-5, 1, 1, 0], REAL),
+        Matrix.column([-10 * third, -third, 0, 1], REAL),
+    ]
+    g = GaussianRational
+    i = g(0, 1)
+    c = Matrix.from_rows([[1, i, 2], [i, -1, 2 * i], [g(1, 1), g(-1, 1), g(2, 2)]], COMPLEX)
+    assert c.kernel_basis() == [
+        Matrix.column([-i, 1, 0], COMPLEX),
+        Matrix.column([-2, 0, 1], COMPLEX),
+    ]
+
+
+def test_inverse_golden():
+    g, f = GaussianRational, Fraction
+    i = g(0, 1)
+    m = Matrix.from_rows([[2, i, 0], [g(1, -1), f(1, 2), 3], [0, -i, g(1, 2)]], COMPLEX)
+    assert m.inverse() == Matrix.from_rows(
+        [
+            [g(f(21, 29), f(11, 58)), g(f(-1, 29), f(-12, 29)), g(f(15, 29), f(6, 29))],
+            [g(f(-11, 29), f(13, 29)), g(f(24, 29), f(-2, 29)), g(f(-12, 29), f(30, 29))],
+            [g(f(-7, 29), f(3, 29)), g(f(10, 29), f(4, 29)), g(f(-5, 29), f(-2, 29))],
+        ],
+        COMPLEX,
+    )
+    assert m.det() == GaussianRational(2, 5)
+
+
+def test_solve_right_golden():
+    a = Matrix.from_rows([[1, 2, 0], [0, 1, Fraction(1, 3)]], REAL)
+    rhs = Matrix.from_rows([[1, 0], [Fraction(2, 5), -1]], REAL)
+    expected = Matrix.from_rows([[Fraction(1, 5), 2], [Fraction(2, 5), -1], [0, 0]], REAL)
+    assert a.solve_right(rhs) == expected  # free variable x3 set to 0
 
 
 # --- characteristic polynomials -----------------------------------------------
