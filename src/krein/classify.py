@@ -43,7 +43,6 @@ from .scalars import GaussianRational, as_scalar, format_scalar
 from .spaces import (
     MatrixPair,
     SubspaceBasis,
-    h_adjoint,
     is_h_normal,
     is_neutral,
 )
@@ -220,7 +219,7 @@ def joint_eigenspace(pair: MatrixPair, lam) -> JointEigenstructure:
     n = pair.n
     ident = Matrix.identity(n, pair.field)
     a = pair.n_op - ident * lam
-    b = h_adjoint(pair.n_op, pair.space) - ident * lam.conjugate()
+    b = pair.adjoint - ident * lam.conjugate()
     basis = SubspaceBasis(_joint_kernel([a, b]), n, pair.field)
     return JointEigenstructure(
         s0_basis=basis,
@@ -244,11 +243,10 @@ def joint_eigenspace_real(pair: MatrixPair, alpha, beta) -> JointEigenstructure:
     if b <= 0:
         raise ParameterError("beta must be positive")
     lam = GaussianRational(Fraction(alpha), b)
-    cpair = pair.complexified()
     n = pair.n
     ident = Matrix.identity(n, COMPLEX)
-    a_mat = cpair.n_op - ident * lam
-    adj = h_adjoint(cpair.n_op, cpair.space)
+    a_mat = pair.n_op.complexified() - ident * lam
+    adj = pair.adjoint.complexified()
     prime = _joint_kernel([a_mat, adj - ident * lam.conjugate()])
     dprime = _joint_kernel([a_mat, adj - ident * lam])
     vectors = [part for z in prime + dprime for part in (z.real_part(), z.imag_part())]

@@ -52,7 +52,6 @@ from .scalars import GaussianRational, I_UNIT, ZERO, as_scalar, format_scalar, p
 from .spaces import (
     MatrixPair,
     SubspaceBasis,
-    h_adjoint,
     is_neutral,
     is_nondegenerate,
 )
@@ -166,8 +165,7 @@ def _commutant_of(mats: Sequence[Matrix], n: int, field: str) -> list[Matrix]:
 
 def commutant_basis(pair: MatrixPair) -> list[Matrix]:
     """Exact basis of {X : XN = NX and X N^[*] = N^[*] X} over the base field."""
-    adj = h_adjoint(pair.n_op, pair.space)
-    return _commutant_of([pair.n_op, adj], pair.n, pair.field)
+    return _commutant_of([pair.n_op, pair.adjoint], pair.n, pair.field)
 
 
 def _sparse_entries(m: Matrix) -> list[tuple[int, GaussianRational]]:
@@ -455,8 +453,7 @@ def _try_root_subspace(pair: MatrixPair, x: Matrix, mu: Fraction, mult: int):
         return None
     sub = SubspaceBasis(kernel, n, pair.field)
     v = sub.matrix
-    adj = h_adjoint(pair.n_op, pair.space)
-    for op in (pair.n_op, adj):
+    for op in (pair.n_op, pair.adjoint):
         if hstack([v, op @ v]).rank() != d:
             return None
     if not is_nondegenerate(sub, pair.space):

@@ -1,7 +1,11 @@
 """Exact dense matrices over the rationals and Gaussian rationals.
 
 Matrices are immutable, carry a real/complex field tag, and all arithmetic is
-exact. Every row reduction in the package goes through one sparse
+exact. Products are integer-scaled: each operand is written over the lcm d of
+its entry denominators as (re + i*im) / d with integer lists re and im, the
+product's inner loop runs on Python ints (one multiply-add per term when both
+operands are real) and each output entry is normalized once, as a fraction
+over d_a * d_b. Every row reduction in the package goes through one sparse
 Gauss-Jordan core, ``_gauss_jordan``, which returns the reduced row echelon
 form of a system of {column: coefficient} rows. Rank, kernels, inverses and
 particular solutions are read off it, and so are the sparse commutant systems
@@ -15,6 +19,8 @@ kept as an independent cross-check.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .exceptions import (
@@ -241,25 +247,62 @@ class Matrix:
         return self._matmul(other)
 
     def _matmul(self, other: "Matrix") -> "Matrix":
+        # With A = (ar + i ai) / da and B = (br + i bi) / db over integers,
+        # AB = (ar br - ai bi + i (ar bi + ai br)) / (da db): the sums run on
+        # Python ints, skipping zero entries, and each output is normalized once.
         field = self._join_field(other)
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         n, m, p = self.rows, self.cols, other.cols
-        out = [ZERO] * (n * p)
-        a, b = self.entries, other.entries
+        da, ar, ai = self._integer_form()
+        db, br, bi = other._integer_form()
+        d = da * db
+        out = []
+        if not ai and not bi:
+            brows = [[(j, u) for j, u in enumerate(br[k * p : (k + 1) * p]) if u] for k in range(m)]
+            for i in range(n):
+                acc = [0] * p
+                for k, x in enumerate(ar[i * m : (i + 1) * m]):
+                    if x:
+                        for j, u in brows[k]:
+                            acc[j] += x * u
+                out.extend(GaussianRational(Fraction(r, d)) if r else ZERO for r in acc)
+            return Matrix(n, p, out, field)
+        ai = ai or [0] * (n * m)
+        bi = bi or [0] * (m * p)
+        brows = [
+            [(j, br[t], bi[t]) for j, t in enumerate(range(k * p, (k + 1) * p)) if br[t] or bi[t]]
+            for k in range(m)
+        ]
         for i in range(n):
-            arow = a[i * m : (i + 1) * m]
-            orow = i * p
-            for k, aik in enumerate(arow):
-                if not aik:
-                    continue
-                brow = b[k * p : (k + 1) * p]
-                for j, bkj in enumerate(brow):
-                    if bkj:
-                        out[orow + j] = out[orow + j] + aik * bkj
+            re = [0] * p
+            im = [0] * p
+            for k, (x, y) in enumerate(zip(ar[i * m : (i + 1) * m], ai[i * m : (i + 1) * m])):
+                if x or y:
+                    for j, u, v in brows[k]:
+                        re[j] += x * u - y * v
+                        im[j] += x * v + y * u
+            out.extend(
+                GaussianRational(Fraction(r, d), Fraction(s, d)) if r or s else ZERO
+                for r, s in zip(re, im)
+            )
         return Matrix(n, p, out, field)
+
+    def _integer_form(self) -> tuple[int, list[int], list[int]]:
+        """(d, re, im) with entry k = (re[k] + i*im[k]) / d, where d is the lcm
+        of all entry denominators; im is empty when every entry is real."""
+        re = [e.re for e in self.entries]
+        im = [e.im for e in self.entries]
+        if not any(im):
+            im = []
+        d = lcm(*{f.denominator for f in re + im})
+        return (
+            d,
+            [f.numerator * (d // f.denominator) for f in re],
+            [f.numerator * (d // f.denominator) for f in im],
+        )
 
     def transpose(self) -> "Matrix":
         ents = [self[j, i] for i in range(self.cols) for j in range(self.rows)]
@@ -467,20 +510,28 @@ def char_poly(m: Matrix) -> Polynomial:
     if n == 0:
         return Polynomial([1])
     h = _hessenberg(m.to_lists())
-    ps = [Polynomial([1])]
+    # ps[k] = det(tI - H[:k, :k]) as an ascending coefficient list
+    ps = [[ONE]]
     for k in range(1, n + 1):
-        t_minus = Polynomial([-h[k - 1][k - 1], 1])
-        p = t_minus * ps[k - 1]
+        prev = ps[k - 1]
+        p = [ZERO] + prev  # t * ps[k-1]
+        _axpy(p, -h[k - 1][k - 1], prev)
         prod = ONE
         for i in range(k - 2, -1, -1):
             prod = prod * h[i + 1][i]
             if not prod:
                 break
-            coef = h[i][k - 1] * prod
-            if coef:
-                p = p - coef * ps[i]
+            _axpy(p, -(h[i][k - 1] * prod), ps[i])
         ps.append(p)
-    return ps[n]
+    return Polynomial(ps[n])
+
+
+def _axpy(p: list, c: GaussianRational, q: list) -> None:
+    """p[j] += c * q[j] for the entries of q (p at least as long as q)."""
+    if c:
+        for j, v in enumerate(q):
+            if v:
+                p[j] = p[j] + c * v
 
 
 def faddeev_leverrier(m: Matrix) -> Polynomial:

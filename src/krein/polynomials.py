@@ -161,8 +161,8 @@ def poly_from_roots(roots: Sequence) -> Polynomial:
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic gcd by the Euclidean algorithm over the field of coefficients."""
     while not b.is_zero:
-        a, b = b, (a % b).monic() if not (a % b).is_zero else Polynomial()
-    return a.monic() if not a.is_zero else a
+        a, b = b, (a % b).monic()
+    return a.monic()
 
 
 def poly_lcm(a: Polynomial, b: Polynomial) -> Polynomial:

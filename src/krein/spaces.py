@@ -131,7 +131,7 @@ class IndefiniteSpace:
 class MatrixPair:
     """An operator together with the space it acts on (the central object here)."""
 
-    __slots__ = ("n_op", "space")
+    __slots__ = ("n_op", "space", "_adjoint")
 
     def __init__(self, n_op: Matrix, space: IndefiniteSpace):
         if not n_op.is_square or n_op.rows != space.dim:
@@ -140,6 +140,7 @@ class MatrixPair:
             raise DimensionMismatch("operator and space field tags differ")
         self.n_op = n_op
         self.space = space
+        self._adjoint = None
 
     @classmethod
     def from_matrices(cls, n_op: Matrix, h: Matrix) -> "MatrixPair":
@@ -152,6 +153,13 @@ class MatrixPair:
     @property
     def field(self) -> str:
         return self.space.field
+
+    @property
+    def adjoint(self) -> Matrix:
+        """The H-adjoint N^[*] of the operator, computed once by :func:`h_adjoint`."""
+        if self._adjoint is None:
+            self._adjoint = h_adjoint(self.n_op, self.space)
+        return self._adjoint
 
     def complexified(self) -> "MatrixPair":
         if self.field == COMPLEX:
@@ -221,8 +229,7 @@ def h_adjoint(a: Matrix, space: IndefiniteSpace) -> Matrix:
 
 def is_h_normal(pair: MatrixPair) -> bool:
     """Exact test that the operator commutes with its H-adjoint."""
-    a = pair.n_op
-    adj = h_adjoint(a, pair.space)
+    a, adj = pair.n_op, pair.adjoint
     return a @ adj == adj @ a
 
 

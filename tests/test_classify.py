@@ -335,3 +335,28 @@ def test_reduce_conjugate_pair_rejects_non_neutral():
     pair = MatrixPair.from_matrices(rotation_block(0, 1), Matrix.identity(2, REAL))
     with pytest.raises(S0NotNeutral):
         reduce_conjugate_pair(pair, 0, 1)
+
+
+def test_classify_and_reduce_compute_the_h_adjoint_once_per_pair(monkeypatch):
+    import krein.spaces
+    from krein.spaces import is_h_normal
+
+    calls = []
+    real_h_adjoint = krein.spaces.h_adjoint
+
+    def counting(a, space):
+        calls.append(a)
+        return real_h_adjoint(a, space)
+
+    monkeypatch.setattr(krein.spaces, "h_adjoint", counting)
+    for w, reduce in (
+        (witness_complex_a_upper(2, 1), lambda p: reduce_single_eigenvalue(p, 1)),
+        (witness_real_c_odd(3, 0, 1), lambda p: reduce_conjugate_pair(p, 0, 1)),
+    ):
+        pair = MatrixPair.from_matrices(w.pair.n_op, w.pair.space.h)
+        calls.clear()
+        assert is_h_normal(pair)
+        classify(pair)
+        reduce(pair)
+        assert calls == [pair.n_op]
+        assert pair.adjoint == real_h_adjoint(pair.n_op, pair.space)

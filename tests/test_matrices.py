@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from krein.exceptions import DimensionMismatch, SingularMatrix
+from krein.exceptions import DimensionMismatch, FieldMismatch, SingularMatrix
 from krein.matrices import (
     COMPLEX,
     REAL,
@@ -77,18 +77,100 @@ def test_even_seed_product_by_hand():
     assert a @ b == Matrix.from_rows(expected, REAL)
 
 
+def test_complex_product_by_hand():
+    # (1+i)(2-i) + (i/2)(3i) = 3 + i - 3/2 and (1+i)(-1/3) + (i/2)(2) = -1/3 + 2i/3
+    a = Matrix.from_rows([[GaussianRational(1, 1), GaussianRational(0, Fraction(1, 2))]], COMPLEX)
+    b = Matrix.from_rows(
+        [[GaussianRational(2, -1), Fraction(-1, 3)], [GaussianRational(0, 3), 2]], COMPLEX
+    )
+    expected = [GaussianRational(Fraction(3, 2), 1), GaussianRational(Fraction(-1, 3), Fraction(2, 3))]
+    assert (a @ b).entries == tuple(expected)
+
+
 def test_shape_mismatch():
     with pytest.raises(DimensionMismatch):
         Matrix.zeros(2, 3, REAL) @ Matrix.zeros(2, 2, REAL)
 
 
 def test_real_field_gate_rejects_complex_entries():
-    from krein.exceptions import FieldMismatch
-
     with pytest.raises(FieldMismatch):
         Matrix.from_rows([[GaussianRational(0, 1)]], REAL)
     with pytest.raises(FieldMismatch):
         Matrix.identity(2, REAL) @ Matrix.identity(2, COMPLEX)
+
+
+def _reference_product(a, b):
+    """Entries of a @ b by the textbook triple loop over GaussianRational."""
+    out = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            acc = GaussianRational(0)
+            for k in range(a.cols):
+                acc = acc + a[i, k] * b[k, j]
+            out.append(acc)
+    return tuple(out)
+
+
+def _wide_rationals():
+    """Small and mixed denominators, zeros, and very large or very fine entries."""
+    return st.one_of(
+        st.just(Fraction(0)),
+        _rationals(),
+        st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**6)),
+        st.sampled_from(
+            [Fraction(10**400), Fraction(-(10**400), 3), Fraction(1, 1000003), Fraction(-7, 10**400)]
+        ),
+    )
+
+
+@st.composite
+def _product_operands(draw):
+    """(A, B) with A n x m and B m x p, each dimension 0 to 4, over one field tag.
+
+    An operand is dense, zero or (when square) the identity; a complex-tagged
+    dense operand may have only real entries.
+    """
+    n, m, p = (draw(st.integers(0, 4)) for _ in range(3))
+    field = draw(st.sampled_from([REAL, COMPLEX]))
+
+    def operand(rows, cols):
+        kinds = ["dense"] * 4 + ["zero"] + (["identity"] if rows == cols else [])
+        kind = draw(st.sampled_from(kinds))
+        if kind == "zero":
+            return Matrix.zeros(rows, cols, field)
+        if kind == "identity":
+            return Matrix.identity(rows, field)
+        if field == REAL or draw(st.integers(0, 3)) == 0:
+            entry = _wide_rationals().map(GaussianRational)
+        else:
+            entry = st.builds(GaussianRational, _wide_rationals(), _wide_rationals())
+        ents = draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))
+        return Matrix(rows, cols, ents, field)
+
+    return operand(n, m), operand(m, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_product_operands())
+def test_product_matches_the_reference_triple_loop(operands):
+    a, b = operands
+    c = a @ b
+    assert (c.rows, c.cols, c.field) == (a.rows, b.cols, a.field)
+    assert c.entries == _reference_product(a, b)
+    assert a * b == c
+    if a.field == REAL:
+        assert c.field == REAL and all(not e.im for e in c.entries)
+
+
+def test_product_errors_are_unchanged():
+    with pytest.raises(FieldMismatch, match="field tags differ: real vs complex"):
+        Matrix.zeros(2, 3, REAL) @ Matrix.zeros(2, 2, COMPLEX)
+    with pytest.raises(FieldMismatch, match="field tags differ: complex vs real"):
+        Matrix.identity(2, COMPLEX) * Matrix.identity(2, REAL)
+    with pytest.raises(DimensionMismatch, match="cannot multiply 2x3 by 2x2"):
+        Matrix.zeros(2, 3, COMPLEX) @ Matrix.zeros(2, 2, COMPLEX)
+    with pytest.raises(DimensionMismatch, match="cannot multiply 0x1 by 0x1"):
+        Matrix.zeros(0, 1, REAL) * Matrix.zeros(0, 1, REAL)
 
 
 # --- conjugate transpose --------------------------------------------------------
