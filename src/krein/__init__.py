@@ -31,7 +31,6 @@ from .matrices import (
     Matrix,
     apply_poly,
     char_poly,
-    faddeev_leverrier,
     hstack,
 )
 from .polynomials import Polynomial, Root, poly_from_roots, poly_roots

@@ -306,11 +306,11 @@ def _exact_spectrum_strings(pair: MatrixPair) -> list[str]:
 
 def _evidence_neutral_eigenspan(pair: MatrixPair, primary, secondary) -> dict:
     primary, secondary = as_scalar(primary), as_scalar(secondary)
-    cpair = pair.complexified()
+    cn = pair.n_op.complexified()
     n = pair.n
     ident = Matrix.identity(n, COMPLEX)
-    g1 = len((cpair.n_op - ident * primary).kernel_basis())
-    sec_shift = cpair.n_op - ident * secondary
+    g1 = len((cn - ident * primary).kernel_basis())
+    sec_shift = cn - ident * secondary
     k1 = sec_shift.kernel_basis()
     k2 = (sec_shift @ sec_shift).kernel_basis()
     if pair.field == REAL and not secondary.is_real:

@@ -13,14 +13,12 @@ of :mod:`krein.decompose` (through :func:`kernel_of_sparse_rows`). The RREF
 is unique, so these results do not depend on how rows are ordered or stored.
 Characteristic polynomials are computed by an exact Hessenberg reduction
 followed by the last-column determinant expansion, and the determinant is
-read off the characteristic polynomial; the Faddeev-LeVerrier iteration is
-kept as an independent cross-check.
+read off the characteristic polynomial.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Sequence
 
 from .exceptions import (
@@ -30,7 +28,15 @@ from .exceptions import (
     SingularMatrix,
 )
 from .polynomials import Polynomial
-from .scalars import ONE, ZERO, GaussianRational, ScalarLike, as_scalar, format_scalar
+from .scalars import (
+    ONE,
+    ZERO,
+    GaussianRational,
+    ScalarLike,
+    as_scalar,
+    format_scalar,
+    integer_form,
+)
 
 REAL = "real"
 COMPLEX = "complex"
@@ -256,8 +262,8 @@ class Matrix:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         n, m, p = self.rows, self.cols, other.cols
-        da, ar, ai = self._integer_form()
-        db, br, bi = other._integer_form()
+        da, ar, ai = integer_form(self.entries)
+        db, br, bi = integer_form(other.entries)
         d = da * db
         out = []
         if not ai and not bi:
@@ -289,20 +295,6 @@ class Matrix:
                 for r, s in zip(re, im)
             )
         return Matrix(n, p, out, field)
-
-    def _integer_form(self) -> tuple[int, list[int], list[int]]:
-        """(d, re, im) with entry k = (re[k] + i*im[k]) / d, where d is the lcm
-        of all entry denominators; im is empty when every entry is real."""
-        re = [e.re for e in self.entries]
-        im = [e.im for e in self.entries]
-        if not any(im):
-            im = []
-        d = lcm(*{f.denominator for f in re + im})
-        return (
-            d,
-            [f.numerator * (d // f.denominator) for f in re],
-            [f.numerator * (d // f.denominator) for f in im],
-        )
 
     def transpose(self) -> "Matrix":
         ents = [self[j, i] for i in range(self.cols) for j in range(self.rows)]
@@ -532,26 +524,6 @@ def _axpy(p: list, c: GaussianRational, q: list) -> None:
         for j, v in enumerate(q):
             if v:
                 p[j] = p[j] + c * v
-
-
-def faddeev_leverrier(m: Matrix) -> Polynomial:
-    """Characteristic polynomial by the Faddeev-LeVerrier iteration.
-
-    O(n^4); retained as an independent oracle for char_poly.
-    """
-    if not m.is_square:
-        raise DimensionMismatch("characteristic polynomial of a non-square matrix")
-    n = m.rows
-    coeffs = [ZERO] * (n + 1)
-    coeffs[n] = ONE
-    mk = Matrix.identity(n, m.field)
-    for k in range(1, n + 1):
-        mk = m @ mk
-        c = -(mk.trace() / k)
-        coeffs[n - k] = c
-        if k < n:
-            mk = mk + Matrix.identity(n, m.field) * c
-    return Polynomial(coeffs)
 
 
 def apply_poly(p: Polynomial, m: Matrix) -> Matrix:

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import isqrt
-from typing import Union
+from math import isqrt, lcm
+from typing import Sequence, Union
 
 from .exceptions import SchemaError
 
@@ -144,6 +144,21 @@ def as_scalar(x: ScalarLike) -> GaussianRational:
     if isinstance(x, (int, Fraction)):
         return GaussianRational(x)
     raise TypeError(f"cannot interpret {x!r} as an exact scalar")
+
+
+def integer_form(values: Sequence[GaussianRational]) -> tuple[int, list[int], list[int]]:
+    """(d, re, im) with value k = (re[k] + i*im[k]) / d, where d is the lcm of
+    all denominators; im is empty when every value is real."""
+    re = [e.re for e in values]
+    im = [e.im for e in values]
+    if not any(im):
+        im = []
+    d = lcm(*{f.denominator for f in re + im})
+    return (
+        d,
+        [f.numerator * (d // f.denominator) for f in re],
+        [f.numerator * (d // f.denominator) for f in im],
+    )
 
 
 _RAT = r"[+-]?\d+(?:/\d+)?"

@@ -179,6 +179,25 @@ def test_neutral_eigenspan_certificate_for_real_d():
     assert cert.evidence["secondary"] == "5"
 
 
+def test_neutral_eigenspan_certificates_compute_no_signature(monkeypatch):
+    import krein.spaces
+
+    calls = []
+    real_signature = krein.spaces.signature
+
+    def counting(h):
+        calls.append(h)
+        return real_signature(h)
+
+    witnesses = [witness_complex_b(2, 0, 1), witness_real_d(2, 5, 0, 1), witness_real_e(2, 0, 1, 1, 1)]
+    monkeypatch.setattr(krein.spaces, "signature", counting)
+    for w in witnesses:
+        cert = certify_family(w)
+        assert cert.kind == "neutral_eigenspan"
+        assert verify_certificate(w.pair, cert)
+    assert calls == []
+
+
 def test_joint_eigenspace_certificates_report_dimension_two():
     for k, builder in ((2, witness_real_c_even), (4, witness_real_c_even)):
         cert = certify_family(builder(k, 0, 1))

@@ -12,14 +12,29 @@ from krein.matrices import (
     Matrix,
     apply_poly,
     char_poly,
-    faddeev_leverrier,
     hstack,
     kernel_of_sparse_rows,
     vstack,
 )
 from krein.polynomials import Polynomial
-from krein.scalars import GaussianRational
+from krein.scalars import ONE, ZERO, GaussianRational
 from krein.witnesses import chain_witness
+
+
+def faddeev_leverrier(m):
+    """Characteristic polynomial by the Faddeev-LeVerrier iteration: an
+    O(n^4) oracle for char_poly and det, independent of the elimination."""
+    n = m.rows
+    coeffs = [ZERO] * (n + 1)
+    coeffs[n] = ONE
+    mk = Matrix.identity(n, m.field)
+    for k in range(1, n + 1):
+        mk = m @ mk
+        c = -(mk.trace() / k)
+        coeffs[n - k] = c
+        if k < n:
+            mk = mk + Matrix.identity(n, m.field) * c
+    return Polynomial(coeffs)
 
 
 def rand_rational(rng, lim=4):

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from krein.decompose import certify_family, verify_certificate
 from krein.exceptions import ParameterError, RootFindingError
@@ -150,3 +152,137 @@ def test_snap_on_real_e_neighbouring_conjugate_pairs():
         (-1, 1, 1),
     ]
     assert verify_certificate(w.pair, certify_family(w))
+
+
+def test_huge_coefficient_raises_root_finding_error():
+    # Yun's algorithm runs on integers, so only the float conversion for the
+    # numeric solve can overflow; it must surface as RootFindingError
+    t = Polynomial([0, 1])
+    p = (t - Polynomial([10**400])) ** 2 * (t - Polynomial([1]))
+    assert squarefree_decomposition(p)[1] == (t - Polynomial([10**400]), 2)
+    with pytest.raises(RootFindingError):
+        poly_roots(p)
+
+
+# -- property tests against a Fraction-Euclid reference ---------------------------
+
+
+def _ref_gcd(a, b):
+    while not b.is_zero:
+        a, b = b, (a % b).monic()
+    return a.monic()
+
+
+def _ref_squarefree(p):
+    """Yun's algorithm with Euclid's gcd and long division over Q(i)."""
+    p = p.monic()
+    g = _ref_gcd(p, p.derivative())
+    if g.degree <= 0:
+        return [(p, 1)]
+    w = p // g
+    out = []
+    k = 1
+    while w.degree > 0:
+        y = _ref_gcd(w, g)
+        factor = w // y
+        if factor.degree > 0:
+            out.append((factor.monic(), k))
+        w = y
+        g = g // y
+        k += 1
+    return out
+
+
+_rationals = st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 2, 3, 7, 1000003)))
+
+
+def _scalars(gaussian):
+    if gaussian:
+        return st.builds(GaussianRational, _rationals, _rationals)
+    return st.builds(GaussianRational, _rationals)
+
+
+@st.composite
+def _factored(draw, gaussian, max_degree):
+    """A nonzero scalar times a product of degree-1 and degree-2 factors with
+    multiplicities 1 to 6 (the factors may share roots)."""
+    p = Polynomial([draw(_scalars(gaussian).filter(bool))])
+    for _ in range(draw(st.integers(1, 3))):
+        factor = Polynomial(draw(st.lists(_scalars(gaussian), min_size=1, max_size=2)) + [1])
+        mult = draw(st.integers(1, 6))
+        if p.degree + factor.degree * mult <= max_degree:
+            p = p * factor**mult
+    return p
+
+
+def _any_factored(max_degree):
+    return st.booleans().flatmap(lambda gaussian: _factored(gaussian, max_degree))
+
+
+@st.composite
+def _gcd_pairs(draw):
+    common = draw(_any_factored(6))
+    return common * draw(_any_factored(6)), common * draw(_any_factored(6))
+
+
+# Gaussian content 1 + 2i, a double root 1 + i and a simple root 3i
+_GAUSSIAN_EXAMPLE = (
+    Polynomial([GaussianRational(1, 2)])
+    * Polynomial([GaussianRational(-1, -1), 1]) ** 2
+    * Polynomial([GaussianRational(0, -3), 1])
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_any_factored(12))
+@example(_GAUSSIAN_EXAMPLE)
+def test_squarefree_decomposition_matches_fraction_euclid(p):
+    parts = squarefree_decomposition(p)
+    assert parts == _ref_squarefree(p)
+    product = Polynomial([1])
+    for factor, mult in parts:
+        assert factor.leading() == 1
+        product = product * factor**mult
+    assert product == p.monic()
+
+
+@settings(max_examples=80, deadline=None)
+@given(_gcd_pairs())
+@example((_GAUSSIAN_EXAMPLE, Polynomial([GaussianRational(-1, -1), 1]) * Polynomial([1, 1])))
+def test_gcd_matches_fraction_euclid(pair):
+    a, b = pair
+    assert poly_gcd(a, b) == _ref_gcd(a, b)
+    assert poly_gcd(b, a) == _ref_gcd(a, b)
+    assert poly_gcd(a, Polynomial()) == a.monic()
+    assert poly_gcd(Polynomial(), b) == b.monic()
+
+
+def test_gcd_of_zeros_is_zero():
+    assert poly_gcd(Polynomial(), Polynomial()).is_zero
+
+
+_small_rationals = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 8))
+_IRREDUCIBLE_QUADRATICS = ([-2, 0, 1], [3, 0, 1], [1, 1, 1], [-1, -1, 1], [-3, 0, 2])
+
+
+@st.composite
+def _roots_times_quadratic(draw):
+    gaussian = draw(st.booleans())
+    values = st.builds(GaussianRational, _small_rationals, _small_rationals if gaussian else st.just(0))
+    roots = draw(st.lists(values, min_size=1, max_size=3, unique=True))
+    mults = [draw(st.integers(1, 6)) for _ in roots]
+    scale = draw(_scalars(gaussian).filter(bool))
+    p = Polynomial([scale]) * Polynomial(draw(st.sampled_from(_IRREDUCIBLE_QUADRATICS)))
+    for r, m in zip(roots, mults):
+        p = p * Polynomial([-r, 1]) ** m
+    return p, set(zip(roots, mults))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_roots_times_quadratic())
+@example((_GAUSSIAN_EXAMPLE * Polynomial([1, 1, 1]), {(GaussianRational(1, 1), 2), (GaussianRational(0, 3), 1)}))
+def test_roots_of_a_product_are_found_exactly(case):
+    p, expected = case
+    roots = poly_roots(p)
+    assert {(r.value, r.multiplicity) for r in roots if r.is_exact} == expected
+    assert sum(r.multiplicity for r in roots if not r.is_exact) == 2
