@@ -37,7 +37,7 @@ from .exceptions import (
     S0NotNeutral,
     WrongSpectrum,
 )
-from .matrices import COMPLEX, REAL, Matrix, char_poly, hstack, vstack
+from .matrices import COMPLEX, REAL, Matrix, _gauss_jordan, char_poly, hstack, vstack
 from .polynomials import GROUPING_TOL, Polynomial, Root, poly_roots
 from .scalars import GaussianRational, as_scalar, format_scalar
 from .spaces import (
@@ -229,6 +229,17 @@ def joint_eigenspace(pair: MatrixPair, lam) -> JointEigenstructure:
     )
 
 
+def _real_span_of_complex(vectors: Sequence[Matrix], n: int) -> SubspaceBasis:
+    """Real basis of the real span of the real and imaginary parts of ``vectors``.
+
+    The parts are taken in order and a part is kept when it is independent
+    of the parts before it: these are the pivot columns of one elimination.
+    """
+    parts = [v for z in vectors for v in (z.real_part(), z.imag_part())]
+    rows = [{j: v[i, 0] for j, v in enumerate(parts) if v[i, 0]} for i in range(n)]
+    return SubspaceBasis([parts[j] for j in sorted(_gauss_jordan(rows))], n, REAL)
+
+
 def joint_eigenspace_real(pair: MatrixPair, alpha, beta) -> JointEigenstructure:
     """Real joint eigenspace for the conjugate pair alpha +- i*beta.
 
@@ -249,8 +260,7 @@ def joint_eigenspace_real(pair: MatrixPair, alpha, beta) -> JointEigenstructure:
     adj = pair.adjoint.complexified()
     prime = _joint_kernel([a_mat, adj - ident * lam.conjugate()])
     dprime = _joint_kernel([a_mat, adj - ident * lam])
-    vectors = [part for z in prime + dprime for part in (z.real_part(), z.imag_part())]
-    basis = SubspaceBasis(vectors, n, REAL)
+    basis = _real_span_of_complex(prime + dprime, n)
     return JointEigenstructure(
         s0_basis=basis,
         s0_prime_dim=len(prime),

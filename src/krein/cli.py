@@ -307,6 +307,25 @@ def _audit_extra_case(path: str, budget: int, seed: int) -> dict:
     return record
 
 
+def _audit_records(families: list[str], args, seed: int):
+    """Run the audit cases in order, yielding (record, label) as each completes."""
+    for family in families:
+        ks = admissible_ks(family, args.kmax)
+        if not ks:
+            print(
+                f"warning: family {_FAMILY_TO_CLI[family]} has no admissible k <= {args.kmax}",
+                file=sys.stderr,
+            )
+        for k in ks:
+            rec = _audit_witness_case(family, k, args.budget, seed)
+            yield rec, (
+                f"family={rec['input']['family']} k={k} "
+                f"n={rec['classification']['n']} case={rec['classification']['case']}"
+            )
+    for path in args.extra:
+        yield _audit_extra_case(path, args.budget, seed), f"extra={path}"
+
+
 def _cmd_audit(args) -> int:
     seed = args.seed if args.seed is not None else default_seed()
     families = []
@@ -317,39 +336,24 @@ def _cmd_audit(args) -> int:
         if tok not in _CLI_FAMILIES:
             raise ParameterError(f"unknown family {tok!r}")
         families.append(_CLI_FAMILIES[tok])
-    records = []
+    total = ok = 0
     failed = None
-    for family in families:
-        ks = admissible_ks(family, args.kmax)
-        if not ks:
-            print(
-                f"warning: family {_FAMILY_TO_CLI[family]} has no admissible k <= {args.kmax}",
-                file=sys.stderr,
-            )
-        for k in ks:
-            rec = _audit_witness_case(family, k, args.budget, seed)
-            records.append(rec)
-            status = "ok" if rec["passed"] else "FAIL"
-            print(
-                f"{status} family={rec['input']['family']} k={k} "
-                f"n={rec['classification']['n']} case={rec['classification']['case']} "
-                f"({rec['elapsed_ms']} ms)"
-            )
+    log_path = Path(args.log)
+    try:
+        log = log_path.open("w", encoding="utf-8")
+    except OSError as exc:
+        raise ParameterError(f"cannot write {log_path}: {exc}") from None
+    # each record is written and flushed as its case completes, so a case
+    # that stops the run leaves the records before it in the log
+    with log:
+        for rec, label in _audit_records(families, args, seed):
+            log.write(json.dumps(rec, sort_keys=True) + "\n")
+            log.flush()
+            total += 1
+            ok += rec["passed"]
+            print(f"{'ok' if rec['passed'] else 'FAIL'} {label} ({rec['elapsed_ms']} ms)")
             if not rec["passed"] and failed is None:
                 failed = rec["input"]
-    for path in args.extra:
-        rec = _audit_extra_case(path, args.budget, seed)
-        records.append(rec)
-        status = "ok" if rec["passed"] else "FAIL"
-        print(f"{status} extra={path} ({rec['elapsed_ms']} ms)")
-        if not rec["passed"] and failed is None:
-            failed = rec["input"]
-    log_path = Path(args.log)
-    with log_path.open("w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
-    total = len(records)
-    ok = sum(1 for r in records if r["passed"])
     print(f"audit: {ok}/{total} cases passed; log written to {log_path}")
     if failed is not None:
         print(f"audit: first failing case: {failed}", file=sys.stderr)

@@ -22,10 +22,23 @@ of complex vectors and the candidate subspaces) is an exact kernel or pivot
 set read off the one sparse Gauss-Jordan core of :mod:`krein.matrices`.
 
 Family certificates re-derive the specific argument that makes each witness
-family indecomposable (unique chain eigenline, scalar commuting projection,
-neutral eigenspan, two-dimensional joint eigenspace); every certificate
-carries exact evidence that :func:`verify_certificate` recomputes from
-scratch before the verdict is trusted.
+family indecomposable. Each kind has one rule in one table (``_RULES``),
+shared by certifying, verifying and the search: the evidence, rebuilt from
+the arguments it records, and one acceptance condition on it, which
+:func:`verify_certificate` applies to the evidence it recomputes:
+
+* ``scalar_selfadjoint_commutant``: the selfadjoint commutant is R I.
+* ``jordan_chain_unique`` (``k``): n = 2k, H = [[0, I], [I, 0]] and
+  N = [[lam I, W], [0, lam I]] with W W*^-1 the k x k chain, whose
+  eigenspace is one-dimensional.
+* ``projection_scalar`` (``k``): the block N1 of the 4k layout is
+  nonsingular and only real scalars are Hermitian and commute with it.
+* ``neutral_eigenspan`` (``primary``, ``secondary``): the spectrum is
+  exactly {primary, secondary} (with conjugates over R), primary has
+  geometric multiplicity 1, secondary is semisimple, and its (real)
+  eigenspan is nonzero and neutral (Gohberg, Lancaster and Rodman).
+* ``joint_eigenspace_two_dim`` (``alpha``, ``beta``): char_poly(N) is a power
+  of (t - alpha)^2 + beta^2 and the real joint eigenspace is 2-dimensional.
 """
 
 from __future__ import annotations
@@ -34,14 +47,13 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .exceptions import CertificateCheckFailed, KreinError
 from .matrices import (
     COMPLEX,
     REAL,
     Matrix,
-    _gauss_jordan,
     char_poly,
     hstack,
     kernel_of_sparse_rows,
@@ -60,14 +72,11 @@ from .witnesses import (
     CERT_JORDAN_CHAIN_UNIQUE,
     CERT_NEUTRAL_EIGENSPAN,
     CERT_PROJECTION_SCALAR,
-    COMPLEX_B,
-    REAL_D,
-    REAL_E,
     WitnessPair,
     _split_h,
     chain_matrix,
 )
-from .classify import joint_eigenspace_real
+from .classify import _real_span_of_complex, joint_eigenspace_real
 
 CERT_SCALAR_COMMUTANT = "scalar_selfadjoint_commutant"
 
@@ -224,11 +233,7 @@ def selfadjoint_commutant_basis(pair: MatrixPair) -> list[Matrix]:
 
 def certify_scalar_commutant(pair: MatrixPair) -> Optional[Certificate]:
     """Certificate that the selfadjoint commutant is exactly the real scalars."""
-    basis = selfadjoint_commutant_basis(pair)
-    evidence = _evidence_scalar_commutant(pair, basis=basis)
-    if evidence["selfadjoint_commutant_dim"] != 1 or not evidence["scalar"]:
-        return None
-    return Certificate(CERT_SCALAR_COMMUTANT, evidence)
+    return _accepted(CERT_SCALAR_COMMUTANT, pair, _evidence_scalar_commutant(pair))
 
 
 def _evidence_scalar_commutant(pair: MatrixPair, basis=None) -> dict:
@@ -286,17 +291,6 @@ def _evidence_projection_scalar(pair: MatrixPair, k: int) -> dict:
     }
 
 
-def _real_span_of_complex(vectors: Sequence[Matrix], n: int) -> SubspaceBasis:
-    """Real basis of the real span of the real and imaginary parts of ``vectors``.
-
-    The parts are taken in order and a part is kept when it is independent
-    of the parts before it: these are the pivot columns of one elimination.
-    """
-    parts = [v for z in vectors for v in (z.real_part(), z.imag_part())]
-    rows = [{j: v[i, 0] for j, v in enumerate(parts) if v[i, 0]} for i in range(n)]
-    return SubspaceBasis([parts[j] for j in sorted(_gauss_jordan(rows))], n, REAL)
-
-
 def _exact_spectrum_strings(pair: MatrixPair) -> list[str]:
     roots = poly_roots(char_poly(pair.n_op))
     if not all(r.is_exact for r in roots):
@@ -304,8 +298,8 @@ def _exact_spectrum_strings(pair: MatrixPair) -> list[str]:
     return sorted(format_scalar(r.value) for r in roots)
 
 
-def _evidence_neutral_eigenspan(pair: MatrixPair, primary, secondary) -> dict:
-    primary, secondary = as_scalar(primary), as_scalar(secondary)
+def _evidence_neutral_eigenspan(pair: MatrixPair, primary: str, secondary: str) -> dict:
+    primary, secondary = parse_scalar(primary), parse_scalar(secondary)
     cn = pair.n_op.complexified()
     n = pair.n
     ident = Matrix.identity(n, COMPLEX)
@@ -313,14 +307,7 @@ def _evidence_neutral_eigenspan(pair: MatrixPair, primary, secondary) -> dict:
     sec_shift = cn - ident * secondary
     k1 = sec_shift.kernel_basis()
     k2 = (sec_shift @ sec_shift).kernel_basis()
-    if pair.field == REAL and not secondary.is_real:
-        span = _real_span_of_complex(k1, n)
-    elif pair.field == REAL:
-        span = SubspaceBasis(
-            (pair.n_op - Matrix.identity(n, REAL) * secondary).kernel_basis(), n, REAL
-        )
-    else:
-        span = SubspaceBasis(k1, n, COMPLEX)
+    span = _real_span_of_complex(k1, n) if pair.field == REAL else SubspaceBasis(k1, n, COMPLEX)
     return {
         "primary": format_scalar(primary),
         "secondary": format_scalar(secondary),
@@ -333,7 +320,7 @@ def _evidence_neutral_eigenspan(pair: MatrixPair, primary, secondary) -> dict:
     }
 
 
-def _evidence_joint_eigenspace_2d(pair: MatrixPair, alpha, beta) -> dict:
+def _evidence_joint_eigenspace_2d(pair: MatrixPair, alpha: str, beta: str) -> dict:
     a_f, b_f = Fraction(alpha), Fraction(beta)
     js = joint_eigenspace_real(pair, a_f, b_f)
     n = pair.n
@@ -350,85 +337,93 @@ def _evidence_joint_eigenspace_2d(pair: MatrixPair, alpha, beta) -> dict:
     }
 
 
+def _spectrum_is_exactly(pair: MatrixPair, ev: dict) -> bool:
+    """The evidence spectrum is {primary, secondary}, closed under conjugation over R."""
+    ends = [parse_scalar(ev["primary"]), parse_scalar(ev["secondary"])]
+    if pair.field == REAL:
+        ends += [z.conjugate() for z in ends]
+    return set(ev["spectrum"]) == {format_scalar(z) for z in ends}
+
+
+class _Rule(NamedTuple):
+    """``evidence(pair, **{a: ev[a] for a in args})`` rebuilds evidence ``ev``
+    from the arguments it records, in their JSON form; ``accept(pair, ev)``
+    is the kind's acceptance condition."""
+
+    args: tuple[str, ...]
+    evidence: Callable[..., dict]
+    accept: Callable[[MatrixPair, dict], bool]
+
+
+_RULES = {
+    CERT_SCALAR_COMMUTANT: _Rule(
+        (),
+        _evidence_scalar_commutant,
+        lambda pair, ev: ev["selfadjoint_commutant_dim"] == 1 and ev["scalar"],
+    ),
+    CERT_JORDAN_CHAIN_UNIQUE: _Rule(
+        ("k",),
+        _evidence_jordan_chain,
+        lambda pair, ev: (
+            ev["corner_layout_ok"] and ev["chain_factor_ok"] and ev["chain_eigenvector_dim"] == 1
+        ),
+    ),
+    CERT_PROJECTION_SCALAR: _Rule(
+        ("k",),
+        _evidence_projection_scalar,
+        lambda pair, ev: (
+            ev["n1_nonsingular"] and ev["hermitian_commutant_dim"] == 1 and ev["hermitian_commutant_scalar"]
+        ),
+    ),
+    CERT_NEUTRAL_EIGENSPAN: _Rule(
+        ("primary", "secondary"),
+        _evidence_neutral_eigenspan,
+        lambda pair, ev: (
+            ev["primary_geometric_dim"] == 1
+            and ev["secondary_semisimple"]
+            and ev["eigenspan_gram_zero"]
+            and ev["eigenspan_dim"] > 0
+            and _spectrum_is_exactly(pair, ev)
+        ),
+    ),
+    CERT_JOINT_EIGENSPACE_2D: _Rule(
+        ("alpha", "beta"),
+        _evidence_joint_eigenspace_2d,
+        lambda pair, ev: ev["s0_dim"] == 2 and ev["spectrum_ok"],
+    ),
+}
+
+
+def _accepted(kind: str, pair: MatrixPair, ev: dict) -> Optional[Certificate]:
+    """The certificate of ``kind`` on evidence ``ev`` if its rule accepts it."""
+    return Certificate(kind, ev) if _RULES[kind].accept(pair, ev) else None
+
+
 def certify_family(wpair: WitnessPair) -> Certificate:
     """Build the family-specific indecomposability certificate, checked exactly.
 
     Raises CertificateCheckFailed if the property the certificate rests on
     does not hold, which would indicate a construction bug.
     """
-    pair = wpair.pair
-    family = wpair.spec.family
-    params = wpair.spec.eigen_params
-    recipe = wpair.certificate_recipe
-    if recipe == CERT_JORDAN_CHAIN_UNIQUE:
-        ev = _evidence_jordan_chain(pair, wpair.spec.k)
-        if not (ev["corner_layout_ok"] and ev["chain_factor_ok"] and ev["chain_eigenvector_dim"] == 1):
-            raise CertificateCheckFailed(f"chain certificate failed: {ev}")
-    elif recipe == CERT_PROJECTION_SCALAR:
-        ev = _evidence_projection_scalar(pair, wpair.spec.k)
-        if not (ev["hermitian_commutant_dim"] == 1 and ev["hermitian_commutant_scalar"]):
-            raise CertificateCheckFailed(f"projection certificate failed: {ev}")
-    elif recipe == CERT_NEUTRAL_EIGENSPAN:
-        if family == COMPLEX_B:
-            primary, secondary = params[0], params[1]
-        elif family == REAL_D:
-            lam, alpha, beta = params
-            primary = GaussianRational(alpha.re, beta.re)
-            secondary = lam
-        elif family == REAL_E:
-            a1, b1, a2, b2 = params
-            primary = GaussianRational(a1.re, b1.re)
-            secondary = GaussianRational(a2.re, b2.re)
-        else:
-            raise CertificateCheckFailed(f"no neutral-eigenspan recipe for {family}")
-        ev = _evidence_neutral_eigenspan(pair, primary, secondary)
-        if not (
-            ev["primary_geometric_dim"] == 1
-            and ev["secondary_semisimple"]
-            and ev["eigenspan_gram_zero"]
-            and ev["eigenspan_dim"] > 0
-        ):
-            raise CertificateCheckFailed(f"neutral-eigenspan certificate failed: {ev}")
-    elif recipe == CERT_JOINT_EIGENSPACE_2D:
-        alpha, beta = params
-        ev = _evidence_joint_eigenspace_2d(pair, alpha.re, beta.re)
-        if not (ev["s0_dim"] == 2 and ev["spectrum_ok"]):
-            raise CertificateCheckFailed(f"joint-eigenspace certificate failed: {ev}")
-    else:
-        raise CertificateCheckFailed(f"unknown certificate recipe {recipe!r}")
-    return Certificate(recipe, ev)
+    kind = wpair.certificate_recipe
+    if kind not in _RULES:
+        raise CertificateCheckFailed(f"unknown certificate recipe {kind!r}")
+    ev = _RULES[kind].evidence(wpair.pair, **wpair.certificate_args)
+    cert = _accepted(kind, wpair.pair, ev)
+    if cert is None:
+        raise CertificateCheckFailed(f"{kind} certificate failed: {ev}")
+    return cert
 
 
 def verify_certificate(pair: MatrixPair, cert: Certificate) -> bool:
-    """Re-derive a certificate's evidence from the pair and compare exactly."""
+    """Rebuild a certificate's evidence from the arguments it records, compare
+    it exactly, and apply the kind's acceptance rule to the rebuilt evidence."""
     try:
+        rule = _RULES[cert.kind]
         ev = cert.evidence
-        if cert.kind == CERT_SCALAR_COMMUTANT:
-            recomputed = _evidence_scalar_commutant(pair)
-            return recomputed == ev and recomputed["selfadjoint_commutant_dim"] == 1
-        if cert.kind == CERT_JORDAN_CHAIN_UNIQUE:
-            recomputed = _evidence_jordan_chain(pair, int(ev["k"]))
-            return recomputed == ev and recomputed["chain_eigenvector_dim"] == 1
-        if cert.kind == CERT_PROJECTION_SCALAR:
-            recomputed = _evidence_projection_scalar(pair, int(ev["k"]))
-            return recomputed == ev and recomputed["hermitian_commutant_dim"] == 1
-        if cert.kind == CERT_NEUTRAL_EIGENSPAN:
-            recomputed = _evidence_neutral_eigenspan(
-                pair, parse_scalar(ev["primary"]), parse_scalar(ev["secondary"])
-            )
-            return (
-                recomputed == ev
-                and recomputed["primary_geometric_dim"] == 1
-                and recomputed["secondary_semisimple"]
-                and recomputed["eigenspan_gram_zero"]
-            )
-        if cert.kind == CERT_JOINT_EIGENSPACE_2D:
-            recomputed = _evidence_joint_eigenspace_2d(
-                pair, Fraction(ev["alpha"]), Fraction(ev["beta"])
-            )
-            return recomputed == ev and recomputed["s0_dim"] == 2 and recomputed["spectrum_ok"]
-        return False
-    except (KreinError, KeyError, ValueError, TypeError, ZeroDivisionError):
+        recomputed = rule.evidence(pair, **{a: ev[a] for a in rule.args})
+        return recomputed == ev and bool(rule.accept(pair, recomputed))
+    except (KreinError, KeyError, ValueError, TypeError, AttributeError, ZeroDivisionError):
         return False
 
 
@@ -476,11 +471,9 @@ def search_decomposition(
     if seed is None:
         seed = default_seed()
     basis = selfadjoint_commutant_basis(pair)
-    ev = _evidence_scalar_commutant(pair, basis=basis)
-    if ev["selfadjoint_commutant_dim"] == 1 and ev["scalar"]:
-        return DecompositionVerdict(
-            STATUS_INDECOMPOSABLE, Certificate(CERT_SCALAR_COMMUTANT, ev), None, budget, seed
-        )
+    cert = _accepted(CERT_SCALAR_COMMUTANT, pair, _evidence_scalar_commutant(pair, basis=basis))
+    if cert is not None:
+        return DecompositionVerdict(STATUS_INDECOMPOSABLE, cert, None, budget, seed)
     n = pair.n
     sparse = [_sparse_entries(b) for b in basis]
     m = len(basis)

@@ -154,9 +154,6 @@ class Matrix:
     def to_lists(self) -> list[list[GaussianRational]]:
         return [self.row_list(i) for i in range(self.rows)]
 
-    def col(self, j: int) -> "Matrix":
-        return Matrix(self.rows, 1, [self[i, j] for i in range(self.rows)], self.field)
-
     def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "Matrix":
         ents = []
         for i in range(r0, r1):

@@ -140,12 +140,6 @@ class Polynomial:
             acc = acc * x + c
         return acc
 
-    def evaluate_complex(self, z: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + c.to_complex()
-        return acc
-
     def __repr__(self) -> str:
         if self.is_zero:
             return "Polynomial(0)"
@@ -345,9 +339,6 @@ class Root:
     value: Scalarish
     multiplicity: int
     is_exact: bool
-
-    def approx(self) -> complex:
-        return self.value.to_complex() if self.is_exact else self.value
 
 
 _SNAP_DENOMINATORS = (1, 6, 60, 1000, 10**6)

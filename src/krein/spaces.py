@@ -161,13 +161,6 @@ class MatrixPair:
             self._adjoint = h_adjoint(self.n_op, self.space)
         return self._adjoint
 
-    def complexified(self) -> "MatrixPair":
-        if self.field == COMPLEX:
-            return self
-        return MatrixPair(
-            self.n_op.complexified(), IndefiniteSpace(self.space.h.complexified())
-        )
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MatrixPair)

@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 
 from .exceptions import KreinError, ParameterError
 from .matrices import COMPLEX, REAL, Matrix
-from .scalars import GaussianRational, ZERO, as_scalar, rational_sqrt
+from .scalars import GaussianRational, ZERO, as_scalar, format_scalar, rational_sqrt
 from .spaces import MatrixPair, is_h_normal
 
 # family identifiers (also used by the CLI and in document metadata)
@@ -93,6 +93,7 @@ class WitnessPair:
     expected_n: int
     expected_signature: tuple[int, int]
     certificate_recipe: str
+    certificate_args: dict  # the recipe's evidence arguments, in JSON form
 
 
 @dataclass(frozen=True)
@@ -191,12 +192,16 @@ def _validate_r_params(k: int, r: Sequence[Fraction]) -> tuple[tuple[Fraction, .
     return rs, tuple(mates)
 
 
-def _finish(pair: MatrixPair, spec, case, n, sig, recipe) -> WitnessPair:
+def _finish(pair: MatrixPair, spec, case, n, sig, recipe, **cert_args) -> WitnessPair:
     if pair.n != n:
         raise KreinError("witness has unexpected size (construction bug)")
     if not is_h_normal(pair):
         raise KreinError("witness pair is not H-normal (construction bug)")
-    return WitnessPair(pair, spec, case, n, sig, recipe)
+    return WitnessPair(pair, spec, case, n, sig, recipe, cert_args)
+
+
+def _eigen_args(primary: GaussianRational, secondary: GaussianRational) -> dict:
+    return {"primary": format_scalar(primary), "secondary": format_scalar(secondary)}
 
 
 def _split_h(k: int, field: str) -> Matrix:
@@ -215,7 +220,7 @@ def witness_complex_a_lower(k: int, lam) -> WitnessPair:
     n_op = Matrix.from_blocks([[li, w], [Matrix.zeros(k, k, COMPLEX), li]])
     pair = MatrixPair.from_matrices(n_op, _split_h(k, COMPLEX))
     spec = WitnessSpec(COMPLEX_A_LOWER, k, (lam,))
-    return _finish(pair, spec, "ComplexA", 2 * k, (k, k), CERT_JORDAN_CHAIN_UNIQUE)
+    return _finish(pair, spec, "ComplexA", 2 * k, (k, k), CERT_JORDAN_CHAIN_UNIQUE, k=k)
 
 
 def _cyclic_weight_matrix(r: Sequence[Fraction], field: str) -> Matrix:
@@ -264,7 +269,7 @@ def witness_complex_a_upper(k: int, lam, r: Optional[Sequence[Fraction]] = None)
         raise KreinError("cyclic/diagonal blocks do not satisfy N1*N1 + N2*N2 = I")
     pair = MatrixPair.from_matrices(n_op, h)
     spec = WitnessSpec(COMPLEX_A_UPPER, k, (lam,), rs)
-    return _finish(pair, spec, "ComplexA", 4 * k, (k, 3 * k), CERT_PROJECTION_SCALAR)
+    return _finish(pair, spec, "ComplexA", 4 * k, (k, 3 * k), CERT_PROJECTION_SCALAR, k=k)
 
 
 def _jordan_block(k: int, lam: GaussianRational, field: str) -> Matrix:
@@ -287,7 +292,7 @@ def witness_complex_b(k: int, l1, l2) -> WitnessPair:
     )
     pair = MatrixPair.from_matrices(n_op, _split_h(k, COMPLEX))
     spec = WitnessSpec(COMPLEX_B, k, (l1, l2))
-    return _finish(pair, spec, "ComplexB", 2 * k, (k, k), CERT_NEUTRAL_EIGENSPAN)
+    return _finish(pair, spec, "ComplexB", 2 * k, (k, k), CERT_NEUTRAL_EIGENSPAN, **_eigen_args(l1, l2))
 
 
 def rotation_block(alpha, beta) -> Matrix:
@@ -342,7 +347,8 @@ def witness_real_c_even(k: int, alpha, beta) -> WitnessPair:
     h = _block_antidiagonal_h(k)
     pair = MatrixPair.from_matrices(n_op, h)
     spec = WitnessSpec(REAL_C_EVEN, k, (as_scalar(Fraction(alpha)), as_scalar(b)))
-    return _finish(pair, spec, "RealC", 2 * k, (k, k), CERT_JOINT_EIGENSPACE_2D)
+    args = {"alpha": str(Fraction(alpha)), "beta": str(b)}
+    return _finish(pair, spec, "RealC", 2 * k, (k, k), CERT_JOINT_EIGENSPACE_2D, **args)
 
 
 def witness_real_c_odd(k: int, alpha, beta) -> WitnessPair:
@@ -377,7 +383,8 @@ def witness_real_c_odd(k: int, alpha, beta) -> WitnessPair:
     h = _block_antidiagonal_h(k, center_trailing=True)
     pair = MatrixPair.from_matrices(n_op, h)
     spec = WitnessSpec(REAL_C_ODD, k, (as_scalar(Fraction(alpha)), as_scalar(b)))
-    return _finish(pair, spec, "RealC", 2 * k, (k, k), CERT_JOINT_EIGENSPACE_2D)
+    args = {"alpha": str(Fraction(alpha)), "beta": str(b)}
+    return _finish(pair, spec, "RealC", 2 * k, (k, k), CERT_JOINT_EIGENSPACE_2D, **args)
 
 
 def witness_real_d(k: int, lam, alpha, beta) -> WitnessPair:
@@ -393,7 +400,8 @@ def witness_real_d(k: int, lam, alpha, beta) -> WitnessPair:
     spec = WitnessSpec(
         REAL_D, k, (as_scalar(lam_f), as_scalar(Fraction(alpha)), as_scalar(b))
     )
-    return _finish(pair, spec, "RealD", 2 * k, (k, k), CERT_NEUTRAL_EIGENSPAN)
+    args = _eigen_args(GaussianRational(Fraction(alpha), b), as_scalar(lam_f))
+    return _finish(pair, spec, "RealD", 2 * k, (k, k), CERT_NEUTRAL_EIGENSPAN, **args)
 
 
 def witness_real_e(k: int, a1, b1, a2, b2) -> WitnessPair:
@@ -413,7 +421,8 @@ def witness_real_e(k: int, a1, b1, a2, b2) -> WitnessPair:
         k,
         (as_scalar(aa1), as_scalar(bb1), as_scalar(aa2), as_scalar(bb2)),
     )
-    return _finish(pair, spec, "RealE", 2 * k, (k, k), CERT_NEUTRAL_EIGENSPAN)
+    args = _eigen_args(GaussianRational(aa1, bb1), GaussianRational(aa2, bb2))
+    return _finish(pair, spec, "RealE", 2 * k, (k, k), CERT_NEUTRAL_EIGENSPAN, **args)
 
 
 def build_witness(family: str, k: int, params: dict) -> WitnessPair:

@@ -175,3 +175,33 @@ def test_classify_overflowing_eigenvalue_is_exit_one(tmp_path, capsys):
     rc, _, err = run(capsys, "classify", str(path))
     assert rc == 1
     assert err.startswith("error:")
+
+
+def test_audit_streams_records_before_a_bad_extra_document(tmp_path, capsys):
+    doc = {
+        "schema_version": "1",
+        "field": "complex",
+        "n": 2,
+        "N": [["0", "1"], ["0", "0"]],
+        "H": [["1", "1"], ["0", "1"]],  # not Hermitian: an input error
+    }
+    extra = tmp_path / "bad.json"
+    extra.write_text(json.dumps(doc))
+    log = tmp_path / "audit.jsonl"
+    rc, _, err = run(capsys, "audit", "--kmax", "2", "--families", "b",
+                     "--budget", "20", "--log", str(log), "--extra", str(extra))
+    assert rc == 2
+    assert err.startswith("error:")
+    records = [json.loads(line) for line in log.read_text().splitlines()]
+    assert [rec["input"] for rec in records] == [
+        {"family": "b", "k": 1},
+        {"family": "b", "k": 2},
+    ]
+    assert all(rec["passed"] for rec in records)
+
+
+def test_audit_unwritable_log_is_an_input_error(tmp_path, capsys):
+    log = tmp_path / "missing-dir" / "audit.jsonl"
+    rc, _, err = run(capsys, "audit", "--kmax", "1", "--families", "b", "--log", str(log))
+    assert rc == 2
+    assert "cannot write" in err

@@ -1,7 +1,12 @@
 from fractions import Fraction
 
+from test_acceptance import GLUED_PAIRS
+
 from krein.decompose import (
     Certificate,
+    _evidence_joint_eigenspace_2d,
+    _evidence_jordan_chain,
+    _evidence_neutral_eigenspan,
     _evidence_projection_scalar,
     certify_family,
     certify_scalar_commutant,
@@ -10,8 +15,10 @@ from krein.decompose import (
     selfadjoint_commutant_basis,
     verify_certificate,
 )
-from krein.matrices import COMPLEX, REAL, Matrix, hstack
-from krein.scalars import GaussianRational
+from krein.exceptions import KreinError
+from krein.matrices import COMPLEX, REAL, Matrix, char_poly, hstack
+from krein.polynomials import poly_roots
+from krein.scalars import GaussianRational, format_scalar
 from krein.spaces import (
     MatrixPair,
     direct_sum,
@@ -218,6 +225,11 @@ def test_tampered_evidence_is_rejected():
     tampered2 = dict(cert2.evidence)
     tampered2["chain_eigenvector_dim"] = 2
     assert not verify_certificate(w2.pair, Certificate(cert2.kind, tampered2))
+    # an argument of the wrong type is rejected, not raised
+    w3 = witness_complex_b(2, 0, 1)
+    cert3 = certify_family(w3)
+    tampered3 = dict(cert3.evidence, primary=0)
+    assert not verify_certificate(w3.pair, Certificate(cert3.kind, tampered3))
 
 
 def test_certificate_verification_against_wrong_pair():
@@ -395,3 +407,46 @@ def test_projection_scalar_golden_evidence_a_upper_k2():
         "hermitian_commutant_dim": 1,
         "hermitian_commutant_scalar": True,
     }
+
+
+# --- forged certificates on decomposable pairs ------------------------------------
+
+
+def _forged_certificates(pair):
+    """Every certificate the evidence functions build on ``pair`` for any
+    argument choice: each k <= n/2, each ordered pair of distinct exact
+    eigenvalues (conjugates included), each eigenvalue above the real axis."""
+    exact = {r.value for r in poly_roots(char_poly(pair.n_op)) if r.is_exact}
+    values = sorted(
+        {format_scalar(z) for z in exact} | {format_scalar(z.conjugate()) for z in exact}
+    )
+    ks = range(1, pair.n // 2 + 1)
+    choices = [("jordan_chain_unique", _evidence_jordan_chain, (k,)) for k in ks]
+    choices += [("projection_scalar", _evidence_projection_scalar, (k,)) for k in ks]
+    choices += [
+        ("neutral_eigenspan", _evidence_neutral_eigenspan, (p, s))
+        for p in values
+        for s in values
+        if p != s
+    ]
+    choices += [
+        ("joint_eigenspace_two_dim", _evidence_joint_eigenspace_2d, (str(z.re), str(z.im)))
+        for z in exact
+        if z.im > 0
+    ]
+    for kind, evidence, args in choices:
+        try:
+            ev = evidence(pair, *args)
+        except KreinError:
+            continue  # no evidence for this argument choice, so no certificate
+        yield Certificate(kind, ev)
+
+
+def test_no_forged_certificate_verifies_on_a_decomposable_pair():
+    built = 0
+    for make in GLUED_PAIRS:
+        pair = make()
+        for cert in _forged_certificates(pair):
+            built += 1
+            assert not verify_certificate(pair, cert), (pair, cert.kind, cert.evidence)
+    assert built == 136
