@@ -38,7 +38,7 @@ from .exceptions import (
     WrongSpectrum,
 )
 from .matrices import COMPLEX, REAL, Matrix, _gauss_jordan, char_poly, hstack, vstack
-from .polynomials import GROUPING_TOL, Polynomial, Root, poly_roots
+from .polynomials import Polynomial, Root, poly_roots
 from .scalars import GaussianRational, as_scalar, format_scalar
 from .spaces import (
     MatrixPair,
@@ -92,20 +92,14 @@ class ClassificationReport:
     notes: tuple[str, ...]
 
     def to_json_dict(self) -> dict:
-        eigs = []
-        for r in self.eigenvalues:
-            if r.is_exact:
-                eigs.append(
-                    {"value": format_scalar(r.value), "multiplicity": r.multiplicity, "exact": True}
-                )
-            else:
-                eigs.append(
-                    {
-                        "value": [r.value.real, r.value.imag],
-                        "multiplicity": r.multiplicity,
-                        "exact": False,
-                    }
-                )
+        eigs = [
+            {
+                "value": format_scalar(r.value) if r.is_exact else [r.value.real, r.value.imag],
+                "multiplicity": r.multiplicity,
+                "exact": r.is_exact,
+            }
+            for r in self.eigenvalues
+        ]
         return {
             "field": self.field,
             "n": self.n,
@@ -119,12 +113,6 @@ class ClassificationReport:
         }
 
 
-def _root_is_real(r: Root) -> bool:
-    if r.is_exact:
-        return r.value.is_real
-    return abs(r.value.imag) <= GROUPING_TOL
-
-
 def classify(pair: MatrixPair) -> ClassificationReport:
     """Classify an H-normal pair into the indecomposable-size taxonomy."""
     if not is_h_normal(pair):
@@ -135,7 +123,7 @@ def classify(pair: MatrixPair) -> ClassificationReport:
     exact = all(r.is_exact for r in roots)
     notes: list[str] = []
     if not exact:
-        notes.append("spectrum partially approximate; classification used the grouping tolerance")
+        notes.append("spectrum partially approximate; eigenvalue counts are still exact")
 
     case = OUT_OF_SCOPE
     if k == 0:
@@ -148,7 +136,7 @@ def classify(pair: MatrixPair) -> ClassificationReport:
         elif len(roots) == 2:
             case = COMPLEX_B
     else:
-        n_real = sum(1 for r in roots if _root_is_real(r))
+        n_real = sum(1 for r in roots if (r.value.is_real if r.is_exact else not r.value.imag))
         n_conj_pairs, rem = divmod(len(roots) - n_real, 2)
         if rem:
             notes.append("nonreal eigenvalues do not pair up; spectrum looks inconsistent")
@@ -349,6 +337,12 @@ def reduce_single_eigenvalue(pair: MatrixPair, lam) -> CanonicalReduction:
     return CanonicalReduction(t, rn, rh, (d, n - 2 * d, d))
 
 
+def _is_conjugate_pair_spectrum(pair: MatrixPair, alpha: Fraction, beta: Fraction) -> bool:
+    """char_poly(N) is a power of (t - alpha)^2 + beta^2."""
+    quad = Polynomial([alpha * alpha + beta * beta, -2 * alpha, 1])
+    return pair.n % 2 == 0 and char_poly(pair.n_op) == quad ** (pair.n // 2)
+
+
 def reduce_conjugate_pair(pair: MatrixPair, alpha, beta) -> CanonicalReduction:
     """Corner reduction of a real pair whose spectrum is alpha +- i*beta."""
     if pair.field != REAL:
@@ -357,8 +351,7 @@ def reduce_conjugate_pair(pair: MatrixPair, alpha, beta) -> CanonicalReduction:
     if b_f <= 0:
         raise ParameterError("beta must be positive")
     n = pair.n
-    quad = Polynomial([a_f * a_f + b_f * b_f, -2 * a_f, 1])
-    if n % 2 or char_poly(pair.n_op) != quad ** (n // 2):
+    if not _is_conjugate_pair_spectrum(pair, a_f, b_f):
         raise WrongSpectrum(f"operator spectrum is not {{{alpha} +- {beta}i}} alone")
     js = joint_eigenspace_real(pair, a_f, b_f)
     if not js.is_neutral_s0:

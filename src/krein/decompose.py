@@ -76,7 +76,7 @@ from .witnesses import (
     _split_h,
     chain_matrix,
 )
-from .classify import _real_span_of_complex, joint_eigenspace_real
+from .classify import _is_conjugate_pair_spectrum, _real_span_of_complex, joint_eigenspace_real
 
 CERT_SCALAR_COMMUTANT = "scalar_selfadjoint_commutant"
 
@@ -323,9 +323,6 @@ def _evidence_neutral_eigenspan(pair: MatrixPair, primary: str, secondary: str) 
 def _evidence_joint_eigenspace_2d(pair: MatrixPair, alpha: str, beta: str) -> dict:
     a_f, b_f = Fraction(alpha), Fraction(beta)
     js = joint_eigenspace_real(pair, a_f, b_f)
-    n = pair.n
-    quad = Polynomial([a_f * a_f + b_f * b_f, -2 * a_f, 1])
-    spectrum_ok = n % 2 == 0 and char_poly(pair.n_op) == quad ** (n // 2)
     return {
         "alpha": str(a_f),
         "beta": str(b_f),
@@ -333,7 +330,7 @@ def _evidence_joint_eigenspace_2d(pair: MatrixPair, alpha: str, beta: str) -> di
         "p": js.s0_prime_dim,
         "q": js.s0_doubleprime_dim,
         "s0_neutral": bool(js.is_neutral_s0),
-        "spectrum_ok": bool(spectrum_ok),
+        "spectrum_ok": _is_conjugate_pair_spectrum(pair, a_f, b_f),
     }
 
 

@@ -5,10 +5,10 @@ and the root checks run on integers: a polynomial is written once over the
 lcm of its coefficient denominators as integer lists (re, im), im empty for a
 real polynomial, and kept primitive (coprime integer parts, a positive
 integer leading coefficient) through a pseudo-remainder sequence, so no step
-divides ``Fraction``s. Floating point enters only in :func:`poly_roots`,
-which detects exact rational/Gaussian-rational roots first (candidate roots
-are snapped from a numeric solve and then verified by exact evaluation over
-Z[i]) and reports everything else as explicitly approximate.
+divides ``Fraction``s. Floating point enters only in :func:`poly_roots`, to
+propose Gaussian-rational roots by the Gauss lemma (exact evaluation over Z[i]
+accepts them) and to report the other roots, one per numeric root with no
+grouping, as approximate values; Sturm sequences count the real ones exactly.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import ne
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -341,19 +342,6 @@ class Root:
     is_exact: bool
 
 
-_SNAP_DENOMINATORS = (1, 6, 60, 1000, 10**6)
-# approximate roots closer than this are one root; approximate imaginary
-# parts within it of zero are read as real
-GROUPING_TOL = 1e-9
-
-
-def _snap_candidates(z: complex):
-    for bound in _SNAP_DENOMINATORS:
-        re = Fraction(z.real).limit_denominator(bound)
-        im = Fraction(z.imag).limit_denominator(bound)
-        yield GaussianRational(re, im)
-
-
 def _numeric_roots(f: ZPoly) -> list[complex]:
     """Numeric roots of f from its monic coefficients as floats."""
     re, im = f
@@ -368,34 +356,64 @@ def _numeric_roots(f: ZPoly) -> list[complex]:
     return [complex(v) for v in vals]
 
 
-def _group_approx(values: list[complex]) -> list[tuple[complex, int]]:
-    groups: list[tuple[complex, int]] = []
-    for z in sorted(values, key=lambda v: (v.real, v.imag)):
-        for idx, (c, cnt) in enumerate(groups):
-            if abs(z - c) <= GROUPING_TOL:
-                groups[idx] = ((c * cnt + z) / (cnt + 1), cnt + 1)
-                break
-        else:
-            groups.append((z, 1))
-    return groups
+def _round_to(z: GaussianRational, q: int) -> GaussianRational:
+    """The nearest point of the grid (Z + Z i) / q to z, computed exactly."""
+    return GaussianRational(Fraction(round(z.re * q), q), Fraction(round(z.im * q), q))
+
+
+def _candidates(f: ZPoly, z: complex):
+    """Candidate roots in Q(i) for the numeric root z of f: a root r of the
+    primitive f has L r in Z[i] for its positive integer lead L (Gauss lemma),
+    so round L z. A double may not resolve L z (L |z| >= 2^50, or a badly
+    conditioned root), so the second comes from z after at most 8 exact Newton
+    steps, stopped once L |step| < 1/4, on the grid Z[i] / (2^64 L)."""
+    lead = f[0][-1]
+    w = GaussianRational(Fraction(z.real), Fraction(z.imag))
+    yield _round_to(w, lead)
+    g = _monic(f)
+    dg = g.derivative()
+    for _ in range(8):
+        slope = dg.evaluate(w)
+        if not slope:
+            break
+        step = g.evaluate(w) / slope
+        w = _round_to(w - step, lead << 64)
+        if 16 * lead * lead * step.norm_sq() < 1:
+            break
+    yield _round_to(w, lead)
+
+
+def _real_root_count(f: ZPoly) -> int:
+    """Distinct real roots of a real squarefree f, by its Sturm sequence. Each
+    remainder's sign is kept: _pseudo_divmod scales by a positive factor when
+    the divisor's lead is positive, and contents are divided out as positive."""
+    re = f[0]
+    seq = [re, [k * x for k, x in enumerate(re)][1:]]
+    while len(seq[-1]) > 1:
+        b = seq[-1] if seq[-1][-1] > 0 else [-x for x in seq[-1]]
+        r = _pseudo_divmod((seq[-2], []), (b, []))[1][0]
+        c = gcd(*r)
+        seq.append([-x // c for x in r])
+    at_plus = [p[-1] > 0 for p in seq]
+    at_minus = [(p[-1] > 0) == (len(p) % 2 == 1) for p in seq]
+    return sum(map(ne, at_minus, at_minus[1:])) - sum(map(ne, at_plus, at_plus[1:]))
 
 
 def poly_roots(p: Polynomial) -> list[Root]:
     """All complex roots with multiplicity.
 
-    Exact Gaussian-rational roots are detected first: the polynomial is split
-    into squarefree factors on integer coefficient lists, numeric roots of
-    each factor are snapped to nearby small-denominator candidates, and a
-    candidate is accepted only if it is nearest to the numeric root it was
-    snapped from and exact evaluation over Z[i] (:func:`_vanishes_at`) gives
-    zero. A factor is squarefree, so it is never deflated: an accepted root
-    is only skipped afterwards. Remaining roots are reported as approximate complex values,
-    grouped to within ``GROUPING_TOL``.
+    Each numeric root of a squarefree factor proposes :func:`_candidates`,
+    accepted if not yet taken, nearest to that numeric root and vanishing
+    exactly over Z[i] (:func:`_vanishes_at`). Each other numeric root is one
+    approximate root, in (re, im) order. In a real factor, as many of them as
+    :func:`_real_root_count` leaves after the exact real roots, those of
+    smallest |imag|, get imag 0.0 and the others a nonzero one (the least
+    subnormal, signed, for a 0.0), so ``imag == 0`` is exactly realness.
     """
     if p.degree < 1:
         raise ParameterError("root finding needs degree >= 1")
     exact: list[Root] = []
-    approx_pool: list[tuple[complex, int]] = []
+    approx: list[Root] = []
     for factor, mult in _squarefree_parts(_integer_poly(p)):
         degree = len(factor[0]) - 1
         found: list[GaussianRational] = []
@@ -404,30 +422,22 @@ def poly_roots(p: Polynomial) -> list[Root]:
         for z in numeric:
             if len(found) == degree:
                 break
-            for cand in _snap_candidates(z):
+            for cand in _candidates(factor, z):
                 # z claims only a candidate it is the nearest numeric root to,
                 # never a neighbouring exact root
                 c = cand.to_complex()
-                if (
-                    cand not in found
-                    and abs(z - c) <= min(abs(w - c) for w in numeric)
-                    and _vanishes_at(factor, cand)
-                ):
+                if cand not in found and abs(z - c) <= min(abs(w - c) for w in numeric) and _vanishes_at(factor, cand):
                     found.append(cand)
                     break
             else:
                 leftovers.append(z)
         exact.extend(Root(cand, mult, True) for cand in found)
-        # keep only as many approximate roots as the exact ones leave over
-        if len(found) < degree:
-            for z, cnt in _group_approx(leftovers[: degree - len(found)]):
-                approx_pool.append((z, cnt * mult))
-
+        leftovers.sort(key=lambda v: (v.real, v.imag))
+        if leftovers and not factor[1]:
+            n_real = _real_root_count(factor) - sum(1 for cand in found if cand.is_real)
+            for rank, j in enumerate(sorted(range(len(leftovers)), key=lambda j: abs(leftovers[j].imag))):
+                z = leftovers[j]
+                leftovers[j] = complex(z.real, 0.0 if rank < n_real else z.imag or (-1) ** rank * 5e-324)
+        approx.extend(Root(z, mult, False) for z in leftovers)
     exact.sort(key=lambda r: r.value.sort_key())
-    out = exact + [Root(z, m, False) for z, m in approx_pool]
-    total = sum(r.multiplicity for r in out)
-    if total != p.degree:
-        raise RootFindingError(
-            f"accounted for {total} roots of a degree-{p.degree} polynomial"
-        )
-    return out
+    return exact + approx

@@ -1,8 +1,7 @@
 """Acceptance suite: one test per criterion, one printed pass line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines; all tolerances are zero (exact arithmetic) except where a criterion
-is explicitly about approximate root grouping.
+lines; all tolerances are zero (exact arithmetic).
 """
 
 import json

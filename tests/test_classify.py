@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from krein.classify import (
@@ -175,6 +177,20 @@ def test_classify_bound_violation_detected():
     rep = classify(euclid)
     assert rep.case_label == "RealB"
     assert rep.bound_ok is False  # n = 3 odd, cannot equal 2k = 2
+
+
+def test_classify_counts_close_real_eigenvalues_exactly():
+    # four distinct real eigenvalues +-sqrt(2) and the roots of t^2 + e t - 2 - e,
+    # within 1e-20 of them: the numeric roots come out as two near-real
+    # conjugate pairs, which must not be read as the RealE pattern
+    e = Fraction(1, 10**20)
+    n_op = Matrix.block_diagonal(
+        [Matrix.from_rows([[1, 1], [1, -1]], REAL), Matrix.from_rows([[1, 1], [1, -1 - e]], REAL)]
+    )
+    report = classify(MatrixPair.from_matrices(n_op, Matrix.diagonal([1, 1, -1, -1], REAL)))
+    assert report.case_label == OUT_OF_SCOPE and report.k == 2
+    assert len(report.eigenvalues) == 4 and not report.exact
+    assert all(r.value.imag == 0.0 and r.multiplicity == 1 for r in report.eigenvalues)
 
 
 def test_classify_odd_k_conjugate_patterns_are_out_of_scope():

@@ -154,6 +154,15 @@ def test_family_certificates_verify():
             assert verify_certificate(w.pair, cert), (family, k)
 
 
+def test_certificate_for_an_eigenvalue_with_a_large_denominator():
+    # the squarefree factor is 1000003 t^2 - t: its root 1/1000003 has the
+    # denominator of the leading coefficient, as the Gauss lemma says
+    w = witness_complex_b(2, Fraction(1, 1000003), 0)
+    cert = certify_family(w)
+    assert cert.evidence["spectrum"] == ["0", "1/1000003"]
+    assert verify_certificate(w.pair, cert)
+
+
 def test_projection_scalar_system_solved_by_hand():
     # for the k=2 default weights the commuting-Hermitian system collapses
     # to off-diagonal 0 and equal diagonal: 4q = 3 conj(q) forces q = 0, and

@@ -1,6 +1,9 @@
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +22,8 @@ from krein.polynomials import (
 )
 from krein.scalars import GaussianRational
 from krein.witnesses import witness_complex_b, witness_real_e
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_basic_arithmetic():
@@ -164,6 +169,18 @@ def test_huge_coefficient_raises_root_finding_error():
         poly_roots(p)
 
 
+@pytest.mark.parametrize("c", [Fraction(1, 10**17), Fraction(1, 10**20), Fraction(1, 10**30)])
+@pytest.mark.parametrize("r", [Fraction(1), Fraction(3, 7), Fraction(5, 3)])
+def test_rational_root_next_to_a_huge_leading_coefficient(r, c):
+    # the primitive form of (t - r)(t^3 + c t + c + 2) has a leading
+    # coefficient L >= 10^17, so L z is past what a double resolves and the
+    # candidate comes from exact Newton steps
+    t = Polynomial([0, 1])
+    roots = poly_roots((t - Polynomial([r])) * Polynomial([c + 2, c, 0, 1]))
+    assert [(x.value, x.multiplicity) for x in roots if x.is_exact] == [(r, 1)]
+    assert len(roots) == 4
+
+
 # -- property tests against a Fraction-Euclid reference ---------------------------
 
 
@@ -286,3 +303,44 @@ def test_roots_of_a_product_are_found_exactly(case):
     roots = poly_roots(p)
     assert {(r.value, r.multiplicity) for r in roots if r.is_exact} == expected
     assert sum(r.multiplicity for r in roots if not r.is_exact) == 2
+
+
+_real_coeffs = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6))
+
+
+@st.composite
+def _real_with_repeated_roots(draw):
+    """A rational polynomial of degree >= 1 times up to three linear factors
+    with multiplicities 1 to 3."""
+    p = Polynomial(draw(st.lists(_real_coeffs, min_size=1, max_size=6)) + [draw(_real_coeffs.filter(bool))])
+    for r in draw(st.lists(_real_coeffs, max_size=3)):
+        p = p * Polynomial([-r, 1]) ** draw(st.integers(1, 3))
+    return p
+
+
+def _sympy_distinct_and_real(p):
+    import sympy
+
+    t = sympy.Symbol("t")
+    f = sympy.Poly([sympy.Rational(c.re.numerator, c.re.denominator) for c in reversed(p.coeffs)], t).sqf_part()
+    return f.degree(), f.count_roots()
+
+
+@settings(max_examples=80, deadline=None)
+@given(_real_with_repeated_roots())
+@example(Polynomial([-2, 0, 1]) * Polynomial([-2 - Fraction(1, 10**20), Fraction(1, 10**20), 1]))
+@example(Polynomial([9 + Fraction(1, 10**20), -6, 1]))  # 3 +- 10^-10 i, solved on the real axis
+def test_root_counts_match_sympy(p):
+    roots = poly_roots(p)
+    distinct, real = _sympy_distinct_and_real(p)
+    assert len(roots) == distinct
+    assert sum(1 for r in roots if (r.value.is_real if r.is_exact else r.value.imag == 0)) == real
+    assert sum(r.multiplicity for r in roots) == p.degree
+
+
+def test_importing_krein_does_not_import_sympy():
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import krein; print('sympy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(SRC)], capture_output=True, text=True, timeout=120, check=True
+    )
+    assert out.stdout.strip() == "False"
