@@ -46,7 +46,7 @@ from .spaces import (
     is_h_normal,
     is_neutral,
 )
-from .witnesses import rotation_block
+from .witnesses import _check_beta, rotation_block
 
 COMPLEX_A = "ComplexA"
 COMPLEX_B = "ComplexB"
@@ -238,10 +238,7 @@ def joint_eigenspace_real(pair: MatrixPair, alpha, beta) -> JointEigenstructure:
     """
     if pair.field != REAL:
         raise FieldMismatch("joint_eigenspace_real expects a real pair")
-    b = Fraction(beta)
-    if b <= 0:
-        raise ParameterError("beta must be positive")
-    lam = GaussianRational(Fraction(alpha), b)
+    lam = GaussianRational(Fraction(alpha), _check_beta(beta))
     n = pair.n
     ident = Matrix.identity(n, COMPLEX)
     a_mat = pair.n_op.complexified() - ident * lam
@@ -265,9 +262,11 @@ class CanonicalReduction:
     block_dims: tuple[int, int, int]
 
 
-def _corner_transform(pair: MatrixPair, u_basis: SubspaceBasis) -> tuple[Matrix, int]:
-    """Transform T = [U | V | W]: U the neutral core, W a neutral dual with
-    U*H W = I, V the H-orthogonal complement of span(U, W)."""
+def _corner_transform(pair: MatrixPair, u_basis: SubspaceBasis) -> tuple[Matrix, Matrix, Matrix, int]:
+    """(T, T^-1 N T, T* H T, d) for T = [U | V | W]: U the neutral core of
+    dimension d, W a neutral dual with U*H W = I, V the H-orthogonal
+    complement of span(U, W). The reduced Gram matrix is checked to have the
+    corner shape."""
     h = pair.space.h
     n = pair.n
     d = u_basis.dim
@@ -283,7 +282,9 @@ def _corner_transform(pair: MatrixPair, u_basis: SubspaceBasis) -> tuple[Matrix,
     t = hstack(mats)
     if t.cols != n or t.rank() != n:
         raise KreinError("corner transform failed to span the space (construction bug)")
-    return t, d
+    rh = t.conj_transpose() @ h @ t
+    _check_corner_h(rh, d, n)
+    return t, t.inverse() @ pair.n_op @ t, rh, d
 
 
 def _check_corner_h(rh: Matrix, d: int, n: int) -> None:
@@ -328,10 +329,7 @@ def reduce_single_eigenvalue(pair: MatrixPair, lam) -> CanonicalReduction:
         raise S0NotNeutral(
             "joint eigenspace is not neutral; pair is decomposable or out of scope"
         )
-    t, d = _corner_transform(pair, js.s0_basis)
-    rn = t.inverse() @ pair.n_op @ t
-    rh = t.conj_transpose() @ pair.space.h @ t
-    _check_corner_h(rh, d, n)
+    t, rn, rh, d = _corner_transform(pair, js.s0_basis)
     scalar_block = Matrix.identity(d, pair.field) * lam
     _check_corner_n(rn, d, n, scalar_block, scalar_block)
     return CanonicalReduction(t, rn, rh, (d, n - 2 * d, d))
@@ -347,9 +345,7 @@ def reduce_conjugate_pair(pair: MatrixPair, alpha, beta) -> CanonicalReduction:
     """Corner reduction of a real pair whose spectrum is alpha +- i*beta."""
     if pair.field != REAL:
         raise FieldMismatch("the conjugate-pair reduction expects a real pair")
-    a_f, b_f = Fraction(alpha), Fraction(beta)
-    if b_f <= 0:
-        raise ParameterError("beta must be positive")
+    a_f, b_f = Fraction(alpha), _check_beta(beta)
     n = pair.n
     if not _is_conjugate_pair_spectrum(pair, a_f, b_f):
         raise WrongSpectrum(f"operator spectrum is not {{{alpha} +- {beta}i}} alone")
@@ -358,10 +354,7 @@ def reduce_conjugate_pair(pair: MatrixPair, alpha, beta) -> CanonicalReduction:
         raise S0NotNeutral(
             "joint eigenspace is not neutral; pair is decomposable or out of scope"
         )
-    t, d = _corner_transform(pair, js.s0_basis)
-    rn = t.inverse() @ pair.n_op @ t
-    rh = t.conj_transpose() @ pair.space.h @ t
-    _check_corner_h(rh, d, n)
+    t, rn, rh, d = _corner_transform(pair, js.s0_basis)
     a_block = rotation_block(a_f, b_f)
     p, q = js.s0_prime_dim, js.s0_doubleprime_dim
     top = Matrix.block_diagonal([a_block] * (p + q)) if p + q else Matrix.zeros(0, 0, REAL)

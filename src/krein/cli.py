@@ -18,9 +18,9 @@ from . import __version__
 from .classify import classify, reduce_conjugate_pair, reduce_single_eigenvalue
 from .decompose import (
     DEFAULT_BUDGET,
+    DEFAULT_SEED,
     STATUS_DECOMPOSABLE,
     certify_family,
-    default_seed,
     search_decomposition,
     verify_certificate,
 )
@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("decompose", help="search for a decomposition witness")
     d.add_argument("paths", nargs="+")
     d.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    d.add_argument("--seed", type=int, default=None)
+    d.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     r = sub.add_parser("reduce", help="canonical corner reduction")
     r.add_argument("path")
@@ -113,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     a.add_argument("--log", default="krein-audit.jsonl")
     a.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    a.add_argument("--seed", type=int, default=None)
+    a.add_argument("--seed", type=int, default=DEFAULT_SEED)
     a.add_argument("--extra", action="append", default=[], help="extra pair document to audit")
     return p
 
@@ -307,7 +307,7 @@ def _audit_extra_case(path: str, budget: int, seed: int) -> dict:
     return record
 
 
-def _audit_records(families: list[str], args, seed: int):
+def _audit_records(families: list[str], args):
     """Run the audit cases in order, yielding (record, label) as each completes."""
     for family in families:
         ks = admissible_ks(family, args.kmax)
@@ -317,17 +317,16 @@ def _audit_records(families: list[str], args, seed: int):
                 file=sys.stderr,
             )
         for k in ks:
-            rec = _audit_witness_case(family, k, args.budget, seed)
+            rec = _audit_witness_case(family, k, args.budget, args.seed)
             yield rec, (
                 f"family={rec['input']['family']} k={k} "
                 f"n={rec['classification']['n']} case={rec['classification']['case']}"
             )
     for path in args.extra:
-        yield _audit_extra_case(path, args.budget, seed), f"extra={path}"
+        yield _audit_extra_case(path, args.budget, args.seed), f"extra={path}"
 
 
 def _cmd_audit(args) -> int:
-    seed = args.seed if args.seed is not None else default_seed()
     families = []
     for tok in args.families.split(","):
         tok = tok.strip()
@@ -346,7 +345,7 @@ def _cmd_audit(args) -> int:
     # each record is written and flushed as its case completes, so a case
     # that stops the run leaves the records before it in the log
     with log:
-        for rec, label in _audit_records(families, args, seed):
+        for rec, label in _audit_records(families, args):
             log.write(json.dumps(rec, sort_keys=True) + "\n")
             log.flush()
             total += 1

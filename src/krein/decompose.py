@@ -43,7 +43,6 @@ the arguments it records, and one acceptance condition on it, which
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -85,12 +84,7 @@ STATUS_DECOMPOSABLE = "decomposable"
 STATUS_UNKNOWN = "unknown"
 
 DEFAULT_BUDGET = 200
-_FALLBACK_SEED = 1729
-
-
-def default_seed() -> int:
-    """Default search seed; the KREIN_SEED environment variable overrides it."""
-    return int(os.environ.get("KREIN_SEED", _FALLBACK_SEED))
+DEFAULT_SEED = 1729
 
 
 @dataclass(frozen=True)
@@ -454,7 +448,7 @@ def _try_root_subspace(pair: MatrixPair, x: Matrix, mu: Fraction, mult: int):
 
 
 def search_decomposition(
-    pair: MatrixPair, budget: int = DEFAULT_BUDGET, seed: Optional[int] = None
+    pair: MatrixPair, budget: int = DEFAULT_BUDGET, seed: int = DEFAULT_SEED
 ) -> DecompositionVerdict:
     """Look for an exact decomposition witness; sound and reproducible.
 
@@ -465,8 +459,6 @@ def search_decomposition(
     docstring). The first that passes the exact checks is returned as
     ``decomposable``; ``unknown`` once the budget is exhausted.
     """
-    if seed is None:
-        seed = default_seed()
     basis = selfadjoint_commutant_basis(pair)
     cert = _accepted(CERT_SCALAR_COMMUTANT, pair, _evidence_scalar_commutant(pair, basis=basis))
     if cert is not None:

@@ -11,9 +11,10 @@ form of a system of {column: coefficient} rows. Rank, kernels, inverses and
 particular solutions are read off it, and so are the sparse commutant systems
 of :mod:`krein.decompose` (through :func:`kernel_of_sparse_rows`). The RREF
 is unique, so these results do not depend on how rows are ordered or stored.
-Characteristic polynomials are computed by an exact Hessenberg reduction
-followed by the last-column determinant expansion, and the determinant is
-read off the characteristic polynomial.
+Characteristic polynomials come from the division-free Samuelson-Berkowitz
+recurrence on the Gaussian-integer matrix d M (``_integer_char_poly``), one
+code path for real and Gaussian entries; the determinant is read off the
+characteristic polynomial.
 """
 
 from __future__ import annotations
@@ -462,65 +463,78 @@ def kernel_of_sparse_rows(
 # -- characteristic polynomials ------------------------------------------------
 
 
-def _hessenberg(a: list[list[GaussianRational]]) -> list[list[GaussianRational]]:
-    n = len(a)
-    for j in range(n - 2):
-        if not a[j + 1][j]:
-            piv = next((i for i in range(j + 2, n) if a[i][j]), None)
-            if piv is None:
-                continue
-            a[j + 1], a[piv] = a[piv], a[j + 1]
-            for row in a:
-                row[j + 1], row[piv] = row[piv], row[j + 1]
-        inv = ONE / a[j + 1][j]
-        for i in range(j + 2, n):
-            f = a[i][j] * inv
-            if not f:
-                continue
-            src, dst = a[j + 1], a[i]
-            for c in range(j, n):
-                if src[c]:
-                    dst[c] = dst[c] - f * src[c]
-            for r in range(n):
-                if a[r][i]:
-                    a[r][j + 1] = a[r][j + 1] + f * a[r][i]
-    return a
+def _integer_char_poly(m: Matrix) -> tuple[int, list[int], list[int]]:
+    """(d, re, im) with det(tI - d M) = sum_k (re[k] + i*im[k]) t^k, where d
+    is the lcm of the entry denominators of the square matrix M; im is empty
+    when every coefficient is real.
+
+    Samuelson-Berkowitz recurrence on the Gaussian-integer matrix A = d M,
+    with no division: for the leading blocks A_k, det(tI - A_(k+1)) is the
+    (k+2) x (k+1) lower triangular Toeplitz matrix with first column
+    (1, -a, -R C, -R A_k C, ..., -R A_k^(k-1) C) times the descending
+    coefficients of det(tI - A_k), where a = A[k][k], R is row k and C is
+    column k of A left of and above the diagonal. The products A_k^j C run on
+    the sparse rows of A_k and stop once R or A_k^j C is zero.
+    """
+    n = m.rows
+    d, are, aim = integer_form(m.entries)
+    aim = aim or [0] * (n * n)
+    # lead[i]: the nonzero (column, re, im) of row i left of column k
+    lead: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    pr, pi = [1], [0]  # det(tI - A_k), descending
+    for k in range(n):
+        row = lead[k]
+        v = [(are[i * n + k], aim[i * n + k]) for i in range(k)]
+        toeplitz = [(1, 0), (-are[k * n + k], -aim[k * n + k])]
+        for j in range(k if row else 0):
+            if j:
+                v = [_sparse_dot(r, v) for r in lead[:k]]
+            if not any(map(any, v)):
+                break
+            sr, si = _sparse_dot(row, v)
+            toeplitz.append((-sr, -si))
+        nr, ni = [0] * (k + 2), [0] * (k + 2)
+        for s, (x, y) in enumerate(toeplitz):
+            if x or y:
+                for j in range(min(k + 1, k + 2 - s)):
+                    u, w = pr[j], pi[j]
+                    nr[s + j] += x * u - y * w
+                    ni[s + j] += x * w + y * u
+        pr, pi = nr, ni
+        for i in range(n):
+            x, y = are[i * n + k], aim[i * n + k]
+            if x or y:
+                lead[i].append((k, x, y))
+    pr.reverse()
+    pi.reverse()
+    return d, pr, pi if any(pi) else []
+
+
+def _sparse_dot(row: list[tuple[int, int, int]], v: list[tuple[int, int]]) -> tuple[int, int]:
+    """The Z[i] dot product of a sparse row of (column, re, im) with v."""
+    sr = si = 0
+    for c, x, y in row:
+        u, w = v[c]
+        sr += x * u - y * w
+        si += x * w + y * u
+    return sr, si
 
 
 def char_poly(m: Matrix) -> Polynomial:
     """Exact characteristic polynomial det(tI - M), monic.
 
-    Computed by similarity reduction to Hessenberg form and expansion of the
-    determinant along the last column (an O(n^3) fraction-exact scheme).
+    Coefficient k is the integer coefficient k of :func:`_integer_char_poly`
+    divided by d^(n-k), the only division.
     """
     if not m.is_square:
         raise DimensionMismatch("characteristic polynomial of a non-square matrix")
     n = m.rows
-    if n == 0:
-        return Polynomial([1])
-    h = _hessenberg(m.to_lists())
-    # ps[k] = det(tI - H[:k, :k]) as an ascending coefficient list
-    ps = [[ONE]]
-    for k in range(1, n + 1):
-        prev = ps[k - 1]
-        p = [ZERO] + prev  # t * ps[k-1]
-        _axpy(p, -h[k - 1][k - 1], prev)
-        prod = ONE
-        for i in range(k - 2, -1, -1):
-            prod = prod * h[i + 1][i]
-            if not prod:
-                break
-            _axpy(p, -(h[i][k - 1] * prod), ps[i])
-        ps.append(p)
-    return Polynomial(ps[n])
-
-
-def _axpy(p: list, c: GaussianRational, q: list) -> None:
-    """p[j] += c * q[j] for the entries of q (p at least as long as q)."""
-    if c:
-        for j, v in enumerate(q):
-            if v:
-                p[j] = p[j] + c * v
+    d, re, im = _integer_char_poly(m)
+    im = im or [0] * (n + 1)
+    return Polynomial(
+        GaussianRational(Fraction(x, d ** (n - k)), Fraction(y, d ** (n - k)))
+        for k, (x, y) in enumerate(zip(re, im))
+    )
 
 
 def apply_poly(p: Polynomial, m: Matrix) -> Matrix:

@@ -10,13 +10,15 @@ Gram matrix is nonsingular. The adjoint and normality predicates do not
 depend on the sesquilinear convention; the convention only fixes which
 argument of [.,.] is conjugated.
 
-Inertia is computed by exact Hermitian congruence reduction (diagonal pivots
-and, when every remaining diagonal entry vanishes, antidiagonal 2x2 pivots),
-never by eigenvalues, so signatures are exact.
+Inertia is read off the signs of the integer coefficients of the
+characteristic polynomial of H by Descartes' rule of signs, which is exact
+because a Hermitian matrix has only real eigenvalues. No eigenvalue is
+computed, so signatures are exact.
 """
 
 from __future__ import annotations
 
+from operator import ne
 from typing import Sequence
 
 from .exceptions import (
@@ -25,58 +27,25 @@ from .exceptions import (
     ParameterError,
     SingularH,
 )
-from .matrices import COMPLEX, Matrix, hstack
-from .scalars import ONE, GaussianRational
+from .matrices import COMPLEX, Matrix, _integer_char_poly, hstack
+from .scalars import GaussianRational
 
 
 def signature(h: Matrix) -> tuple[int, int]:
-    """Exact inertia (v_minus, v_plus) of a nonsingular Hermitian matrix."""
+    """Exact inertia (v_minus, v_plus) of a nonsingular Hermitian matrix.
+
+    The characteristic polynomial of a Hermitian matrix has only real roots,
+    so Descartes' rule of signs is exact for it: v_plus is the number of sign
+    changes of its integer coefficients.
+    """
     if not h.is_hermitian():
         raise NotHermitian("signature needs a Hermitian matrix")
-    a = h.to_lists()
-    active = list(range(h.rows))
-    neg = pos = 0
-    while active:
-        piv = next((i for i in active if a[i][i]), None)
-        if piv is not None:
-            d = a[piv][piv].re  # Hermitian diagonal is real
-            if d < 0:
-                neg += 1
-            else:
-                pos += 1
-            inv = ONE / a[piv][piv]
-            active.remove(piv)
-            for r in active:
-                f = a[r][piv] * inv
-                if f:
-                    for c in active:
-                        a[r][c] = a[r][c] - f * a[piv][c]
-            continue
-        # all remaining diagonal entries vanish: hunt an antidiagonal pair
-        pair = None
-        for i in active:
-            for j in active:
-                if j > i and a[i][j]:
-                    pair = (i, j)
-                    break
-            if pair:
-                break
-        if pair is None:
-            raise SingularH("Gram matrix is singular")
-        i, j = pair
-        v = a[i][j]
-        vbar = a[j][i]
-        neg += 1
-        pos += 1
-        active.remove(i)
-        active.remove(j)
-        for r in active:
-            fi = a[r][j] / v
-            fj = a[r][i] / vbar
-            if fi or fj:
-                for c in active:
-                    a[r][c] = a[r][c] - fi * a[i][c] - fj * a[j][c]
-    return neg, pos
+    _, coeffs, _ = _integer_char_poly(h)
+    if not coeffs[0]:
+        raise SingularH("Gram matrix is singular")
+    signs = [c > 0 for c in coeffs if c]
+    v_plus = sum(map(ne, signs, signs[1:]))
+    return h.rows - v_plus, v_plus
 
 
 class IndefiniteSpace:

@@ -72,16 +72,6 @@ class WitnessSpec:
     eigen_params: tuple[GaussianRational, ...]
     r_params: Optional[tuple[Fraction, ...]] = None
 
-    def to_json_dict(self) -> dict:
-        d = {
-            "family": self.family,
-            "k": self.k,
-            "eigen_params": [repr(p) for p in self.eigen_params],
-        }
-        if self.r_params is not None:
-            d["r_params"] = [str(r) for r in self.r_params]
-        return d
-
 
 @dataclass(frozen=True)
 class WitnessPair:

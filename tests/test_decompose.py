@@ -304,17 +304,6 @@ def test_search_scalar_shortcut():
     assert verify_certificate(pair, verdict.certificate)
 
 
-def test_seed_env_override(monkeypatch):
-    from krein.decompose import default_seed
-
-    monkeypatch.delenv("KREIN_SEED", raising=False)
-    base = default_seed()
-    monkeypatch.setenv("KREIN_SEED", "99")
-    assert default_seed() == 99
-    monkeypatch.delenv("KREIN_SEED")
-    assert default_seed() == base
-
-
 def test_verdict_serialization_shapes():
     pair = MatrixPair.from_matrices(
         Matrix.diagonal([1, 2], COMPLEX), Matrix.identity(2, COMPLEX)
@@ -371,6 +360,11 @@ def test_search_golden_verdict_on_b_sum():
         "seed": 1729,
         "witness_subspace": [["0", "0", "1", "0"], ["0", "0", "0", "1"]],
     }
+
+
+def test_search_default_seed_is_1729():
+    g = direct_sum(witness_complex_b(1, 0, 1).pair, witness_complex_b(1, 2, 3).pair)
+    assert search_decomposition(g).to_json_dict() == search_decomposition(g, seed=1729).to_json_dict()
 
 
 def test_search_golden_verdict_on_d_plus_e_sum():

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from krein.exceptions import DimensionMismatch, FieldMismatch, SingularMatrix
@@ -424,6 +424,45 @@ def test_char_poly_matches_faddeev_leverrier():
         for field in (REAL, COMPLEX):
             m = rand_matrix(rng, n, field=field, lim=3)
             assert char_poly(m) == faddeev_leverrier(m)
+
+
+_PATTERNS = ("dense", "sparse", "block upper", "block lower", "strictly upper", "strictly lower", "zero lines")
+
+
+@st.composite
+def _patterned_matrices(draw):
+    """An n x n matrix, n from 0 to 8, with mixed denominators and a zero pattern.
+
+    Block- and strictly triangular patterns and zero rows or columns make the
+    recurrence meet a zero row R or a zero vector A^j C, and stop early; in a
+    sparse matrix R A^j C can vanish while a later R A^(j+1) C does not.
+    """
+    n = draw(st.integers(0, 8))
+    field = draw(st.sampled_from([REAL, COMPLEX]))
+    pattern = draw(st.sampled_from(_PATTERNS))
+    part = st.one_of(_rationals(), st.builds(Fraction, st.integers(-50, 50), st.integers(1, 10**6)))
+    entry = part.map(GaussianRational) if field == REAL else st.builds(GaussianRational, part, part)
+    split = draw(st.integers(0, n))
+    lines = draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=n))
+    zero = {
+        "dense": lambda i, j: False,
+        "sparse": lambda i, j: draw(st.integers(0, 2)) > 0,
+        "block upper": lambda i, j: i >= split > j,
+        "block lower": lambda i, j: j >= split > i,
+        "strictly upper": lambda i, j: i >= j,
+        "strictly lower": lambda i, j: i <= j,
+        "zero lines": lambda i, j: i in lines or j in lines,
+    }[pattern]
+    ents = [ZERO if zero(i, j) else draw(entry) for i in range(n) for j in range(n)]
+    return Matrix(n, n, ents, field)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_patterned_matrices())
+# R C = 0 but R A C = 1 at the last step: the recurrence must not stop there
+@example(Matrix.from_rows([[0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0], [1, 0, 0, 0]], REAL))
+def test_char_poly_matches_faddeev_leverrier_on_sparse_patterns(m):
+    assert char_poly(m) == faddeev_leverrier(m)
 
 
 def test_cayley_hamilton():

@@ -2,10 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from krein.exceptions import NotHermitian, SingularH
 from krein.matrices import COMPLEX, REAL, Matrix, hstack
-from krein.scalars import GaussianRational, parse_scalar
+from krein.scalars import ONE, ZERO, GaussianRational, parse_scalar
 from krein.spaces import (
     IndefiniteSpace,
     MatrixPair,
@@ -92,6 +94,94 @@ def test_signature_sylvester_invariance():
         space = rand_hermitian_space(rng, n)
         t = rand_nonsingular(rng, n)
         assert signature(t.conj_transpose() @ space.h @ t) == space.signature
+
+
+def congruence_inertia(h):
+    """Inertia (v_minus, v_plus) by Hermitian congruence reduction: diagonal
+    pivots and, when every remaining diagonal entry vanishes, an antidiagonal
+    2x2 pivot. An oracle for signature, independent of char_poly."""
+    a = h.to_lists()
+    active = list(range(h.rows))
+    neg = pos = 0
+    while active:
+        piv = next((i for i in active if a[i][i]), None)
+        if piv is not None:
+            if a[piv][piv].re < 0:  # Hermitian diagonal is real
+                neg += 1
+            else:
+                pos += 1
+            inv = ONE / a[piv][piv]
+            active.remove(piv)
+            for r in active:
+                f = a[r][piv] * inv
+                if f:
+                    for c in active:
+                        a[r][c] = a[r][c] - f * a[piv][c]
+            continue
+        pair = next(((i, j) for i in active for j in active if j > i and a[i][j]), None)
+        if pair is None:
+            raise SingularH("Gram matrix is singular")
+        i, j = pair
+        v, vbar = a[i][j], a[j][i]
+        neg += 1
+        pos += 1
+        active.remove(i)
+        active.remove(j)
+        for r in active:
+            fi = a[r][j] / v
+            fj = a[r][i] / vbar
+            if fi or fj:
+                for c in active:
+                    a[r][c] = a[r][c] - fi * a[i][c] - fj * a[j][c]
+    return neg, pos
+
+
+def _inertia_or_singular(inertia, h):
+    try:
+        return inertia(h)
+    except SingularH:
+        return "singular"
+
+
+_KINDS = ("general", "zero diagonal", "singular")
+
+
+@st.composite
+def _hermitian_matrices(draw):
+    """(H, kind): a Hermitian H = A + A*, n from 1 to 8, with huge and fine
+    entries among small ones. A zero-diagonal H needs the antidiagonal pivots
+    of the congruence reduction; a singular one repeats a row and column, or
+    zeroes one."""
+    n = draw(st.integers(1, 8))
+    field = draw(st.sampled_from([REAL, COMPLEX]))
+    kind = draw(st.sampled_from(_KINDS))
+    part = st.one_of(
+        st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
+        st.sampled_from([Fraction(10**400), Fraction(-(10**400), 7), Fraction(1, 1000003), Fraction(-2, 1000003)]),
+    )
+    entry = part.map(GaussianRational) if field == REAL else st.builds(GaussianRational, part, part)
+    a = Matrix(n, n, [draw(entry) for _ in range(n * n)], field)
+    h = a + a.conj_transpose()
+    if kind == "zero diagonal":
+        h = Matrix(n, n, [ZERO if i == j else h[i, j] for i in range(n) for j in range(n)], field)
+    elif kind == "singular":
+        # line s becomes a copy of line t, or zero when s == t
+        s, t = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        m = [t if i == s else i for i in range(n)]
+        ents = [ZERO if s == t and s in (i, j) else h[m[i], m[j]] for i in range(n) for j in range(n)]
+        h = Matrix(n, n, ents, field)
+    return h, kind
+
+
+@settings(max_examples=150, deadline=None)
+@given(_hermitian_matrices())
+def test_signature_matches_congruence_reduction(case):
+    h, kind = case
+    assert h.is_hermitian()
+    expected = _inertia_or_singular(congruence_inertia, h)
+    assert _inertia_or_singular(signature, h) == expected
+    if kind == "singular":
+        assert expected == "singular"
 
 
 def test_rank_v():
