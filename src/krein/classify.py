@@ -37,7 +37,8 @@ from .exceptions import (
     S0NotNeutral,
     WrongSpectrum,
 )
-from .matrices import COMPLEX, REAL, Matrix, _gauss_jordan, char_poly, hstack, vstack
+from .matrices import COMPLEX, REAL, Matrix, _gauss_jordan, hstack, vstack
+from .matrices import char_poly  # noqa: F401  (re-exported as krein.classify.char_poly)
 from .polynomials import Polynomial, Root, poly_roots
 from .scalars import GaussianRational, as_scalar, format_scalar
 from .spaces import (
@@ -119,7 +120,7 @@ def classify(pair: MatrixPair) -> ClassificationReport:
         raise NotHNormal("classification requires an H-normal pair")
     n = pair.n
     k = pair.space.rank_v
-    roots = tuple(poly_roots(char_poly(pair.n_op)))
+    roots = tuple(poly_roots(pair.char_poly))
     exact = all(r.is_exact for r in roots)
     notes: list[str] = []
     if not exact:
@@ -322,7 +323,7 @@ def reduce_single_eigenvalue(pair: MatrixPair, lam) -> CanonicalReduction:
     lam = as_scalar(lam)
     n = pair.n
     target = Polynomial([-lam, 1]) ** n
-    if char_poly(pair.n_op) != target:
+    if pair.char_poly != target:
         raise NotSingleEigenvalue(f"operator spectrum is not {{{lam!r}}} alone")
     js = joint_eigenspace(pair, lam)
     if not js.is_neutral_s0:
@@ -338,7 +339,7 @@ def reduce_single_eigenvalue(pair: MatrixPair, lam) -> CanonicalReduction:
 def _is_conjugate_pair_spectrum(pair: MatrixPair, alpha: Fraction, beta: Fraction) -> bool:
     """char_poly(N) is a power of (t - alpha)^2 + beta^2."""
     quad = Polynomial([alpha * alpha + beta * beta, -2 * alpha, 1])
-    return pair.n % 2 == 0 and char_poly(pair.n_op) == quad ** (pair.n // 2)
+    return pair.n % 2 == 0 and pair.char_poly == quad ** (pair.n // 2)
 
 
 def reduce_conjugate_pair(pair: MatrixPair, alpha, beta) -> CanonicalReduction:

@@ -17,9 +17,20 @@ selfadjoint idempotent commuting with both, so:
   reported, so ``decomposable`` verdicts are sound; exhausting the budget
   yields ``unknown``. Verdicts are deterministic given (budget, seed).
 
+The draws run on Python ints. The basis is written once over its common
+denominator d as sparse integer lists, so each draw d X is an integer sum,
+and f = det(tI - d X) comes from the same Samuelson-Berkowitz recurrence as
+:func:`krein.matrices.char_poly`, on those lists. ``poly_roots`` sees only
+the squarefree part of f; a real root y of f is an integer, mu = y / d, and
+its multiplicity comes from exact synthetic division. A ``Matrix`` for X is
+built only when a root of multiplicity below n needs its eigenspace.
+
 Every linear solve here (the commutant, its selfadjoint part, the real span
 of complex vectors and the candidate subspaces) is an exact kernel or pivot
-set read off the one sparse Gauss-Jordan core of :mod:`krein.matrices`.
+set read off the one sparse Gauss-Jordan core of :mod:`krein.matrices`. The
+selfadjoint part is {X in commutant : HX Hermitian}: one product H B per
+basis element B, and integer rows from the upper triangle of the
+skew-Hermitian defect.
 
 Family certificates re-derive the specific argument that makes each witness
 family indecomposable. Each kind has one rule in one table (``_RULES``),
@@ -53,13 +64,14 @@ from .matrices import (
     COMPLEX,
     REAL,
     Matrix,
-    char_poly,
+    _samuelson_berkowitz,
+    char_poly,  # noqa: F401  (re-exported as krein.decompose.char_poly)
     hstack,
     kernel_of_sparse_rows,
     mat_power,
 )
-from .polynomials import Polynomial, poly_roots
-from .scalars import GaussianRational, I_UNIT, ZERO, as_scalar, format_scalar, parse_scalar
+from .polynomials import _integer_roots_with_mult, poly_roots
+from .scalars import GaussianRational, ZERO, as_scalar, format_scalar, integer_form, parse_scalar
 from .spaces import (
     MatrixPair,
     SubspaceBasis,
@@ -184,45 +196,58 @@ def _combination(terms, sparse: Sequence[list], n: int, field: str) -> Matrix:
     return Matrix(n, n, ents, field)
 
 
-def _real_span_solutions(
-    basis: Sequence[Matrix], defect: Callable[[Matrix], Matrix]
-) -> list[Matrix]:
-    """Real basis of {X in span(basis) : defect(X) = 0}.
+def _real_span_solutions(basis: Sequence[Matrix], h: Matrix) -> list[Matrix]:
+    """Real basis of {X in span(basis) : hX Hermitian}, for a Hermitian h.
 
-    Over the complex field the span is taken over C, as the real span of
-    ``basis`` and ``i * basis``. ``defect`` must be real-linear; the system
-    in the real coefficients is realified into sparse rows (real and
-    imaginary part of each entry of defect(X)) and its kernel is read off
-    the one Gauss-Jordan core. Each solution is rebuilt as the sparse
-    combination sum c_i gens[i].
+    Over the complex field the span is taken over C: the unknowns are the
+    real c_j, c'_j of X = sum (c_j + i c'_j) B_j. With P_j = h B_j, the
+    defect hX - (hX)* = sum c_j (P_j - P_j*) + c'_j i (P_j + P_j*) is
+    skew-Hermitian, so it vanishes when the real and imaginary parts of its
+    upper triangle do. Those are sparse rows over the integers (every P_j
+    written over one common denominator), and their kernel is read off the
+    one Gauss-Jordan core. Each solution is rebuilt as the sparse
+    combination sum (c_j + i c'_j) B_j.
     """
-    gens: list[Matrix] = []
-    for b in basis:
-        gens.append(b)
-        if b.field == COMPLEX:
-            gens.append(b * I_UNIT)
-    if not gens:
+    if not basis:
         return []
+    n, field, m = basis[0].rows, basis[0].field, len(basis)
+    cplx = field == COMPLEX
+    _, pre, pim = integer_form([e for b in basis for e in (h @ b).entries])
+    pim = pim or [0] * len(pre)
+    offsets = range(0, len(pre), n * n)
     rows = []
-    for at_pos in zip(*(defect(g).entries for g in gens)):  # one entry per generator
-        rows.append({i: GaussianRational(e.re) for i, e in enumerate(at_pos) if e.re})
-        rows.append({i: GaussianRational(e.im) for i, e in enumerate(at_pos) if e.im})
-    sparse = [_sparse_entries(g) for g in gens]
-    n, field = gens[0].rows, gens[0].field
-    return [
-        _combination(v.items(), sparse, n, field)
-        for v in kernel_of_sparse_rows(rows, len(gens))
-    ]
+    for a in range(n):
+        for b in range(a, n):
+            above, below = a * n + b, b * n + a
+            re_row: dict[int, GaussianRational] = {}
+            im_row: dict[int, GaussianRational] = {}
+            for j, o in enumerate(offsets):
+                x, y, u, v = pre[o + above], pim[o + above], pre[o + below], pim[o + below]
+                col = 2 * j if cplx else j
+                if x != u:
+                    re_row[col] = GaussianRational(x - u)
+                if y + v:
+                    im_row[col] = GaussianRational(y + v)
+                if cplx:  # the entries of i (P + P*)
+                    if v != y:
+                        re_row[col + 1] = GaussianRational(v - y)
+                    if x + u:
+                        im_row[col + 1] = GaussianRational(x + u)
+            rows += [re_row, im_row]
+    sparse = [_sparse_entries(b) for b in basis]
+    out = []
+    for sol in kernel_of_sparse_rows(rows, 2 * m if cplx else m):
+        if cplx:  # merge the pair (c_j, c'_j) into c_j + i c'_j
+            merged = ((j, GaussianRational(sol.get(2 * j, ZERO).re, sol.get(2 * j + 1, ZERO).re)) for j in range(m))
+            sol = {j: c for j, c in merged if c}
+        out.append(_combination(sol.items(), sparse, n, field))
+    return out
 
 
 def selfadjoint_commutant_basis(pair: MatrixPair) -> list[Matrix]:
-    """Real basis of the selfadjoint part {X in commutant : X^[*] = X}."""
-    h = pair.space.h
-
-    def defect(x: Matrix) -> Matrix:
-        return h @ x - x.conj_transpose() @ h  # zero iff X^[*] = X
-
-    return _real_span_solutions(commutant_basis(pair), defect)
+    """Real basis of the selfadjoint part {X in commutant : X^[*] = X}, that is
+    of the X with HX Hermitian."""
+    return _real_span_solutions(commutant_basis(pair), pair.space.h)
 
 
 def certify_scalar_commutant(pair: MatrixPair) -> Optional[Certificate]:
@@ -274,7 +299,7 @@ def _evidence_projection_scalar(pair: MatrixPair, k: int) -> dict:
         raise CertificateCheckFailed("pair size does not match a 4k layout")
     n1 = pair.n_op.submatrix(k, 2 * k, 3 * k, n)
     cbasis = _commutant_of([n1], k, pair.field)
-    sols = _real_span_solutions(cbasis, lambda x: x - x.conj_transpose())
+    sols = _real_span_solutions(cbasis, Matrix.identity(k, pair.field))
     dim = len(sols)
     scalar = dim == 1 and sols[0] == Matrix.identity(k, pair.field) * sols[0][0, 0]
     return {
@@ -286,7 +311,7 @@ def _evidence_projection_scalar(pair: MatrixPair, k: int) -> dict:
 
 
 def _exact_spectrum_strings(pair: MatrixPair) -> list[str]:
-    roots = poly_roots(char_poly(pair.n_op))
+    roots = poly_roots(pair.char_poly)
     if not all(r.is_exact for r in roots):
         raise CertificateCheckFailed("spectrum is not exactly computable")
     return sorted(format_scalar(r.value) for r in roots)
@@ -421,15 +446,6 @@ def verify_certificate(pair: MatrixPair, cert: Certificate) -> bool:
 # -- decomposition search ------------------------------------------------------
 
 
-def _rational_roots_with_mult(p: Polynomial) -> list[tuple[Fraction, int]]:
-    out = []
-    for r in poly_roots(p):
-        if r.is_exact and r.value.is_real:
-            out.append((r.value.re, r.multiplicity))
-    out.sort(key=lambda t: t[0])
-    return out
-
-
 def _try_root_subspace(pair: MatrixPair, x: Matrix, mu: Fraction, mult: int):
     n = pair.n
     shift = x - Matrix.identity(n, pair.field) * as_scalar(mu)
@@ -454,18 +470,28 @@ def search_decomposition(
 
     Returns ``indecomposable`` when the scalar-commutant certificate applies.
     Otherwise each of up to ``budget`` seeded draws X offers as candidates the
-    rational roots mu of ``char_poly(X)`` with multiplicity m < n, whose
-    generalized eigenspaces are invariant and nondegenerate (module
-    docstring). The first that passes the exact checks is returned as
-    ``decomposable``; ``unknown`` once the budget is exhausted.
+    rational roots mu of its characteristic polynomial with multiplicity
+    m < n, whose generalized eigenspaces are invariant and nondegenerate
+    (module docstring). The polynomial is det(tI - d X) over the integers, for
+    the common denominator d of the basis, and each draw makes one
+    ``poly_roots`` call, on its squarefree part. The first candidate that
+    passes the exact checks is returned as ``decomposable``; ``unknown`` once
+    the budget is exhausted.
     """
     basis = selfadjoint_commutant_basis(pair)
     cert = _accepted(CERT_SCALAR_COMMUTANT, pair, _evidence_scalar_commutant(pair, basis=basis))
     if cert is not None:
         return DecompositionVerdict(STATUS_INDECOMPOSABLE, cert, None, budget, seed)
     n = pair.n
-    sparse = [_sparse_entries(b) for b in basis]
     m = len(basis)
+    # the basis over its common denominator d: B_j = sum (x + i y) e_idx / d
+    # over the (idx, x, y) of sparse[j], so each draw d X is an integer sum
+    d, bre, bim = integer_form([e for b in basis for e in b.entries])
+    bim = bim or [0] * len(bre)
+    sparse = [
+        [(idx, bre[t], bim[t]) for idx, t in enumerate(range(o, o + n * n)) if bre[t] or bim[t]]
+        for o in range(0, m * n * n, n * n)
+    ]
     # for large commutants each draw touches a bounded number of basis
     # elements; the remaining coefficients are zero (still "small integers")
     width = m if m <= 8 else 6
@@ -480,11 +506,22 @@ def search_decomposition(
         if not any(c for _, c in picks) or picks in seen:
             continue
         seen.add(picks)
-        x = _combination(((j, as_scalar(c)) for j, c in picks if c), sparse, n, pair.field)
-        for mu, mult in _rational_roots_with_mult(char_poly(x)):
+        xre, xim = [0] * (n * n), [0] * (n * n)
+        for j, c in picks:
+            if c:
+                for idx, x, y in sparse[j]:
+                    xre[idx] += c * x
+                    xim[idx] += c * y
+        x = None
+        # a root y of det(tI - d X) is d mu for an eigenvalue mu of X
+        for y, mult in _integer_roots_with_mult(_samuelson_berkowitz(n, xre, xim)):
             if mult == n:  # ker (X - mu)^n is the whole space
                 continue
-            sub = _try_root_subspace(pair, x, mu, mult)
+            if x is None:
+                x = Matrix(
+                    n, n, [GaussianRational(Fraction(a, d), Fraction(b, d)) for a, b in zip(xre, xim)], pair.field
+                )
+            sub = _try_root_subspace(pair, x, Fraction(y, d), mult)
             if sub is not None:
                 return DecompositionVerdict(STATUS_DECOMPOSABLE, None, sub, budget, seed)
     return DecompositionVerdict(STATUS_UNKNOWN, None, None, budget, seed)

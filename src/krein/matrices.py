@@ -12,9 +12,10 @@ particular solutions are read off it, and so are the sparse commutant systems
 of :mod:`krein.decompose` (through :func:`kernel_of_sparse_rows`). The RREF
 is unique, so these results do not depend on how rows are ordered or stored.
 Characteristic polynomials come from the division-free Samuelson-Berkowitz
-recurrence on the Gaussian-integer matrix d M (``_integer_char_poly``), one
-code path for real and Gaussian entries; the determinant is read off the
-characteristic polynomial.
+recurrence on the Gaussian-integer matrix d M (``_samuelson_berkowitz``),
+one code path for real and Gaussian entries, which also takes integer lists
+built without a ``Matrix``; the determinant is read off the characteristic
+polynomial.
 """
 
 from __future__ import annotations
@@ -466,18 +467,24 @@ def kernel_of_sparse_rows(
 def _integer_char_poly(m: Matrix) -> tuple[int, list[int], list[int]]:
     """(d, re, im) with det(tI - d M) = sum_k (re[k] + i*im[k]) t^k, where d
     is the lcm of the entry denominators of the square matrix M; im is empty
-    when every coefficient is real.
+    when every coefficient is real (:func:`_samuelson_berkowitz` on d M)."""
+    d, are, aim = integer_form(m.entries)
+    return (d, *_samuelson_berkowitz(m.rows, are, aim))
 
-    Samuelson-Berkowitz recurrence on the Gaussian-integer matrix A = d M,
-    with no division: for the leading blocks A_k, det(tI - A_(k+1)) is the
-    (k+2) x (k+1) lower triangular Toeplitz matrix with first column
+
+def _samuelson_berkowitz(n: int, are: list[int], aim: list[int]) -> tuple[list[int], list[int]]:
+    """(re, im) with det(tI - A) = sum_k (re[k] + i*im[k]) t^k for the n x n
+    Gaussian-integer matrix A = are + i*aim, row-major; aim may be empty for
+    a real A, and im is empty when every coefficient is real.
+
+    Samuelson-Berkowitz recurrence, with no division: for the leading blocks
+    A_k, det(tI - A_(k+1)) is the (k+2) x (k+1) lower triangular Toeplitz
+    matrix with first column
     (1, -a, -R C, -R A_k C, ..., -R A_k^(k-1) C) times the descending
     coefficients of det(tI - A_k), where a = A[k][k], R is row k and C is
     column k of A left of and above the diagonal. The products A_k^j C run on
     the sparse rows of A_k and stop once R or A_k^j C is zero.
     """
-    n = m.rows
-    d, are, aim = integer_form(m.entries)
     aim = aim or [0] * (n * n)
     # lead[i]: the nonzero (column, re, im) of row i left of column k
     lead: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
@@ -507,7 +514,7 @@ def _integer_char_poly(m: Matrix) -> tuple[int, list[int], list[int]]:
                 lead[i].append((k, x, y))
     pr.reverse()
     pi.reverse()
-    return d, pr, pi if any(pi) else []
+    return pr, pi if any(pi) else []
 
 
 def _sparse_dot(row: list[tuple[int, int, int]], v: list[tuple[int, int]]) -> tuple[int, int]:

@@ -287,10 +287,15 @@ def _gcd(a: ZPoly, b: ZPoly) -> ZPoly:
         a, b = b, _primitive(*r)
 
 
+def _gcd_with_derivative(f: ZPoly) -> ZPoly:
+    """gcd(f, f') for f of degree >= 1."""
+    re, im = f
+    return _gcd(f, _primitive([k * x for k, x in enumerate(re)][1:], [k * y for k, y in enumerate(im)][1:]))
+
+
 def _squarefree_parts(f: ZPoly) -> list[tuple[ZPoly, int]]:
     """Yun's algorithm on a primitive f of degree >= 1 (see squarefree_decomposition)."""
-    re, im = f
-    g = _gcd(f, _primitive([k * x for k, x in enumerate(re)][1:], [k * y for k, y in enumerate(im)][1:]))
+    g = _gcd_with_derivative(f)
     if len(g[0]) == 1:
         return [(f, 1)]
     w = _exact_quotient(f, g)
@@ -305,6 +310,42 @@ def _squarefree_parts(f: ZPoly) -> list[tuple[ZPoly, int]]:
         g = _exact_quotient(g, y)
         k += 1
     return out
+
+
+def _integer_roots_with_mult(f: ZPoly) -> list[tuple[int, int]]:
+    """The rational roots y of a monic f over Z[i] of degree >= 1, ascending,
+    with their multiplicities; f is monic, so each y is an integer.
+
+    :func:`poly_roots` sees only the squarefree part f / gcd(f, f'), and the
+    multiplicity of y is the number of exact synthetic divisions of f by
+    t - y over Z[i].
+    """
+    w = _exact_quotient(f, _gcd_with_derivative(f))
+    out = []
+    for r in poly_roots(_monic(w)):
+        if r.is_exact and r.value.is_real:
+            y = r.value.re.numerator
+            out.append((y, _multiplicity(f, y)))
+    return out
+
+
+def _multiplicity(f: ZPoly, y: int) -> int:
+    """The multiplicity of the root y of f, by synthetic division on re and im."""
+    parts = [c for c in f if c]
+    m = 0
+    while True:
+        quotients = []
+        for c in parts:
+            acc, q = 0, []
+            for x in reversed(c):
+                acc = acc * y + x
+                q.append(acc)
+            if q.pop():
+                return m
+            q.reverse()
+            quotients.append(q)
+        parts = quotients
+        m += 1
 
 
 def _monic(f: ZPoly) -> Polynomial:

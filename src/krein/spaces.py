@@ -27,7 +27,8 @@ from .exceptions import (
     ParameterError,
     SingularH,
 )
-from .matrices import COMPLEX, Matrix, _integer_char_poly, hstack
+from .matrices import COMPLEX, Matrix, _integer_char_poly, char_poly, hstack
+from .polynomials import Polynomial
 from .scalars import GaussianRational
 
 
@@ -100,7 +101,7 @@ class IndefiniteSpace:
 class MatrixPair:
     """An operator together with the space it acts on (the central object here)."""
 
-    __slots__ = ("n_op", "space", "_adjoint")
+    __slots__ = ("n_op", "space", "_adjoint", "_char_poly")
 
     def __init__(self, n_op: Matrix, space: IndefiniteSpace):
         if not n_op.is_square or n_op.rows != space.dim:
@@ -110,6 +111,7 @@ class MatrixPair:
         self.n_op = n_op
         self.space = space
         self._adjoint = None
+        self._char_poly = None
 
     @classmethod
     def from_matrices(cls, n_op: Matrix, h: Matrix) -> "MatrixPair":
@@ -129,6 +131,13 @@ class MatrixPair:
         if self._adjoint is None:
             self._adjoint = h_adjoint(self.n_op, self.space)
         return self._adjoint
+
+    @property
+    def char_poly(self) -> Polynomial:
+        """The characteristic polynomial of the operator, computed once by :func:`char_poly`."""
+        if self._char_poly is None:
+            self._char_poly = char_poly(self.n_op)
+        return self._char_poly
 
     def __eq__(self, other) -> bool:
         return (

@@ -1,13 +1,17 @@
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_acceptance import GLUED_PAIRS
 
 from krein.decompose import (
     Certificate,
+    _commutant_of,
     _evidence_joint_eigenspace_2d,
     _evidence_jordan_chain,
     _evidence_neutral_eigenspan,
     _evidence_projection_scalar,
+    _real_span_solutions,
     certify_family,
     certify_scalar_commutant,
     commutant_basis,
@@ -16,9 +20,9 @@ from krein.decompose import (
     verify_certificate,
 )
 from krein.exceptions import KreinError
-from krein.matrices import COMPLEX, REAL, Matrix, char_poly, hstack
-from krein.polynomials import poly_roots
-from krein.scalars import GaussianRational, format_scalar
+from krein.matrices import COMPLEX, REAL, Matrix, char_poly, hstack, kernel_of_sparse_rows
+from krein.polynomials import poly_gcd, poly_roots
+from krein.scalars import I_UNIT, GaussianRational, format_scalar
 from krein.spaces import (
     MatrixPair,
     direct_sum,
@@ -106,6 +110,119 @@ def test_glued_pair_selfadjoint_commutant_contains_block_projections():
     )
     assert _in_span(proj, basis)
     assert _in_span(Matrix.identity(4, COMPLEX) - proj, basis)
+
+
+# --- reference oracle for the selfadjoint commutant ------------------------------
+
+
+def reference_real_span_solutions(basis, defect):
+    """{X in span(basis) : defect(X) = 0} the direct way: every generator B
+    and i B goes through the real-linear ``defect``, each entry of the result
+    gives a real and an imaginary row, and each kernel vector is summed back
+    with ``Matrix`` arithmetic."""
+    gens = []
+    for b in basis:
+        gens.append(b)
+        if b.field == COMPLEX:
+            gens.append(b * I_UNIT)
+    if not gens:
+        return []
+    rows = []
+    for at_pos in zip(*(defect(g).entries for g in gens)):
+        rows.append({i: GaussianRational(e.re) for i, e in enumerate(at_pos) if e.re})
+        rows.append({i: GaussianRational(e.im) for i, e in enumerate(at_pos) if e.im})
+    n, field = gens[0].rows, gens[0].field
+    out = []
+    for v in kernel_of_sparse_rows(rows, len(gens)):
+        x = Matrix.zeros(n, n, field)
+        for i, c in v.items():
+            x = x + gens[i] * c
+        out.append(x)
+    return out
+
+
+def reference_selfadjoint_basis(pair):
+    """The selfadjoint commutant from the two-product defect HX - X*H."""
+    h = pair.space.h
+    return reference_real_span_solutions(commutant_basis(pair), lambda x: h @ x - x.conj_transpose() @ h)
+
+
+def _hermitian_commutant_of_n1(pair, k, solve):
+    n1 = pair.n_op.submatrix(k, 2 * k, 3 * k, 4 * k)
+    return solve(_commutant_of([n1], k, pair.field))
+
+
+def _reference_pairs():
+    for family in ALL_FAMILIES:
+        for k in admissible_ks(family, 3):
+            yield build_witness(family, k, {}).pair
+    for make in GLUED_PAIRS:
+        yield make()
+
+
+def test_selfadjoint_basis_matches_the_two_product_reference():
+    for pair in _reference_pairs():
+        got = [repr(x) for x in selfadjoint_commutant_basis(pair)]
+        assert got == [repr(x) for x in reference_selfadjoint_basis(pair)], pair
+
+
+def test_projection_scalar_evidence_matches_the_reference():
+    checked = 0
+    for pair in _reference_pairs():
+        if pair.n % 4:
+            continue
+        k = pair.n // 4
+        ident = Matrix.identity(k, pair.field)
+        got = _hermitian_commutant_of_n1(pair, k, lambda b: _real_span_solutions(b, ident))
+        ref = _hermitian_commutant_of_n1(
+            pair, k, lambda b: reference_real_span_solutions(b, lambda x: x - x.conj_transpose())
+        )
+        assert [repr(x) for x in got] == [repr(x) for x in ref]
+        n1 = pair.n_op.submatrix(k, 2 * k, 3 * k, 4 * k)
+        assert _evidence_projection_scalar(pair, k) == {
+            "k": k,
+            "n1_nonsingular": n1.rank() == k,
+            "hermitian_commutant_dim": len(ref),
+            "hermitian_commutant_scalar": len(ref) == 1 and ref[0] == ident * ref[0][0, 0],
+        }
+        checked += 1
+    assert checked >= 6
+
+
+_SMALL_PAIRS = [
+    lambda: witness_complex_a_lower(1, 0).pair,
+    lambda: witness_complex_a_upper(1, GaussianRational(1, 2)).pair,
+    lambda: witness_complex_b(2, 0, 1).pair,
+    lambda: witness_real_c_even(2, 0, 1).pair,
+    lambda: witness_real_c_odd(1, Fraction(1, 2), 1).pair,
+    lambda: direct_sum(witness_complex_b(1, 0, 1).pair, witness_complex_b(1, 2, 3).pair),
+    lambda: direct_sum(witness_real_c_odd(1, 0, 1).pair, witness_real_c_odd(1, 0, 2).pair),
+]
+
+
+@st.composite
+def _unimodular_congruences(draw):
+    """A small pair hidden by (N, H) -> (T^-1 N T, T* H T), T a product of
+    shears I + c e_i e_j^T with c = +-1 (or +-i over C), so det T is 1."""
+    pair = draw(st.sampled_from(_SMALL_PAIRS))()
+    n, field = pair.n, pair.field
+    units = [1, -1] + ([I_UNIT, -I_UNIT] if field == COMPLEX else [])
+    t = Matrix.identity(n, field)
+    for _ in range(draw(st.integers(1, 2 * n))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 2))
+        j += j >= i
+        c = draw(st.sampled_from(units))
+        ents = [1 if a == b else (c if (a, b) == (i, j) else 0) for a in range(n) for b in range(n)]
+        t = t @ Matrix(n, n, ents, field)
+    return MatrixPair.from_matrices(t.inverse() @ pair.n_op @ t, t.conj_transpose() @ pair.space.h @ t)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_unimodular_congruences())
+def test_selfadjoint_basis_matches_the_reference_under_congruence(pair):
+    assert [repr(x) for x in selfadjoint_commutant_basis(pair)] == [
+        repr(x) for x in reference_selfadjoint_basis(pair)
+    ]
 
 
 # --- scalar-commutant certificate ------------------------------------------------
@@ -350,6 +467,41 @@ def test_witnesses_never_build_a_candidate_subspace(monkeypatch):
             w = build_witness(family, k, {})
             search_decomposition(w.pair, budget=60, seed=SEED)
             assert calls == [], (family, k)
+
+
+def test_search_draws_call_no_char_poly_and_pass_squarefree_polynomials(monkeypatch):
+    # each draw's characteristic polynomial comes from the integer recurrence
+    # on its integer lists, and poly_roots sees only its squarefree part
+    import sys
+
+    import krein.matrices
+    import krein.polynomials
+
+    char_polys, roots_inputs = [], []
+    real_char_poly, real_poly_roots = krein.matrices.char_poly, krein.polynomials.poly_roots
+
+    def counting_char_poly(m):
+        char_polys.append(m)
+        return real_char_poly(m)
+
+    def recording_poly_roots(p):
+        roots_inputs.append(p)
+        return real_poly_roots(p)
+
+    pairs = [build_witness(family, k, {}).pair for family in ALL_FAMILIES for k in admissible_ks(family, 2)]
+    pairs.append(direct_sum(witness_complex_b(1, 0, 1).pair, witness_complex_b(1, 2, 3).pair))
+    pairs.append(direct_sum(witness_real_d(2, 5, 0, 1).pair, witness_real_e(2, 0, 1, 1, 1).pair))
+    # every module binding of the two (krein.classify is shadowed by the function)
+    for name in ("krein", "krein.matrices", "krein.spaces", "krein.classify", "krein.decompose"):
+        monkeypatch.setattr(sys.modules[name], "char_poly", counting_char_poly)
+    for name in ("krein", "krein.polynomials", "krein.classify", "krein.decompose"):
+        monkeypatch.setattr(sys.modules[name], "poly_roots", recording_poly_roots)
+    for pair in pairs:
+        search_decomposition(pair, budget=60, seed=SEED)
+    assert char_polys == []
+    assert len(roots_inputs) > len(pairs)
+    for p in roots_inputs:
+        assert poly_gcd(p, p.derivative()).degree == 0, p
 
 
 def test_search_golden_verdict_on_b_sum():

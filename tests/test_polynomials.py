@@ -14,6 +14,8 @@ from krein.exceptions import ParameterError, RootFindingError
 from krein.matrices import char_poly
 from krein.polynomials import (
     Polynomial,
+    _integer_poly,
+    _integer_roots_with_mult,
     poly_from_roots,
     poly_gcd,
     poly_lcm,
@@ -336,6 +338,38 @@ def test_root_counts_match_sympy(p):
     assert len(roots) == distinct
     assert sum(1 for r in roots if (r.value.is_real if r.is_exact else r.value.imag == 0)) == real
     assert sum(r.multiplicity for r in roots) == p.degree
+
+
+_big_integer_roots = st.one_of(st.just(0), st.integers(-20, 20), st.integers(-(10**12), 10**12))
+_gaussian_integers = st.builds(GaussianRational, st.integers(-50, 50), st.integers(-50, 50).filter(bool))
+
+
+@st.composite
+def _monic_integer_products(draw):
+    """A product of (t - r)^k with integer r, irreducible quadratics and
+    (t - (a + bi))^k, each raised to a power k <= 5."""
+    p = Polynomial([1])
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("integer", "quadratic", "gaussian")))
+        if kind == "integer":
+            factor = Polynomial([-draw(_big_integer_roots), 1])
+        elif kind == "quadratic":
+            factor = Polynomial(draw(st.sampled_from(_IRREDUCIBLE_QUADRATICS[:4])))
+        else:
+            factor = Polynomial([-draw(_gaussian_integers), 1])
+        p = p * factor ** draw(st.integers(1, 5))
+    return p
+
+
+@settings(max_examples=120, deadline=None)
+@given(_monic_integer_products())
+@example(Polynomial([-(10**12), 1]) ** 5 * Polynomial([0, 1]) ** 2 * Polynomial([10**12 - 1, 1]))
+@example(Polynomial([GaussianRational(-3, -4), 1]) ** 3 * Polynomial([7, 1]) ** 2)
+def test_integer_roots_with_multiplicity_match_poly_roots(p):
+    expected = [(r.value.re, r.multiplicity) for r in poly_roots(p) if r.is_exact and r.value.is_real]
+    got = _integer_roots_with_mult(_integer_poly(p))
+    assert got == expected
+    assert all(type(y) is int for y, _ in got)
 
 
 def test_importing_krein_does_not_import_sympy():
