@@ -21,9 +21,11 @@ The draws run on Python ints. The basis is written once over its common
 denominator d as sparse integer lists, so each draw d X is an integer sum,
 and f = det(tI - d X) comes from the same Samuelson-Berkowitz recurrence as
 :func:`krein.matrices.char_poly`, on those lists. ``poly_roots`` sees only
-the squarefree part of f; a real root y of f is an integer, mu = y / d, and
-its multiplicity comes from exact synthetic division. A ``Matrix`` for X is
-built only when a root of multiplicity below n needs its eigenspace.
+the primitive part of w(d t), for the squarefree part w of f: its roots are
+the eigenvalues mu of X, so the size of d never reaches the float solve.
+y = d mu is an integer root of f, and its multiplicity comes from exact
+synthetic division. A ``Matrix`` for X is built only when a root of
+multiplicity below n needs its eigenspace.
 
 Every linear solve here (the commutant, its selfadjoint part, the real span
 of complex vectors and the candidate subspaces) is an exact kernel or pivot
@@ -474,9 +476,9 @@ def search_decomposition(
     m < n, whose generalized eigenspaces are invariant and nondegenerate
     (module docstring). The polynomial is det(tI - d X) over the integers, for
     the common denominator d of the basis, and each draw makes one
-    ``poly_roots`` call, on its squarefree part. The first candidate that
-    passes the exact checks is returned as ``decomposable``; ``unknown`` once
-    the budget is exhausted.
+    ``poly_roots`` call, on its squarefree part rescaled to the roots of X.
+    The first candidate that passes the exact checks is returned as
+    ``decomposable``; ``unknown`` once the budget is exhausted.
     """
     basis = selfadjoint_commutant_basis(pair)
     cert = _accepted(CERT_SCALAR_COMMUTANT, pair, _evidence_scalar_commutant(pair, basis=basis))
@@ -514,7 +516,7 @@ def search_decomposition(
                     xim[idx] += c * y
         x = None
         # a root y of det(tI - d X) is d mu for an eigenvalue mu of X
-        for y, mult in _integer_roots_with_mult(_samuelson_berkowitz(n, xre, xim)):
+        for y, mult in _integer_roots_with_mult(_samuelson_berkowitz(n, xre, xim), d):
             if mult == n:  # ker (X - mu)^n is the whole space
                 continue
             if x is None:

@@ -312,19 +312,24 @@ def _squarefree_parts(f: ZPoly) -> list[tuple[ZPoly, int]]:
     return out
 
 
-def _integer_roots_with_mult(f: ZPoly) -> list[tuple[int, int]]:
+def _integer_roots_with_mult(f: ZPoly, d: int) -> list[tuple[int, int]]:
     """The rational roots y of a monic f over Z[i] of degree >= 1, ascending,
     with their multiplicities; f is monic, so each y is an integer.
 
-    :func:`poly_roots` sees only the squarefree part f / gcd(f, f'), and the
+    :func:`poly_roots` sees only the primitive part of w(d t), for the
+    squarefree part w = f / gcd(f, f') and a positive integer d. Its roots
+    are y / d: with d the denominator of a matrix X and f = det(tI - d X),
+    they are the eigenvalues of X, whose size does not grow with d. The
     multiplicity of y is the number of exact synthetic divisions of f by
     t - y over Z[i].
     """
-    w = _exact_quotient(f, _gcd_with_derivative(f))
+    re, im = _exact_quotient(f, _gcd_with_derivative(f))
+    powers = [d**k for k in range(len(re))]
+    w = _primitive([x * s for x, s in zip(re, powers)], [x * s for x, s in zip(im, powers)])
     out = []
     for r in poly_roots(_monic(w)):
         if r.is_exact and r.value.is_real:
-            y = r.value.re.numerator
+            y = (r.value.re * d).numerator
             out.append((y, _multiplicity(f, y)))
     return out
 

@@ -22,7 +22,7 @@ from krein.decompose import (
 from krein.exceptions import KreinError
 from krein.matrices import COMPLEX, REAL, Matrix, char_poly, hstack, kernel_of_sparse_rows
 from krein.polynomials import poly_gcd, poly_roots
-from krein.scalars import I_UNIT, GaussianRational, format_scalar
+from krein.scalars import I_UNIT, GaussianRational, format_scalar, integer_form
 from krein.spaces import (
     MatrixPair,
     direct_sum,
@@ -528,6 +528,24 @@ def test_search_golden_verdict_on_d_plus_e_sum():
         "seed": 1729,
         "witness_subspace": units,
     }
+
+
+# eight distinct primes just above 10^20
+_LARGE_PRIMES = [10**20 + c for c in (39, 129, 151, 193, 207, 301, 349, 361)]
+
+
+def test_search_verdicts_survive_a_congruence_by_large_primes():
+    # S = diag(p_1, ..., p_n) can put a product of the p_i into the common
+    # denominator d of the selfadjoint basis, and then det(tI - d X) has
+    # coefficients far beyond a float; the eigenvalues of X do not change
+    denominators = []
+    for make in GLUED_PAIRS:
+        pair = make()
+        s = Matrix.diagonal(_LARGE_PRIMES[: pair.n], pair.field)
+        hidden = MatrixPair.from_matrices(s.inverse() @ pair.n_op @ s, s.conj_transpose() @ pair.space.h @ s)
+        denominators.append(integer_form([e for b in selfadjoint_commutant_basis(hidden) for e in b.entries])[0])
+        assert search_decomposition(hidden).to_json_dict() == search_decomposition(pair).to_json_dict()
+    assert max(denominators) > 10**160
 
 
 # Golden selfadjoint bases: the search verdicts pin these bases only indirectly.

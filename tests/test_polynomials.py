@@ -362,12 +362,17 @@ def _monic_integer_products(draw):
 
 
 @settings(max_examples=120, deadline=None)
-@given(_monic_integer_products())
-@example(Polynomial([-(10**12), 1]) ** 5 * Polynomial([0, 1]) ** 2 * Polynomial([10**12 - 1, 1]))
-@example(Polynomial([GaussianRational(-3, -4), 1]) ** 3 * Polynomial([7, 1]) ** 2)
-def test_integer_roots_with_multiplicity_match_poly_roots(p):
-    expected = [(r.value.re, r.multiplicity) for r in poly_roots(p) if r.is_exact and r.value.is_real]
-    got = _integer_roots_with_mult(_integer_poly(p))
+@given(_monic_integer_products(), st.sampled_from([1, 6, 10**160]))
+@example(Polynomial([-(10**12), 1]) ** 5 * Polynomial([0, 1]) ** 2 * Polynomial([10**12 - 1, 1]), 10**160)
+@example(Polynomial([GaussianRational(-3, -4), 1]) ** 3 * Polynomial([7, 1]) ** 2, 1)
+def test_integer_roots_with_multiplicity_match_poly_roots(p, d):
+    # f = d^deg p(t / d) = det(tI - d X) for an X with characteristic
+    # polynomial p; for d = 10**160 its coefficients overflow a float
+    expected = [(r.value.re * d, r.multiplicity) for r in poly_roots(p) if r.is_exact and r.value.is_real]
+    re, im = _integer_poly(p)
+    top = len(re) - 1
+    f = [x * d ** (top - k) for k, x in enumerate(re)], [y * d ** (top - k) for k, y in enumerate(im)]
+    got = _integer_roots_with_mult(f, d)
     assert got == expected
     assert all(type(y) is int for y, _ in got)
 
