@@ -61,6 +61,9 @@ _CLI_FAMILIES = {
 }
 _FAMILY_TO_CLI = {v: k for k, v in _CLI_FAMILIES.items()}
 
+# the errors reported as input errors (exit code 2)
+_INPUT_ERRORS = (SchemaError, NotHermitian, SingularH, ParameterError, ValueError)
+
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -307,6 +310,27 @@ def _audit_extra_case(path: str, budget: int, seed: int) -> dict:
     return record
 
 
+def _guarded_case(inp: dict, run, *args) -> dict:
+    """run(*args), or a failed record naming the KreinError it raised.
+
+    Input errors still propagate: they stop the audit with exit code 2.
+    """
+    t0 = time.perf_counter()
+    try:
+        return run(*args)
+    except _INPUT_ERRORS:
+        raise
+    except KreinError as exc:
+        return {
+            "input": inp,
+            "error": {"type": type(exc).__name__, "message": str(exc)},
+            "passed": False,
+            "elapsed_ms": round(1000 * (time.perf_counter() - t0), 3),
+            "tool_version": __version__,
+            "schema_version": "1",
+        }
+
+
 def _audit_records(families: list[str], args):
     """Run the audit cases in order, yielding (record, label) as each completes."""
     for family in families:
@@ -317,13 +341,14 @@ def _audit_records(families: list[str], args):
                 file=sys.stderr,
             )
         for k in ks:
-            rec = _audit_witness_case(family, k, args.budget, args.seed)
-            yield rec, (
-                f"family={rec['input']['family']} k={k} "
-                f"n={rec['classification']['n']} case={rec['classification']['case']}"
-            )
+            inp = {"family": _FAMILY_TO_CLI[family], "k": k}
+            rec = _guarded_case(inp, _audit_witness_case, family, k, args.budget, args.seed)
+            label = f"family={inp['family']} k={k}"
+            if "classification" in rec:
+                label += f" n={rec['classification']['n']} case={rec['classification']['case']}"
+            yield rec, label
     for path in args.extra:
-        yield _audit_extra_case(path, args.budget, args.seed), f"extra={path}"
+        yield _guarded_case({"path": path}, _audit_extra_case, path, args.budget, args.seed), f"extra={path}"
 
 
 def _cmd_audit(args) -> int:
@@ -380,7 +405,7 @@ def main(argv=None) -> int:
         if args.command == "audit":
             return _cmd_audit(args)
         parser.error(f"unknown command {args.command!r}")
-    except (SchemaError, NotHermitian, SingularH, ParameterError, ValueError) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KreinError as exc:

@@ -6,6 +6,9 @@ selfadjoint idempotent commuting with both, so:
 
 * if the selfadjoint commutant is exactly the real scalars, the pair is
   indecomposable (certificate ``scalar_selfadjoint_commutant``);
+* more generally, if the image of the selfadjoint commutant modulo the
+  radical is R or a copy of C, it has no idempotent but 0 and 1, so the
+  pair is indecomposable (certificate ``selfadjoint_quotient_field``, below);
 * conversely, the searcher samples selfadjoint commutant elements X with small
   integer coefficients. For each rational root mu of the exact characteristic
   polynomial of X, of multiplicity m < n, the generalized eigenspace
@@ -16,6 +19,30 @@ selfadjoint idempotent commuting with both, so:
   Applications*, 2005). Candidates are still verified exactly before being
   reported, so ``decomposable`` verdicts are sound; exhausting the budget
   yields ``unknown``. Verdicts are deterministic given (budget, seed).
+
+The trace-form certificate. Let C be the commutant of {N, N^[*]}, S its
+selfadjoint part and Q_s the image of S in C / rad C. C is closed under X ->
+X^[*], and rad C is the kernel of the trace form (X, Y) -> tr(XY) on C
+(Dickson's criterion; the characteristic is 0). For X, Y in S, tr(XY) is
+real, since conj tr(XY) = tr((XY)^[*]) = tr(YX). Restricted to S the form
+has kernel the intersection of S and rad C: over C every element of C is Y1
++ i Y2 with Y1, Y2 in S, and over R tr(XK) = 0 for X in S and K = -K^[*] in
+C. So the rank of the Gram matrix G_ij = tr(S_i S_j) on a basis S_i of S is
+dim_R Q_s. The projection of a decomposition is a selfadjoint idempotent P
+in C, P != 0, I; rad C is nilpotent, so the image of P is an idempotent of
+Q_s other than 0 and 1. If rank G = 1, Q_s = R 1 has none. If rank G = 2,
+take the first basis element X with [[n, tr X], [tr X, tr X^2]] nonsingular:
+the images 1 and x of I and X span Q_s, and x^2 lies in it (X^2 is
+selfadjoint and commutes), say x^2 = a + b x. The element X^2 - a - b X of
+rad C is nilpotent and so is its product with X, so the power sums p_k =
+tr(X^k) satisfy p2 = a n + b p1 and p3 = a p1 + b p2. When b^2 + 4a < 0, Q_s
+is R[t] / (t^2 - b t - a), a copy of C, a field with no other idempotent.
+The evidence records dim S, rank G and, at rank 2, the basis index of X, the
+exact p1, p2, p3 and b^2 + 4a; the rule accepts rank 1, or rank 2 with a
+negative discriminant. G is summed on the integer basis lists the draws use
+and its rank read off the one Gauss-Jordan core. Any other case (rank >= 3,
+or a split quotient at rank 2) goes to the sampler with the same seeded
+draws, so decomposable verdicts do not change.
 
 The draws run on Python ints. The basis is written once over its common
 denominator d as sparse integer lists, so each draw d X is an integer sum,
@@ -41,11 +68,15 @@ the arguments it records, and one acceptance condition on it, which
 :func:`verify_certificate` applies to the evidence it recomputes:
 
 * ``scalar_selfadjoint_commutant``: the selfadjoint commutant is R I.
+* ``selfadjoint_quotient_field``: the trace form on the selfadjoint
+  commutant has rank 1, or rank 2 with a negative discriminant (above).
 * ``jordan_chain_unique`` (``k``): n = 2k, H = [[0, I], [I, 0]] and
   N = [[lam I, W], [0, lam I]] with W W*^-1 the k x k chain, whose
   eigenspace is one-dimensional.
-* ``projection_scalar`` (``k``): the block N1 of the 4k layout is
-  nonsingular and only real scalars are Hermitian and commute with it.
+* ``projection_scalar`` (``k``): the pair has the 4k layout of
+  :func:`krein.witnesses.witness_complex_a_upper` (H and every block of N
+  but N1 = N[k:2k, 3k:4k] and N2 = N[2k:3k, 3k:4k]), N1 is nonsingular and
+  only real scalars are Hermitian and commute with it.
 * ``neutral_eigenspan`` (``primary``, ``secondary``): the spectrum is
   exactly {primary, secondary} (with conjugates over R), primary has
   geometric multiplicity 1, secondary is semisimple, and its (real)
@@ -86,12 +117,14 @@ from .witnesses import (
     CERT_NEUTRAL_EIGENSPAN,
     CERT_PROJECTION_SCALAR,
     WitnessPair,
+    _a_upper_layout,
     _split_h,
     chain_matrix,
 )
 from .classify import _is_conjugate_pair_spectrum, _real_span_of_complex, joint_eigenspace_real
 
 CERT_SCALAR_COMMUTANT = "scalar_selfadjoint_commutant"
+CERT_QUOTIENT_FIELD = "selfadjoint_quotient_field"
 
 STATUS_INDECOMPOSABLE = "indecomposable"
 STATUS_DECOMPOSABLE = "decomposable"
@@ -264,6 +297,57 @@ def _evidence_scalar_commutant(pair: MatrixPair, basis=None) -> dict:
     return {"selfadjoint_commutant_dim": len(basis), "scalar": bool(scalar)}
 
 
+def _integer_basis(basis: Sequence[Matrix], n: int) -> tuple[int, list[list[tuple[int, int, int]]]]:
+    """(d, sparse): the basis over its common denominator d, that is
+    B_j = sum (x + i y) e_idx / d over the (idx, x, y) of sparse[j]."""
+    d, bre, bim = integer_form([e for b in basis for e in b.entries])
+    bim = bim or [0] * len(bre)
+    return d, [
+        [(idx, bre[t], bim[t]) for idx, t in enumerate(range(o, o + n * n)) if bre[t] or bim[t]]
+        for o in range(0, len(bre), n * n)
+    ]
+
+
+def _evidence_selfadjoint_quotient_field(pair: MatrixPair, basis=None, ibasis=None) -> dict:
+    """Rank of the trace form on the selfadjoint basis and, at rank 2, the
+    relation x^2 = a + b x of the first element X that is independent of I
+    modulo the radical (module docstring)."""
+    if basis is None:
+        basis = selfadjoint_commutant_basis(pair)
+    n = pair.n
+    _, sparse = ibasis or _integer_basis(basis, n)
+    # d^2 tr(B_i B_j) = sum over the entries (a, b) of B_i of B_i[a, b] B_j[b, a];
+    # it is real for selfadjoint B_i, B_j
+    flipped = [{(idx % n) * n + idx // n: (x, y) for idx, x, y in b} for b in sparse]
+    m = len(sparse)
+    gram = [[0] * m for _ in range(m)]
+    for i, bi in enumerate(sparse):
+        for j in range(i, m):
+            fj = flipped[j]
+            gram[i][j] = gram[j][i] = sum(x * fj[idx][0] - y * fj[idx][1] for idx, x, y in bi if idx in fj)
+    rank = Matrix(m, m, [g for row in gram for g in row], REAL).rank()
+    ev = {
+        "selfadjoint_commutant_dim": m,
+        "trace_form_rank": rank,
+        "basis_index": None,
+        "power_sums": None,
+        "discriminant": None,
+    }
+    if rank != 2:
+        return ev
+    # the Gram matrix of (I, B_i) is [[n, tr B_i], [tr B_i, gram_ii]] / d^2
+    traces = [sum(x for idx, x, _ in b if idx % (n + 1) == 0) for b in sparse]
+    i = next(i for i in range(m) if n * gram[i][i] != traces[i] ** 2)
+    x = basis[i]
+    x2 = x @ x
+    p1, p2, p3 = (t.trace().re for t in (x, x2, x2 @ x))
+    # tr((X^2 - a - b X) X^j) = 0 for j = 0, 1, by Cramer's rule
+    det = n * p2 - p1 * p1
+    a, b = (p2 * p2 - p1 * p3) / det, (n * p3 - p1 * p2) / det
+    ev.update(basis_index=i, power_sums=[str(p1), str(p2), str(p3)], discriminant=str(b * b + 4 * a))
+    return ev
+
+
 # -- family certificates -----------------------------------------------------
 
 
@@ -299,13 +383,16 @@ def _evidence_projection_scalar(pair: MatrixPair, k: int) -> dict:
     n = pair.n
     if n != 4 * k:
         raise CertificateCheckFailed("pair size does not match a 4k layout")
-    n1 = pair.n_op.submatrix(k, 2 * k, 3 * k, n)
+    nmat = pair.n_op
+    n1, n2 = (nmat.submatrix(r * k, (r + 1) * k, 3 * k, n) for r in (1, 2))
+    layout_ok = (nmat, pair.space.h) == _a_upper_layout(nmat[0, 0], n1, n2)
     cbasis = _commutant_of([n1], k, pair.field)
     sols = _real_span_solutions(cbasis, Matrix.identity(k, pair.field))
     dim = len(sols)
     scalar = dim == 1 and sols[0] == Matrix.identity(k, pair.field) * sols[0][0, 0]
     return {
         "k": k,
+        "layout_ok": bool(layout_ok),
         "n1_nonsingular": bool(n1.rank() == k),
         "hermitian_commutant_dim": dim,
         "hermitian_commutant_scalar": bool(scalar),
@@ -379,6 +466,12 @@ _RULES = {
         _evidence_scalar_commutant,
         lambda pair, ev: ev["selfadjoint_commutant_dim"] == 1 and ev["scalar"],
     ),
+    CERT_QUOTIENT_FIELD: _Rule(
+        (),
+        _evidence_selfadjoint_quotient_field,
+        lambda pair, ev: ev["trace_form_rank"] == 1
+        or (ev["trace_form_rank"] == 2 and Fraction(ev["discriminant"]) < 0),
+    ),
     CERT_JORDAN_CHAIN_UNIQUE: _Rule(
         ("k",),
         _evidence_jordan_chain,
@@ -390,7 +483,10 @@ _RULES = {
         ("k",),
         _evidence_projection_scalar,
         lambda pair, ev: (
-            ev["n1_nonsingular"] and ev["hermitian_commutant_dim"] == 1 and ev["hermitian_commutant_scalar"]
+            ev["layout_ok"]
+            and ev["n1_nonsingular"]
+            and ev["hermitian_commutant_dim"] == 1
+            and ev["hermitian_commutant_scalar"]
         ),
     ),
     CERT_NEUTRAL_EIGENSPAN: _Rule(
@@ -470,30 +566,28 @@ def search_decomposition(
 ) -> DecompositionVerdict:
     """Look for an exact decomposition witness; sound and reproducible.
 
-    Returns ``indecomposable`` when the scalar-commutant certificate applies.
-    Otherwise each of up to ``budget`` seeded draws X offers as candidates the
-    rational roots mu of its characteristic polynomial with multiplicity
-    m < n, whose generalized eigenspaces are invariant and nondegenerate
-    (module docstring). The polynomial is det(tI - d X) over the integers, for
-    the common denominator d of the basis, and each draw makes one
-    ``poly_roots`` call, on its squarefree part rescaled to the roots of X.
-    The first candidate that passes the exact checks is returned as
-    ``decomposable``; ``unknown`` once the budget is exhausted.
+    Returns ``indecomposable`` when the scalar-commutant or the trace-form
+    certificate applies, before any draw. Otherwise each of up to ``budget``
+    seeded draws X offers as candidates the rational roots mu of its
+    characteristic polynomial with multiplicity m < n, whose generalized
+    eigenspaces are invariant and nondegenerate (module docstring). The
+    polynomial is det(tI - d X) over the integers, for the common
+    denominator d of the basis, and each draw makes one ``poly_roots`` call,
+    on its squarefree part rescaled to the roots of X. The first candidate
+    that passes the exact checks is returned as ``decomposable``;
+    ``unknown`` once the budget is exhausted.
     """
+    n = pair.n
     basis = selfadjoint_commutant_basis(pair)
     cert = _accepted(CERT_SCALAR_COMMUTANT, pair, _evidence_scalar_commutant(pair, basis=basis))
+    if cert is None:
+        ibasis = _integer_basis(basis, n)
+        cert = _accepted(CERT_QUOTIENT_FIELD, pair, _evidence_selfadjoint_quotient_field(pair, basis, ibasis))
     if cert is not None:
         return DecompositionVerdict(STATUS_INDECOMPOSABLE, cert, None, budget, seed)
-    n = pair.n
     m = len(basis)
-    # the basis over its common denominator d: B_j = sum (x + i y) e_idx / d
-    # over the (idx, x, y) of sparse[j], so each draw d X is an integer sum
-    d, bre, bim = integer_form([e for b in basis for e in b.entries])
-    bim = bim or [0] * len(bre)
-    sparse = [
-        [(idx, bre[t], bim[t]) for idx, t in enumerate(range(o, o + n * n)) if bre[t] or bim[t]]
-        for o in range(0, m * n * n, n * n)
-    ]
+    # each draw d X is an integer sum over the basis written over d
+    d, sparse = ibasis
     # for large commutants each draw touches a bounded number of basis
     # elements; the remaining coefficients are zero (still "small integers")
     width = m if m <= 8 else 6

@@ -100,30 +100,6 @@ class Polynomial:
             n >>= 1
         return r
 
-    def __divmod__(self, other: "Polynomial"):
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return Polynomial(), self
-        quo = [ZERO] * (dq + 1)
-        lead = other.leading()
-        for k in range(dq, -1, -1):
-            top = rem[k + other.degree]
-            if top:
-                f = top / lead
-                quo[k] = f
-                for j, c in enumerate(other.coeffs):
-                    rem[k + j] = rem[k + j] - f * c
-        return Polynomial(quo), Polynomial(rem)
-
-    def __floordiv__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[1]
-
     def monic(self) -> "Polynomial":
         if self.is_zero:
             return self

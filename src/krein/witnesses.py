@@ -227,16 +227,13 @@ def _cyclic_weight_matrix(r: Sequence[Fraction], field: str) -> Matrix:
     return Matrix.from_rows(rows, field)
 
 
-def witness_complex_a_upper(k: int, lam, r: Optional[Sequence[Fraction]] = None) -> WitnessPair:
-    """4k x 4k single-eigenvalue pair attaining the upper size bound n = 4k."""
-    if k < 1:
-        raise ParameterError("k must be >= 1")
-    lam = as_scalar(lam)
-    rs, mates = _validate_r_params(k, default_r_params(k) if r is None else r)
-    n1 = _cyclic_weight_matrix(rs, COMPLEX)
-    n2 = Matrix.diagonal(mates, COMPLEX)
-    ik = Matrix.identity(k, COMPLEX)
-    z = Matrix.zeros(k, k, COMPLEX)
+def _a_upper_layout(lam, n1: Matrix, n2: Matrix) -> tuple[Matrix, Matrix]:
+    """(N, H) of the 4k upper-bound layout: H = [[0, 0, 0, I], [0, I, 0, 0],
+    [0, 0, I, 0], [I, 0, 0, 0]] and N = [[lam I, I, 0, 0], [0, lam I, 0, N1],
+    [0, 0, lam I, N2], [0, 0, 0, lam I]] for k x k blocks N1 and N2."""
+    k, field = n1.rows, n1.field
+    ik = Matrix.identity(k, field)
+    z = Matrix.zeros(k, k, field)
     li = ik * lam
     n_op = Matrix.from_blocks(
         [
@@ -254,8 +251,20 @@ def witness_complex_a_upper(k: int, lam, r: Optional[Sequence[Fraction]] = None)
             [ik, z, z, z],
         ]
     )
+    return n_op, h
+
+
+def witness_complex_a_upper(k: int, lam, r: Optional[Sequence[Fraction]] = None) -> WitnessPair:
+    """4k x 4k single-eigenvalue pair attaining the upper size bound n = 4k."""
+    if k < 1:
+        raise ParameterError("k must be >= 1")
+    lam = as_scalar(lam)
+    rs, mates = _validate_r_params(k, default_r_params(k) if r is None else r)
+    n1 = _cyclic_weight_matrix(rs, COMPLEX)
+    n2 = Matrix.diagonal(mates, COMPLEX)
+    n_op, h = _a_upper_layout(lam, n1, n2)
     # the identity that makes the pair H-normal, kept as a hard runtime check
-    if n1.conj_transpose() @ n1 + n2.conj_transpose() @ n2 != ik:
+    if n1.conj_transpose() @ n1 + n2.conj_transpose() @ n2 != Matrix.identity(k, COMPLEX):
         raise KreinError("cyclic/diagonal blocks do not satisfy N1*N1 + N2*N2 = I")
     pair = MatrixPair.from_matrices(n_op, h)
     spec = WitnessSpec(COMPLEX_A_UPPER, k, (lam,), rs)

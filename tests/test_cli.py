@@ -205,3 +205,26 @@ def test_audit_unwritable_log_is_an_input_error(tmp_path, capsys):
     rc, _, err = run(capsys, "audit", "--kmax", "1", "--families", "b", "--log", str(log))
     assert rc == 2
     assert "cannot write" in err
+
+
+def test_audit_records_a_failing_case_and_goes_on(tmp_path, capsys, monkeypatch):
+    import krein.cli
+    from krein.exceptions import RootFindingError
+
+    real_search = krein.cli.search_decomposition
+
+    def failing_on_k2(pair, **kw):
+        if pair.n == 4:
+            raise RootFindingError("no convergence")
+        return real_search(pair, **kw)
+
+    monkeypatch.setattr(krein.cli, "search_decomposition", failing_on_k2)
+    log = tmp_path / "audit.jsonl"
+    rc, out, err = run(capsys, "audit", "--kmax", "3", "--families", "b", "--log", str(log))
+    assert rc == 1
+    records = [json.loads(line) for line in log.read_text().splitlines()]
+    assert [rec["input"] for rec in records] == [{"family": "b", "k": k} for k in (1, 2, 3)]
+    assert [rec["passed"] for rec in records] == [True, False, True]
+    assert records[1]["error"] == {"type": "RootFindingError", "message": "no convergence"}
+    assert "FAIL family=b k=2" in out
+    assert "first failing case" in err

@@ -1,6 +1,7 @@
+from contextlib import contextmanager
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_acceptance import GLUED_PAIRS
 
@@ -11,6 +12,7 @@ from krein.decompose import (
     _evidence_jordan_chain,
     _evidence_neutral_eigenspan,
     _evidence_projection_scalar,
+    _evidence_selfadjoint_quotient_field,
     _real_span_solutions,
     certify_family,
     certify_scalar_commutant,
@@ -19,7 +21,7 @@ from krein.decompose import (
     selfadjoint_commutant_basis,
     verify_certificate,
 )
-from krein.exceptions import KreinError
+from krein.exceptions import KreinError, ParameterError
 from krein.matrices import COMPLEX, REAL, Matrix, char_poly, hstack, kernel_of_sparse_rows
 from krein.polynomials import poly_gcd, poly_roots
 from krein.scalars import I_UNIT, GaussianRational, format_scalar, integer_form
@@ -166,8 +168,26 @@ def test_selfadjoint_basis_matches_the_two_product_reference():
         assert got == [repr(x) for x in reference_selfadjoint_basis(pair)], pair
 
 
+def _reference_a_upper_layout(pair, k):
+    """Block by block: H is the 4k permutation Gram matrix, and N has lam I
+    on the block diagonal, I at block (0, 1) and zeros below the diagonal
+    and at blocks (0, 2), (0, 3) and (1, 2)."""
+    nmat, h = pair.n_op, pair.space.h
+    ident, zero = Matrix.identity(k, pair.field), Matrix.zeros(k, k, pair.field)
+
+    def block(m, r, c):
+        return m.submatrix(r * k, (r + 1) * k, c * k, (c + 1) * k)
+
+    h_ok = all(block(h, r, c) == (ident if (r, c) in ((0, 3), (1, 1), (2, 2), (3, 0)) else zero)
+               for r in range(4) for c in range(4))
+    n_ok = all(block(nmat, r, r) == ident * nmat[0, 0] for r in range(4)) and block(nmat, 0, 1) == ident
+    zeros = [(r, c) for r in range(4) for c in range(r)] + [(0, 2), (0, 3), (1, 2)]
+    return h_ok and n_ok and all(block(nmat, r, c) == zero for r, c in zeros)
+
+
 def test_projection_scalar_evidence_matches_the_reference():
     checked = 0
+    layouts = 0
     for pair in _reference_pairs():
         if pair.n % 4:
             continue
@@ -181,12 +201,15 @@ def test_projection_scalar_evidence_matches_the_reference():
         n1 = pair.n_op.submatrix(k, 2 * k, 3 * k, 4 * k)
         assert _evidence_projection_scalar(pair, k) == {
             "k": k,
+            "layout_ok": _reference_a_upper_layout(pair, k),
             "n1_nonsingular": n1.rank() == k,
             "hermitian_commutant_dim": len(ref),
             "hermitian_commutant_scalar": len(ref) == 1 and ref[0] == ident * ref[0][0, 0],
         }
         checked += 1
+        layouts += _reference_a_upper_layout(pair, k)
     assert checked >= 6
+    assert layouts == 3  # the a-upper witnesses k = 1, 2, 3
 
 
 _SMALL_PAIRS = [
@@ -202,8 +225,9 @@ _SMALL_PAIRS = [
 
 @st.composite
 def _unimodular_congruences(draw):
-    """A small pair hidden by (N, H) -> (T^-1 N T, T* H T), T a product of
-    shears I + c e_i e_j^T with c = +-1 (or +-i over C), so det T is 1."""
+    """A small pair and the pair hidden by (N, H) -> (T^-1 N T, T* H T), T a
+    product of shears I + c e_i e_j^T with c = +-1 (or +-i over C), so det T
+    is 1."""
     pair = draw(st.sampled_from(_SMALL_PAIRS))()
     n, field = pair.n, pair.field
     units = [1, -1] + ([I_UNIT, -I_UNIT] if field == COMPLEX else [])
@@ -214,12 +238,13 @@ def _unimodular_congruences(draw):
         c = draw(st.sampled_from(units))
         ents = [1 if a == b else (c if (a, b) == (i, j) else 0) for a in range(n) for b in range(n)]
         t = t @ Matrix(n, n, ents, field)
-    return MatrixPair.from_matrices(t.inverse() @ pair.n_op @ t, t.conj_transpose() @ pair.space.h @ t)
+    return pair, MatrixPair.from_matrices(t.inverse() @ pair.n_op @ t, t.conj_transpose() @ pair.space.h @ t)
 
 
 @settings(max_examples=25, deadline=None)
 @given(_unimodular_congruences())
-def test_selfadjoint_basis_matches_the_reference_under_congruence(pair):
+def test_selfadjoint_basis_matches_the_reference_under_congruence(pairs):
+    _, pair = pairs
     assert [repr(x) for x in selfadjoint_commutant_basis(pair)] == [
         repr(x) for x in reference_selfadjoint_basis(pair)
     ]
@@ -450,8 +475,8 @@ def test_mutual_exclusion_on_witnesses_and_glued_sums():
 
 
 def test_witnesses_never_build_a_candidate_subspace(monkeypatch):
-    # a witness's selfadjoint commutant elements have one real eigenvalue of
-    # multiplicity n or no rational one, so no draw yields a candidate
+    # the trace-form certificate decides every witness before the first
+    # draw, so no candidate subspace is ever built
     import krein.decompose as decompose
 
     calls = []
@@ -489,8 +514,7 @@ def test_search_draws_call_no_char_poly_and_pass_squarefree_polynomials(monkeypa
         return real_poly_roots(p)
 
     pairs = [build_witness(family, k, {}).pair for family in ALL_FAMILIES for k in admissible_ks(family, 2)]
-    pairs.append(direct_sum(witness_complex_b(1, 0, 1).pair, witness_complex_b(1, 2, 3).pair))
-    pairs.append(direct_sum(witness_real_d(2, 5, 0, 1).pair, witness_real_e(2, 0, 1, 1, 1).pair))
+    pairs += [make() for make in GLUED_PAIRS]
     # every module binding of the two (krein.classify is shadowed by the function)
     for name in ("krein", "krein.matrices", "krein.spaces", "krein.classify", "krein.decompose"):
         monkeypatch.setattr(sys.modules[name], "char_poly", counting_char_poly)
@@ -499,7 +523,7 @@ def test_search_draws_call_no_char_poly_and_pass_squarefree_polynomials(monkeypa
     for pair in pairs:
         search_decomposition(pair, budget=60, seed=SEED)
     assert char_polys == []
-    assert len(roots_inputs) > len(pairs)
+    assert len(roots_inputs) >= len(GLUED_PAIRS)  # the witnesses make no draw
     for p in roots_inputs:
         assert poly_gcd(p, p.derivative()).degree == 0, p
 
@@ -576,6 +600,7 @@ def test_selfadjoint_commutant_golden_basis_real_c_odd():
 def test_projection_scalar_golden_evidence_a_upper_k2():
     assert _evidence_projection_scalar(witness_complex_a_upper(2, 0).pair, 2) == {
         "k": 2,
+        "layout_ok": True,
         "n1_nonsingular": True,
         "hermitian_commutant_dim": 1,
         "hermitian_commutant_scalar": True,
@@ -596,6 +621,7 @@ def _forged_certificates(pair):
     ks = range(1, pair.n // 2 + 1)
     choices = [("jordan_chain_unique", _evidence_jordan_chain, (k,)) for k in ks]
     choices += [("projection_scalar", _evidence_projection_scalar, (k,)) for k in ks]
+    choices += [("selfadjoint_quotient_field", _evidence_selfadjoint_quotient_field, ())]
     choices += [
         ("neutral_eigenspan", _evidence_neutral_eigenspan, (p, s))
         for p in values
@@ -622,4 +648,161 @@ def test_no_forged_certificate_verifies_on_a_decomposable_pair():
         for cert in _forged_certificates(pair):
             built += 1
             assert not verify_certificate(pair, cert), (pair, cert.kind, cert.evidence)
-    assert built == 136
+    assert built == 146
+
+
+def test_projection_scalar_needs_the_a_upper_layout():
+    # with its basis permuted by (0, 2, 1, 3) this decomposable sum has
+    # N[1, 3] = 1, a nonsingular 1 x 1 block N1 whose Hermitian commutant is
+    # scalar; only the layout check tells it from an a-upper witness
+    pair = direct_sum(witness_complex_a_lower(1, 0).pair, witness_complex_a_lower(1, 1).pair)
+    p = Matrix.from_rows([[1 if i == j else 0 for j in (0, 2, 1, 3)] for i in range(4)], COMPLEX)
+    permuted = MatrixPair.from_matrices(p.transpose() @ pair.n_op @ p, p.transpose() @ pair.space.h @ p)
+    ev = _evidence_projection_scalar(permuted, 1)
+    assert ev["n1_nonsingular"] and ev["hermitian_commutant_scalar"]
+    assert not ev["layout_ok"]
+    assert not verify_certificate(permuted, Certificate("projection_scalar", ev))
+    assert not verify_certificate(permuted, Certificate("projection_scalar", dict(ev, layout_ok=True)))
+    assert search_decomposition(permuted).status == "decomposable"
+
+
+# --- the trace-form certificate -------------------------------------------------
+
+
+@contextmanager
+def _counted_draws():
+    """The sizes n of the draws the search makes: each draw is one
+    ``_samuelson_berkowitz`` call."""
+    import krein.decompose as decompose
+
+    calls = []
+    real = decompose._samuelson_berkowitz
+    decompose._samuelson_berkowitz = lambda *args: calls.append(args[0]) or real(*args)
+    try:
+        yield calls
+    finally:
+        decompose._samuelson_berkowitz = real
+
+
+def _assert_certified_without_draws(w, draws):
+    verdict = search_decomposition(w.pair, budget=200, seed=SEED)
+    assert verdict.status == "indecomposable", (w.spec, verdict.to_json_dict())
+    assert verdict.certificate.kind in ("scalar_selfadjoint_commutant", "selfadjoint_quotient_field")
+    assert verify_certificate(w.pair, verdict.certificate)
+    assert draws == []
+    return verdict.certificate
+
+
+def test_every_default_witness_is_certified_before_any_draw():
+    kinds = set()
+    with _counted_draws() as draws:
+        for family in ALL_FAMILIES:
+            for k in admissible_ks(family, 4):
+                w = build_witness(family, k, {})
+                ev = _assert_certified_without_draws(w, draws).evidence
+                kinds.add((family, ev["trace_form_rank"], ev["discriminant"]))
+    assert {(f, r) for f, r, _ in kinds} == {
+        ("complex-a-lower", 1), ("complex-a-upper", 1), ("real-c-even", 1),
+        ("complex-b", 2), ("real-c-odd", 2), ("real-d", 2), ("real-e", 2),
+    }
+    assert {disc for _, rank, disc in kinds if rank == 2} == {"-4"}
+
+
+_small = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+_positive = st.builds(Fraction, st.integers(1, 3), st.integers(1, 3))
+_gaussian = st.builds(GaussianRational, _small, _small)
+_FAMILY_PARAMS = {
+    "complex-a-lower": {"lambda": _gaussian},
+    "complex-a-upper": {"lambda": _gaussian},
+    "complex-b": {"l1": _gaussian, "l2": _gaussian},
+    "real-c-even": {"alpha": _small, "beta": _positive},
+    "real-c-odd": {"alpha": _small, "beta": _positive},
+    "real-d": {"lambda": _small, "alpha": _small, "beta": _positive},
+    "real-e": {"alpha1": _small, "beta1": _positive, "alpha2": _small, "beta2": _positive},
+}
+
+
+@st.composite
+def _drawn_witnesses(draw):
+    family = draw(st.sampled_from(ALL_FAMILIES))
+    # a-upper k = 4 (n = 16) is covered at default parameters above
+    k = draw(st.sampled_from(admissible_ks(family, 3 if family == "complex-a-upper" else 4)))
+    params = {name: draw(values) for name, values in _FAMILY_PARAMS[family].items()}
+    try:
+        return build_witness(family, k, params)
+    except ParameterError:
+        assume(False)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_drawn_witnesses())
+def test_drawn_witnesses_are_certified_before_any_draw(w):
+    with _counted_draws() as draws:
+        _assert_certified_without_draws(w, draws)
+
+
+def _quotient_invariants(pair):
+    """The trace-form rank and the sign of the discriminant (None below rank 2)."""
+    ev = _evidence_selfadjoint_quotient_field(pair)
+    disc = ev["discriminant"]
+    return ev["trace_form_rank"], disc and (Fraction(disc) > 0) - (Fraction(disc) < 0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_unimodular_congruences())
+def test_trace_form_rank_and_discriminant_sign_survive_congruence(pairs):
+    pair, hidden = pairs
+    assert _quotient_invariants(hidden) == _quotient_invariants(pair)
+
+
+def test_glued_verdicts_do_not_depend_on_the_trace_form_certificate(monkeypatch):
+    # with the rule made to reject everything the search draws as before
+    import krein.decompose as decompose
+
+    verdicts = [search_decomposition(make()).to_json_dict() for make in GLUED_PAIRS]
+    rule = decompose._RULES["selfadjoint_quotient_field"]
+    monkeypatch.setitem(decompose._RULES, "selfadjoint_quotient_field", rule._replace(accept=lambda pair, ev: False))
+    assert [search_decomposition(make()).to_json_dict() for make in GLUED_PAIRS] == verdicts
+    assert all(v["status"] == "decomposable" for v in verdicts)
+
+
+def test_split_quotient_is_not_certified():
+    # N = [[1, 1], [1, -1]] is symmetric with N^2 = 2: the selfadjoint
+    # quotient is R[t]/(t^2 - 2), which splits over R (eigenvalues +-sqrt 2),
+    # so the pair is decomposable and must never be called indecomposable
+    pair = MatrixPair.from_matrices(Matrix.from_rows([[1, 1], [1, -1]], REAL), Matrix.identity(2, REAL))
+    ev = _evidence_selfadjoint_quotient_field(pair)
+    assert ev["trace_form_rank"] == 2 and Fraction(ev["discriminant"]) > 0
+    x = selfadjoint_commutant_basis(pair)[ev["basis_index"]]
+    c = x - Matrix.identity(2, REAL) * (x.trace() / 2)  # a multiple of N
+    assert Fraction(ev["discriminant"]) == 4 * (c @ c)[0, 0].re
+    assert not verify_certificate(pair, Certificate("selfadjoint_quotient_field", ev))
+    assert search_decomposition(pair, budget=200, seed=SEED).status == "unknown"
+
+
+def test_forged_trace_form_evidence_is_rejected():
+    w = witness_real_c_odd(3, Fraction(1, 2), 1)
+    cert = search_decomposition(w.pair).certificate
+    ev = cert.evidence
+    assert cert.kind == "selfadjoint_quotient_field" and ev["trace_form_rank"] == 2
+    assert verify_certificate(w.pair, cert)
+    p1, p2, p3 = ev["power_sums"]
+    forged = [
+        dict(ev, trace_form_rank=1),
+        dict(ev, power_sums=[p1, str(Fraction(p2) + 1), p3]),
+        dict(ev, discriminant=str(-Fraction(ev["discriminant"]))),
+        dict(ev, discriminant="-1"),
+        dict(ev, basis_index=ev["basis_index"] + 1),
+    ]
+    for f in forged:
+        assert not verify_certificate(w.pair, Certificate(cert.kind, f)), f
+    # a witness's certificate presented for each glued sum
+    witness_certs = [
+        search_decomposition(build_witness(family, k, {}).pair).certificate
+        for family in ALL_FAMILIES
+        for k in admissible_ks(family, 2)
+    ]
+    for make in GLUED_PAIRS:
+        pair = make()
+        for c in witness_certs:
+            assert not verify_certificate(pair, c), (pair, c)

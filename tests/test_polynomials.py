@@ -16,6 +16,7 @@ from krein.polynomials import (
     Polynomial,
     _integer_poly,
     _integer_roots_with_mult,
+    _pseudo_divmod,
     poly_from_roots,
     poly_gcd,
     poly_lcm,
@@ -37,16 +38,28 @@ def test_basic_arithmetic():
     assert p ** 3 == p * p * p
 
 
+def _from_zpoly(f):
+    re, im = f
+    return Polynomial([GaussianRational(x, y) for x, y in zip(re, im or [0] * len(re))])
+
+
 def test_divmod_is_exact():
+    # the pseudo-division over Z[i]: s a = q b + r with deg r < deg b, for
+    # a positive integer s, multiplied back over Q(i)
     rng = random.Random(1)
-    for _ in range(50):
-        a = Polynomial([Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(6)])
-        b = Polynomial([Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(3)])
-        if b.is_zero:
+    for trial in range(50):
+        im = (lambda: rng.randint(-5, 5)) if trial % 2 else (lambda: 0)
+        a = Polynomial([GaussianRational(rng.randint(-5, 5), im()) for _ in range(6)])
+        b = Polynomial([GaussianRational(rng.randint(-5, 5), im()) for _ in range(3)])
+        if a.is_zero or b.is_zero:
             continue
-        q, r = divmod(a, b)
-        assert q * b + r == a
-        assert r.is_zero or r.degree < b.degree
+        za, zb = _integer_poly(a), _integer_poly(b)  # primitive
+        q, r = _pseudo_divmod(za, zb)
+        back = _from_zpoly(q) * _from_zpoly(zb) + _from_zpoly(r)
+        s = back.leading() / _from_zpoly(za).leading()
+        assert s.im == 0 and s.re.denominator == 1 and s.re > 0
+        assert back == _from_zpoly(za) * Polynomial([s])
+        assert len(r[0]) < len(zb[0])
 
 
 def test_gcd_and_lcm():
@@ -186,9 +199,24 @@ def test_rational_root_next_to_a_huge_leading_coefficient(r, c):
 # -- property tests against a Fraction-Euclid reference ---------------------------
 
 
+def _ref_divmod(a, b):
+    """Long division over Q(i)."""
+    rem = list(a.coeffs)
+    dq = len(rem) - len(b.coeffs)
+    if dq < 0:
+        return Polynomial(), a
+    quo = [0] * (dq + 1)
+    for k in range(dq, -1, -1):
+        f = rem[k + b.degree] / b.leading()
+        quo[k] = f
+        for j, c in enumerate(b.coeffs):
+            rem[k + j] = rem[k + j] - f * c
+    return Polynomial(quo), Polynomial(rem)
+
+
 def _ref_gcd(a, b):
     while not b.is_zero:
-        a, b = b, (a % b).monic()
+        a, b = b, _ref_divmod(a, b)[1].monic()
     return a.monic()
 
 
@@ -198,16 +226,16 @@ def _ref_squarefree(p):
     g = _ref_gcd(p, p.derivative())
     if g.degree <= 0:
         return [(p, 1)]
-    w = p // g
+    w = _ref_divmod(p, g)[0]
     out = []
     k = 1
     while w.degree > 0:
         y = _ref_gcd(w, g)
-        factor = w // y
+        factor = _ref_divmod(w, y)[0]
         if factor.degree > 0:
             out.append((factor.monic(), k))
         w = y
-        g = g // y
+        g = _ref_divmod(g, y)[0]
         k += 1
     return out
 
