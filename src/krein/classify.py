@@ -35,6 +35,7 @@ from .exceptions import (
     NotSingleEigenvalue,
     ParameterError,
     S0NotNeutral,
+    SingularMatrix,
     WrongSpectrum,
 )
 from .matrices import COMPLEX, REAL, Matrix, _gauss_jordan, hstack, vstack
@@ -281,11 +282,16 @@ def _corner_transform(pair: MatrixPair, u_basis: SubspaceBasis) -> tuple[Matrix,
     v = SubspaceBasis(v_vecs, n, pair.field).matrix if v_vecs else Matrix.zeros(n, 0, pair.field)
     mats = [u] + ([v] if v.cols else []) + [w]
     t = hstack(mats)
-    if t.cols != n or t.rank() != n:
-        raise KreinError("corner transform failed to span the space (construction bug)")
+    failure = "corner transform failed to span the space (construction bug)"
+    if t.cols != n:
+        raise KreinError(failure)
+    try:
+        t_inv = t.inverse()
+    except SingularMatrix:
+        raise KreinError(failure) from None
     rh = t.conj_transpose() @ h @ t
     _check_corner_h(rh, d, n)
-    return t, t.inverse() @ pair.n_op @ t, rh, d
+    return t, t_inv @ pair.n_op @ t, rh, d
 
 
 def _check_corner_h(rh: Matrix, d: int, n: int) -> None:

@@ -5,12 +5,17 @@ exact. Products are integer-scaled: each operand is written over the lcm d of
 its entry denominators as (re + i*im) / d with integer lists re and im, the
 product's inner loop runs on Python ints (one multiply-add per term when both
 operands are real) and each output entry is normalized once, as a fraction
-over d_a * d_b. Every row reduction in the package goes through one sparse
+over d_a * d_b. Sums, differences and scalar multiples leave zero entries
+alone. Every row reduction in the package goes through one sparse
 Gauss-Jordan core, ``_gauss_jordan``, which returns the reduced row echelon
-form of a system of {column: coefficient} rows. Rank, kernels, inverses and
-particular solutions are read off it, and so are the sparse commutant systems
-of :mod:`krein.decompose` (through :func:`kernel_of_sparse_rows`). The RREF
-is unique, so these results do not depend on how rows are ordered or stored.
+form of a system of {column: coefficient} rows. It eliminates fraction-free
+on Python ints over Z[i]: each row is scaled once to Gaussian integers, pivot
+rows are kept primitive with a positive integer pivot, hits are cleared by
+cross multiplication, and each pivot row is divided by its pivot only at the
+end. Rank, kernels, inverses and particular solutions are read off it, and
+so are the sparse commutant systems of :mod:`krein.decompose` (through
+:func:`kernel_of_sparse_rows`). The RREF is unique, so these results do not
+depend on how rows are ordered or stored.
 Characteristic polynomials come from the division-free Samuelson-Berkowitz
 recurrence on the Gaussian-integer matrix d M (``_samuelson_berkowitz``),
 one code path for real and Gaussian entries, which also takes integer lists
@@ -21,6 +26,7 @@ polynomial.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .exceptions import (
@@ -221,19 +227,23 @@ class Matrix:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _elementwise_field(self, other: "Matrix") -> str:
         field = self._join_field(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("shape mismatch in addition")
-        return Matrix(
-            self.rows,
-            self.cols,
-            [a + b for a, b in zip(self.entries, other.entries)],
-            field,
-        )
+        return field
+
+    # The elementwise operations below leave zero entries alone.
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        field = self._elementwise_field(other)
+        ents = [(a + b if a else b) if b else a for a, b in zip(self.entries, other.entries)]
+        return Matrix(self.rows, self.cols, ents, field)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
+        field = self._elementwise_field(other)
+        ents = [(a - b if a else -b) if b else a for a, b in zip(self.entries, other.entries)]
+        return Matrix(self.rows, self.cols, ents, field)
 
     def __neg__(self) -> "Matrix":
         return Matrix(self.rows, self.cols, [-a for a in self.entries], self.field)
@@ -243,7 +253,8 @@ class Matrix:
             return self._matmul(other)
         c = as_scalar(other)
         field = self.field if (self.field == COMPLEX or not c.im) else COMPLEX
-        return Matrix(self.rows, self.cols, [c * a for a in self.entries], field)
+        ents = [c * a if a else ZERO for a in self.entries] if c else [ZERO] * len(self.entries)
+        return Matrix(self.rows, self.cols, ents, field)
 
     def __rmul__(self, other):
         return self * other
@@ -402,40 +413,117 @@ def _gauss_jordan(
     Rows are {column: coefficient} dicts. Rows are taken smallest first, and
     each is reduced against the pivot rows so far, pivots on its leftmost
     column and is then eliminated from the earlier pivot rows. Each pivot row
-    thus stays 1 at its pivot, 0 at every other pivot column and 0 left of
+    thus ends 1 at its pivot, 0 at every other pivot column and 0 left of
     its pivot, so the result is the unique RREF of the row space: pivots,
     kernels and solutions do not depend on the order rows arrive in.
+
+    The elimination is fraction-free over Z[i]. Each row is scaled once to
+    Gaussian integers, held as two sparse dicts {column: int} of its nonzero
+    real and imaginary parts, so a real system never touches an imaginary
+    part. A pivot row is kept as [P, re, im] with its pivot column left out:
+    the row is multiplied by the conjugate of its pivot (by its sign, when
+    the pivot is real), which makes the pivot a positive integer P, and the
+    gcd of P and all integer parts is divided out. A hit z at a pivot
+    column c is cleared by cross multiplication, row <- P row - z prow.
+    Fractions appear only at the end, when each pivot row is divided by its
+    pivot.
     """
-    pivot_rows: dict[int, dict[int, GaussianRational]] = {}
-    pending = [dict(r) for r in rows if r]
+    pivot_rows: dict[int, list] = {}
+    pending = [r for r in rows if r]
     pending.sort(key=lambda r: (len(r), sorted(r)))
     for row in pending:
-        # pivot rows are mutually reduced, so one sweep removes every hit
-        for c in [c for c in row if c in pivot_rows]:
-            _eliminate(row, c, pivot_rows[c])
-        if not row:
+        den = lcm(*{f.denominator for v in row.values() for f in (v.re, v.im)})
+        re = {c: v.re.numerator * (den // v.re.denominator) for c, v in row.items() if v.re}
+        im = {c: v.im.numerator * (den // v.im.denominator) for c, v in row.items() if v.im}
+        # pivot rows are mutually reduced, so one sweep clears every hit
+        _, re, im = _eliminate(re, im, {c: pivot_rows[c] for c in row if c in pivot_rows})
+        if not re and not im:
             continue
-        p = min(row)
-        inv = ONE / row[p]
-        nrow = {c: v * inv for c, v in row.items()}
+        p = min(re.keys() | im.keys())
+        nrow = _pivot_row(re, im, p)
         for prow in pivot_rows.values():
-            if p in prow:
-                _eliminate(prow, p, nrow)
+            big_p, pre, pim = prow
+            if p in pre or p in pim:
+                s, pre, pim = _eliminate(pre, pim, {p: nrow})
+                prow[:] = [s * big_p, pre, pim]
+                _make_primitive(prow)
         pivot_rows[p] = nrow
-    return pivot_rows
+    out = {}
+    for p, (big_p, re, im) in pivot_rows.items():
+        orow = {p: ONE}
+        for c, v in re.items():
+            orow[c] = GaussianRational(Fraction(v, big_p), Fraction(im.get(c, 0), big_p))
+        for c, v in im.items():
+            if c not in re:
+                orow[c] = GaussianRational(0, Fraction(v, big_p))
+        out[p] = orow
+    return out
 
 
-def _eliminate(row: dict, c: int, prow: dict) -> None:
-    """row -= row[c] * prow, for a pivot row prow that is 1 at column c."""
-    coef = row.pop(c)
-    for cc, vv in prow.items():
-        if cc == c:
-            continue
-        nv = row.get(cc, ZERO) - coef * vv
-        if nv:
-            row[cc] = nv
+def _pivot_row(re: dict[int, int], im: dict[int, int], p: int) -> list:
+    """[P, re, im] for the row re + i*im with pivot column p: the row times
+    the conjugate (or, for a real pivot, the sign) of its pivot, made
+    primitive, with column p left out."""
+    a, b = re.pop(p, 0), im.pop(p, 0)
+    if b:
+        # (u + iv)(a - ib) = (au + bv) + i(av - bu)
+        nre = {c: a * u for c, u in re.items()} if a else {}
+        nim = {c: a * v for c, v in im.items()} if a else {}
+        _subtract(nre, -b, im)
+        _subtract(nim, b, re)
+        row = [a * a + b * b, nre, nim]
+    elif a < 0:
+        row = [-a, {c: -u for c, u in re.items()}, {c: -v for c, v in im.items()}]
+    else:
+        row = [a, re, im]
+    _make_primitive(row)
+    return row
+
+
+def _make_primitive(row: list) -> None:
+    """Divide a pivot row [P, re, im] by the gcd of P and all its parts."""
+    big_p, re, im = row
+    g = gcd(big_p, *re.values(), *im.values())
+    if g != 1:
+        row[:] = [big_p // g, {c: u // g for c, u in re.items()}, {c: v // g for c, v in im.items()}]
+
+
+def _eliminate(re: dict[int, int], im: dict[int, int], hits: dict[int, list]) -> tuple[int, dict, dict]:
+    """(L, re', im') with re' + i*im' = L (re + i*im) - sum_c (L z_c / P_c) prow_c,
+    where hits maps each hit column c to its pivot row prow_c = [P_c, pre, pim]
+    and z_c is the row's entry there (popped from re and im): the hits
+    cleared by cross multiplication, with L the least common scale."""
+    terms = []
+    scale = 1
+    for c, (big_p, pre, pim) in hits.items():
+        x, y = re.pop(c, 0), im.pop(c, 0)
+        g = gcd(big_p, x, y)
+        terms.append((big_p // g, x // g, y // g, pre, pim))
+        scale = lcm(scale, big_p // g)
+    if scale != 1:
+        re = {c: scale * u for c, u in re.items()}
+        im = {c: scale * v for c, v in im.items()}
+    for big_p, x, y, pre, pim in terms:
+        # (x + iy)(u + iv) = (xu - yv) + i(xv + yu), times scale / big_p
+        k = scale // big_p
+        if x:
+            _subtract(re, k * x, pre)
+            _subtract(im, k * x, pim)
+        if y:
+            _subtract(re, -k * y, pim)
+            _subtract(im, k * y, pre)
+    return scale, re, im
+
+
+def _subtract(dst: dict[int, int], k: int, src: dict[int, int]) -> None:
+    """dst -= k * src over sparse integer dicts, dropping zeros."""
+    get = dst.get
+    for c, u in src.items():
+        v = get(c, 0) - k * u
+        if v:
+            dst[c] = v
         else:
-            row.pop(cc, None)
+            del dst[c]
 
 
 def kernel_of_sparse_rows(

@@ -96,8 +96,9 @@ class Polynomial:
         while n:
             if n & 1:
                 r = r * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return r
 
     def monic(self) -> "Polynomial":

@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -12,13 +13,14 @@ from krein.classify import (
     reduce_single_eigenvalue,
 )
 from krein.exceptions import (
+    KreinError,
     NotHNormal,
     NotSingleEigenvalue,
     ParameterError,
     S0NotNeutral,
     WrongSpectrum,
 )
-from krein.matrices import COMPLEX, REAL, Matrix
+from krein.matrices import COMPLEX, REAL, Matrix, hstack
 from krein.scalars import parse_scalar
 from krein.spaces import MatrixPair, direct_sum
 from krein.witnesses import (
@@ -376,3 +378,16 @@ def test_classify_and_reduce_compute_the_h_adjoint_once_per_pair(monkeypatch):
         reduce(pair)
         assert calls == [pair.n_op]
         assert pair.adjoint == real_h_adjoint(pair.n_op, pair.space)
+
+
+def test_a_singular_corner_transform_is_reported_as_a_construction_bug(monkeypatch):
+    classify_module = importlib.import_module("krein.classify")  # krein.classify is the function
+
+    # a transform with n columns whose last column repeats the first
+    def singular_hstack(mats):
+        t = hstack(mats)
+        return hstack([t.submatrix(0, t.rows, 0, t.cols - 1), t.submatrix(0, t.rows, 0, 1)])
+
+    monkeypatch.setattr(classify_module, "hstack", singular_hstack)
+    with pytest.raises(KreinError, match=r"^corner transform failed to span the space \(construction bug\)$"):
+        reduce_single_eigenvalue(witness_complex_a_lower(2, 1).pair, 1)

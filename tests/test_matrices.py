@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +11,7 @@ from krein.matrices import (
     COMPLEX,
     REAL,
     Matrix,
+    _gauss_jordan,
     apply_poly,
     char_poly,
     hstack,
@@ -188,6 +190,74 @@ def test_product_errors_are_unchanged():
         Matrix.zeros(0, 1, REAL) * Matrix.zeros(0, 1, REAL)
 
 
+# --- elementwise operations -----------------------------------------------------------
+
+
+@st.composite
+def _elementwise_operands(draw):
+    """(A, B, c): two n x m operands over one field tag, each dense, sparse,
+    zero or (when square) the identity, and a real, nonreal or zero scalar c."""
+    n, m = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    field = draw(st.sampled_from([REAL, COMPLEX]))
+    if field == REAL:
+        entry = _wide_rationals().map(GaussianRational)
+    else:
+        entry = st.builds(GaussianRational, _wide_rationals(), _wide_rationals())
+
+    def operand():
+        kinds = ["dense", "sparse", "zero"] + (["identity"] if n == m else [])
+        kind = draw(st.sampled_from(kinds))
+        if kind == "zero":
+            return Matrix.zeros(n, m, field)
+        if kind == "identity":
+            return Matrix.identity(n, field)
+        if kind == "sparse":
+            entry_or_zero = st.one_of(st.just(ZERO), st.just(ZERO), entry)
+            return Matrix(n, m, draw(st.lists(entry_or_zero, min_size=n * m, max_size=n * m)), field)
+        return Matrix(n, m, draw(st.lists(entry, min_size=n * m, max_size=n * m)), field)
+
+    scalar = draw(st.one_of(
+        st.just(ZERO),
+        _wide_rationals().map(GaussianRational),
+        st.builds(GaussianRational, _wide_rationals(), _wide_rationals().filter(bool)),
+    ))
+    return operand(), operand(), scalar
+
+
+@settings(max_examples=200, deadline=None)
+@given(_elementwise_operands())
+def test_elementwise_operations_match_the_scalar_reference(operands):
+    a, b, c = operands
+    pairs = list(zip(a.entries, b.entries))
+    assert (a + b).entries == tuple(x + y for x, y in pairs)
+    assert (a - b).entries == tuple(x - y for x, y in pairs)
+    assert (-a).entries == tuple(-x for x in a.entries)
+    assert (a * c).entries == tuple(c * x for x in a.entries)
+    assert (a + b).field == (a - b).field == a.field
+    assert (a * c).field == (COMPLEX if c.im else a.field)
+    assert (a * c) == (c * a)
+
+
+def test_real_matrix_times_a_nonreal_scalar_is_complex():
+    m = Matrix.from_rows([[1, 0], [0, Fraction(1, 2)]], REAL)
+    out = m * GaussianRational(0, 2)
+    assert out.field == COMPLEX
+    assert out.entries == (GaussianRational(0, 2), ZERO, ZERO, GaussianRational(0, 1))
+    assert (m * Fraction(3)).field == REAL
+
+
+def test_elementwise_errors_are_unchanged():
+    # the field tags are compared before the shapes
+    with pytest.raises(FieldMismatch, match="field tags differ: real vs complex"):
+        Matrix.zeros(2, 3, REAL) - Matrix.zeros(2, 2, COMPLEX)
+    with pytest.raises(FieldMismatch, match="field tags differ: complex vs real"):
+        Matrix.zeros(2, 2, COMPLEX) + Matrix.zeros(2, 2, REAL)
+    with pytest.raises(DimensionMismatch, match="shape mismatch in addition"):
+        Matrix.zeros(2, 3, REAL) - Matrix.zeros(3, 2, REAL)
+    with pytest.raises(DimensionMismatch, match="shape mismatch in addition"):
+        Matrix.zeros(2, 3, COMPLEX) + Matrix.zeros(2, 2, COMPLEX)
+
+
 # --- conjugate transpose --------------------------------------------------------
 
 
@@ -351,6 +421,71 @@ def test_elimination_properties(case):
         assert (a.conj_transpose() @ y).is_zero and not y.is_zero
         with pytest.raises(SingularMatrix):
             a.solve_right(b + y)
+
+
+# --- the fraction-free Gauss-Jordan core against sympy ------------------------------
+
+
+def _gauss_jordan_parts():
+    return st.one_of(
+        _rationals(),
+        st.sampled_from([Fraction(-3), Fraction(10**40), Fraction(-(10**40), 7), Fraction(1, 1000003)]),
+    )
+
+
+@st.composite
+def _sparse_systems(draw):
+    """(rows, ncols, order): up to 7 dense rows over 1 to 6 columns, real or
+    Gaussian, often with zero entries, a zero row and a duplicate row, plus a
+    shuffled order of the rows."""
+    ncols = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        entry = _gauss_jordan_parts().map(GaussianRational)
+    else:
+        entry = st.one_of(
+            st.builds(GaussianRational, _gauss_jordan_parts(), _gauss_jordan_parts()),
+            st.builds(GaussianRational, st.just(0), _gauss_jordan_parts()),
+            st.sampled_from([GaussianRational(1, 1), GaussianRational(0, 2), GaussianRational(-3)]),
+        )
+    entry = st.one_of(st.just(ZERO), entry)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=5))
+    if rows and draw(st.booleans()):
+        rows.append(list(draw(st.sampled_from(rows))))
+    if draw(st.booleans()):
+        rows.append([ZERO] * ncols)
+    return rows, ncols, draw(st.permutations(range(len(rows))))
+
+
+def _sympy_rref(rows, ncols):
+    """{pivot: row} of the RREF that sympy computes over Q(i)."""
+
+    def to_sympy(q):
+        return sympy.Rational(q.numerator, q.denominator)
+
+    def to_fraction(x):
+        return Fraction(int(x.p), int(x.q))
+
+    m = sympy.Matrix(len(rows), ncols, [to_sympy(e.re) + sympy.I * to_sympy(e.im) for row in rows for e in row])
+    r, pivots = m.rref()
+    return {
+        p: {j: GaussianRational(to_fraction(sympy.re(r[k, j])), to_fraction(sympy.im(r[k, j])))
+            for j in range(ncols) if r[k, j] != 0}
+        for k, p in enumerate(pivots)
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_systems())
+@example(([[GaussianRational(1, 1), GaussianRational(0, 2)], [GaussianRational(0, 2), GaussianRational(-3)]], 2, [1, 0]))
+@example(([[GaussianRational(0, 2), ONE, GaussianRational(Fraction(1, 1000003))],
+           [GaussianRational(-3), GaussianRational(10**40), ZERO]], 3, [0, 1]))
+def test_gauss_jordan_matches_the_sympy_rref(case):
+    rows, ncols, order = case
+    sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
+    reduced = _gauss_jordan(sparse)
+    assert reduced == _sympy_rref(rows, ncols)
+    assert all(reduced[p][p] == ONE for p in reduced)
+    assert _gauss_jordan([sparse[i] for i in order]) == reduced
 
 
 # Golden elimination results on fixed matrices.

@@ -38,6 +38,27 @@ def test_basic_arithmetic():
     assert p ** 3 == p * p * p
 
 
+def test_power_squares_only_while_bits_remain(monkeypatch):
+    p = Polynomial([GaussianRational(1, 2), Fraction(-1, 3), 1])
+    products = [Polynomial([1])]
+    for _ in range(9):
+        products.append(products[-1] * p)
+    calls = []
+    mul = Polynomial.__mul__
+
+    def counting_mul(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting_mul)
+    for n in range(10):
+        calls.clear()
+        assert p ** n == products[n]
+        if n:
+            # one product per set bit and one square per further bit
+            assert len(calls) == bin(n).count("1") + n.bit_length() - 1
+
+
 def _from_zpoly(f):
     re, im = f
     return Polynomial([GaussianRational(x, y) for x, y in zip(re, im or [0] * len(re))])
