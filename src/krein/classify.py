@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Optional, Sequence
 
 from .exceptions import (
@@ -38,10 +39,10 @@ from .exceptions import (
     SingularMatrix,
     WrongSpectrum,
 )
-from .matrices import COMPLEX, REAL, Matrix, _gauss_jordan, hstack, vstack
+from .matrices import COMPLEX, REAL, Matrix, _integer_gauss_jordan, hstack, vstack
 from .matrices import char_poly  # noqa: F401  (re-exported as krein.classify.char_poly)
 from .polynomials import Polynomial, Root, poly_roots
-from .scalars import GaussianRational, as_scalar, format_scalar
+from .scalars import ONE, GaussianRational, as_scalar, format_scalar
 from .spaces import (
     MatrixPair,
     SubspaceBasis,
@@ -226,8 +227,8 @@ def _real_span_of_complex(vectors: Sequence[Matrix], n: int) -> SubspaceBasis:
     of the parts before it: these are the pivot columns of one elimination.
     """
     parts = [v for z in vectors for v in (z.real_part(), z.imag_part())]
-    rows = [{j: v[i, 0] for j, v in enumerate(parts) if v[i, 0]} for i in range(n)]
-    return SubspaceBasis([parts[j] for j in sorted(_gauss_jordan(rows))], n, REAL)
+    pivots = _integer_gauss_jordan(hstack(parts)._sparse_rows()) if parts else {}
+    return SubspaceBasis([parts[j] for j in sorted(pivots)], n, REAL)
 
 
 def joint_eigenspace_real(pair: MatrixPair, alpha, beta) -> JointEigenstructure:
@@ -324,12 +325,19 @@ def _check_corner_n(rn: Matrix, d: int, n: int, top: Matrix, bottom: Matrix) -> 
         raise KreinError("reduced operator misses the corner shape (construction bug)")
 
 
+def _linear_power(lam: GaussianRational, n: int) -> Polynomial:
+    """(t - lam)^n, from its binomial coefficients C(n, k) (-lam)^(n-k)."""
+    powers = [ONE]
+    for _ in range(n):
+        powers.append(powers[-1] * -lam)
+    return Polynomial(comb(n, k) * powers[n - k] for k in range(n + 1))
+
+
 def reduce_single_eigenvalue(pair: MatrixPair, lam) -> CanonicalReduction:
     """Corner reduction of a single-eigenvalue H-normal pair with neutral S0."""
     lam = as_scalar(lam)
     n = pair.n
-    target = Polynomial([-lam, 1]) ** n
-    if pair.char_poly != target:
+    if pair.char_poly != _linear_power(lam, n):
         raise NotSingleEigenvalue(f"operator spectrum is not {{{lam!r}}} alone")
     js = joint_eigenspace(pair, lam)
     if not js.is_neutral_s0:

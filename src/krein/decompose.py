@@ -97,6 +97,7 @@ from .matrices import (
     COMPLEX,
     REAL,
     Matrix,
+    _common_integer_form,
     _samuelson_berkowitz,
     char_poly,  # noqa: F401  (re-exported as krein.decompose.char_poly)
     hstack,
@@ -104,7 +105,7 @@ from .matrices import (
     mat_power,
 )
 from .polynomials import _integer_roots_with_mult, poly_roots
-from .scalars import GaussianRational, ZERO, as_scalar, format_scalar, integer_form, parse_scalar
+from .scalars import GaussianRational, ZERO, as_scalar, format_scalar, parse_scalar
 from .spaces import (
     MatrixPair,
     SubspaceBasis,
@@ -247,7 +248,7 @@ def _real_span_solutions(basis: Sequence[Matrix], h: Matrix) -> list[Matrix]:
         return []
     n, field, m = basis[0].rows, basis[0].field, len(basis)
     cplx = field == COMPLEX
-    _, pre, pim = integer_form([e for b in basis for e in (h @ b).entries])
+    _, pre, pim = _common_integer_form([h @ b for b in basis])
     pim = pim or [0] * len(pre)
     offsets = range(0, len(pre), n * n)
     rows = []
@@ -300,7 +301,7 @@ def _evidence_scalar_commutant(pair: MatrixPair, basis=None) -> dict:
 def _integer_basis(basis: Sequence[Matrix], n: int) -> tuple[int, list[list[tuple[int, int, int]]]]:
     """(d, sparse): the basis over its common denominator d, that is
     B_j = sum (x + i y) e_idx / d over the (idx, x, y) of sparse[j]."""
-    d, bre, bim = integer_form([e for b in basis for e in b.entries])
+    d, bre, bim = _common_integer_form(basis)
     bim = bim or [0] * len(bre)
     return d, [
         [(idx, bre[t], bim[t]) for idx, t in enumerate(range(o, o + n * n)) if bre[t] or bim[t]]
@@ -325,7 +326,7 @@ def _evidence_selfadjoint_quotient_field(pair: MatrixPair, basis=None, ibasis=No
         for j in range(i, m):
             fj = flipped[j]
             gram[i][j] = gram[j][i] = sum(x * fj[idx][0] - y * fj[idx][1] for idx, x, y in bi if idx in fj)
-    rank = Matrix(m, m, [g for row in gram for g in row], REAL).rank()
+    rank = Matrix._from_ints(m, m, 1, [g for row in gram for g in row], [], REAL).rank()
     ev = {
         "selfadjoint_commutant_dim": m,
         "trace_form_rank": rank,
@@ -614,9 +615,7 @@ def search_decomposition(
             if mult == n:  # ker (X - mu)^n is the whole space
                 continue
             if x is None:
-                x = Matrix(
-                    n, n, [GaussianRational(Fraction(a, d), Fraction(b, d)) for a, b in zip(xre, xim)], pair.field
-                )
+                x = Matrix._from_ints(n, n, d, xre, xim, pair.field)
             sub = _try_root_subspace(pair, x, Fraction(y, d), mult)
             if sub is not None:
                 return DecompositionVerdict(STATUS_DECOMPOSABLE, None, sub, budget, seed)

@@ -1,21 +1,32 @@
 """Exact dense matrices over the rationals and Gaussian rationals.
 
 Matrices are immutable, carry a real/complex field tag, and all arithmetic is
-exact. Products are integer-scaled: each operand is written over the lcm d of
-its entry denominators as (re + i*im) / d with integer lists re and im, the
-product's inner loop runs on Python ints (one multiply-add per term when both
-operands are real) and each output entry is normalized once, as a fraction
-over d_a * d_b. Sums, differences and scalar multiples leave zero entries
-alone. Every row reduction in the package goes through one sparse
-Gauss-Jordan core, ``_gauss_jordan``, which returns the reduced row echelon
-form of a system of {column: coefficient} rows. It eliminates fraction-free
-on Python ints over Z[i]: each row is scaled once to Gaussian integers, pivot
-rows are kept primitive with a positive integer pivot, hits are cleared by
-cross multiplication, and each pivot row is divided by its pivot only at the
-end. Rank, kernels, inverses and particular solutions are read off it, and
-so are the sparse commutant systems of :mod:`krein.decompose` (through
-:func:`kernel_of_sparse_rows`). The RREF is unique, so these results do not
-depend on how rows are ordered or stored.
+exact. A matrix is stored in one canonical integer form (d, re, im): it is
+(re + i*im) / d with row-major int lists re and im, a common denominator
+d > 0 coprime to every part, and im empty exactly when every entry is real.
+The form is unique, so equality and hashing read it directly. The public
+constructor builds it from the entries it is given; every matrix-valued
+operation reads the form of its operands and builds its result through
+:meth:`Matrix._from_ints`, without boxing an entry. ``entries`` (and
+``m[i, j]``, ``row_list``, ``to_lists``) boxes the form into a tuple of
+``GaussianRational``s on first use. Products run on Python ints
+(one multiply-add per term when both operands are real), with one gcd pass
+to keep the result canonical; transposes, submatrices and stacks move ints,
+and sums, differences and scalar multiples work over the lcm of the
+denominators.
+
+Every row reduction in the package goes through one sparse Gauss-Jordan
+core, ``_integer_gauss_jordan``, which reduces a system of integer rows
+fraction-free over Z[i] and returns its pivot rows as Gaussian-integer
+multiples of the reduced row echelon form: each row is eliminated by cross
+multiplication, pivot rows are kept primitive with a positive integer
+pivot, and no fraction is formed. Rank, kernels, inverses and particular
+solutions are read off the integer pivot rows of d M, and kernels by one
+helper, ``_integer_kernel``, also for the sparse ``GaussianRational`` row
+systems of :mod:`krein.decompose` (:func:`kernel_of_sparse_rows` scales
+each row to integers first); :func:`_gauss_jordan` divides each pivot row
+by its pivot to give the RREF itself. The RREF is unique, so these results
+do not depend on how rows are ordered, scaled or stored.
 Characteristic polynomials come from the division-free Samuelson-Berkowitz
 recurrence on the Gaussian-integer matrix d M (``_samuelson_berkowitz``),
 one code path for real and Gaussian entries, which also takes integer lists
@@ -26,6 +37,7 @@ polynomial.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, chain
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -49,30 +61,60 @@ from .scalars import (
 REAL = "real"
 COMPLEX = "complex"
 
+IntRow = tuple[dict[int, int], dict[int, int]]
+
+
+def _box(x: int, y: int, d: int) -> GaussianRational:
+    """The scalar (x + i*y) / d."""
+    if not y:
+        return GaussianRational(Fraction(x, d)) if x else ZERO
+    return GaussianRational(Fraction(x, d), Fraction(y, d))
+
 
 class Matrix:
-    """Immutable dense matrix with GaussianRational entries (row-major)."""
+    """Immutable dense matrix over Q(i), stored as (re + i*im) / d (module docstring)."""
 
-    __slots__ = ("rows", "cols", "entries", "field")
+    __slots__ = ("rows", "cols", "field", "_d", "_re", "_im", "_entries")
 
     def __init__(self, rows: int, cols: int, entries: Sequence, field: str = COMPLEX):
+        d, re, im = integer_form([as_scalar(e) for e in entries])
+        self._set(rows, cols, d, re, im, field)
+
+    @classmethod
+    def _from_ints(cls, rows: int, cols: int, d: int, re: list[int], im: list[int], field: str) -> "Matrix":
+        """The matrix (re + i*im) / d for a positive d and int lists that need
+        not be canonical (im may be empty for a real matrix): the constructor
+        of every internal operation. No matrix mutates its lists, so they may
+        be shared."""
+        g = gcd(d, *re, *im)
+        if g != 1:
+            d //= g
+            re = [x // g for x in re]
+            im = [y // g for y in im]
+        if im and not any(im):
+            im = []
+        m = object.__new__(cls)
+        m._set(rows, cols, d, re, im, field)
+        return m
+
+    def _set(self, rows: int, cols: int, d: int, re: list[int], im: list[int], field: str) -> None:
+        """Check the field tag, the shape and a real tag's entries, and store the form."""
         if field not in (REAL, COMPLEX):
             raise FieldMismatch(f"unknown field tag {field!r}")
-        ents = tuple(as_scalar(e) for e in entries)
-        if len(ents) != rows * cols:
-            raise DimensionMismatch(
-                f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(ents)}"
+        if len(re) != rows * cols:
+            raise DimensionMismatch(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(re)}")
+        if field == REAL and im:
+            idx = next(k for k, y in enumerate(im) if y)
+            raise FieldMismatch(
+                f"real matrix has complex entry {_box(re[idx], im[idx], d)!r} at position {idx}"
             )
-        if field == REAL:
-            for idx, e in enumerate(ents):
-                if e.im:
-                    raise FieldMismatch(
-                        f"real matrix has complex entry {e!r} at position {idx}"
-                    )
         self.rows = rows
         self.cols = cols
-        self.entries = ents
         self.field = field
+        self._d = d
+        self._re = re
+        self._im = im
+        self._entries = None
 
     # -- constructors ---------------------------------------------------------
 
@@ -89,12 +131,11 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int, field: str = COMPLEX):
-        ents = [ONE if i == j else ZERO for i in range(n) for j in range(n)]
-        return cls(n, n, ents, field)
+        return cls._from_ints(n, n, 1, [int(i == j) for i in range(n) for j in range(n)], [], field)
 
     @classmethod
     def zeros(cls, rows: int, cols: int, field: str = COMPLEX):
-        return cls(rows, cols, [ZERO] * (rows * cols), field)
+        return cls._from_ints(rows, cols, 1, [0] * (rows * cols), [], field)
 
     @classmethod
     def diagonal(cls, values: Sequence[ScalarLike], field: str = COMPLEX):
@@ -105,8 +146,7 @@ class Matrix:
     @classmethod
     def trailing_identity(cls, n: int, field: str = COMPLEX):
         """The matrix with 1's on the trailing (anti-) diagonal, zeros elsewhere."""
-        ents = [ONE if i + j == n - 1 else ZERO for i in range(n) for j in range(n)]
-        return cls(n, n, ents, field)
+        return cls._from_ints(n, n, 1, [int(i + j == n - 1) for i in range(n) for j in range(n)], [], field)
 
     @classmethod
     def column(cls, values: Sequence[ScalarLike], field: str = COMPLEX):
@@ -114,7 +154,7 @@ class Matrix:
 
     @classmethod
     def unit_column(cls, n: int, i: int, field: str = COMPLEX):
-        return cls(n, 1, [ONE if k == i else ZERO for k in range(n)], field)
+        return cls._from_ints(n, 1, 1, [int(k == i) for k in range(n)], [], field)
 
     @classmethod
     def from_blocks(cls, grid: Sequence[Sequence["Matrix"]], field: str | None = None):
@@ -127,30 +167,40 @@ class Matrix:
             for j, b in enumerate(row):
                 if b.cols != col_widths[j] or b.rows != row[0].rows:
                     raise DimensionMismatch("inconsistent block shapes")
-        out = []
-        for bi, row in enumerate(grid):
-            for r in range(row_heights[bi]):
-                for b in row:
-                    out.extend(b.entries[r * b.cols : (r + 1) * b.cols])
-        return cls(sum(row_heights), sum(col_widths), out, field)
+        d, all_re, all_im = _common_integer_form([b for row in grid for b in row])
+        re: list[int] = []
+        im: list[int] = []
+        o = 0
+        for row in grid:
+            # block b of this row starts at o + starts[b] in the common form
+            starts = list(accumulate((b.rows * b.cols for b in row), initial=0))
+            for r in range(row[0].rows):
+                for b, start in zip(row, starts):
+                    lo = o + start + r * b.cols
+                    re += all_re[lo : lo + b.cols]
+                    im += all_im[lo : lo + b.cols]
+            o += starts[-1]
+        return cls._from_ints(sum(row_heights), sum(col_widths), d, re, im, field)
 
     @classmethod
     def block_diagonal(cls, blocks: Sequence["Matrix"], field: str | None = None):
         if field is None:
             field = blocks[0].field
-        n = sum(b.rows for b in blocks)
-        m = sum(b.cols for b in blocks)
-        rows = [[ZERO] * m for _ in range(n)]
-        r0 = c0 = 0
-        for b in blocks:
-            for i in range(b.rows):
-                for j in range(b.cols):
-                    rows[r0 + i][c0 + j] = b[i, j]
-            r0 += b.rows
-            c0 += b.cols
-        return cls.from_rows(rows, field)
+        grid = [
+            [b if i == j else cls.zeros(b.rows, c.cols, field) for j, c in enumerate(blocks)]
+            for i, b in enumerate(blocks)
+        ]
+        return cls.from_blocks(grid, field)
 
     # -- access ---------------------------------------------------------------
+
+    @property
+    def entries(self) -> tuple[GaussianRational, ...]:
+        """The entries as GaussianRationals, row-major; boxed on first use."""
+        if self._entries is None:
+            d, re, im = self._d, self._re, self._im
+            self._entries = tuple(_box(x, y, d) for x, y in zip(re, im or [0] * len(re)))
+        return self._entries
 
     def __getitem__(self, key) -> GaussianRational:
         i, j = key
@@ -163,10 +213,10 @@ class Matrix:
         return [self.row_list(i) for i in range(self.rows)]
 
     def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "Matrix":
-        ents = []
-        for i in range(r0, r1):
-            ents.extend(self.entries[i * self.cols + c0 : i * self.cols + c1])
-        return Matrix(r1 - r0, c1 - c0, ents, self.field)
+        c = self.cols
+        re = [x for i in range(r0, r1) for x in self._re[i * c + c0 : i * c + c1]]
+        im = [y for i in range(r0, r1) for y in self._im[i * c + c0 : i * c + c1]]
+        return Matrix._from_ints(r1 - r0, c1 - c0, self._d, re, im, self.field)
 
     @property
     def is_square(self) -> bool:
@@ -174,27 +224,23 @@ class Matrix:
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.entries)
+        return not self._im and not any(self._re)
 
     def is_hermitian(self) -> bool:
-        if not self.is_square:
-            return False
-        for i in range(self.rows):
-            for j in range(i, self.cols):
-                if self[i, j] != self[j, i].conjugate():
-                    return False
-        return True
+        return self.is_square and self.conj_transpose() == self
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Matrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self._d == other._d
+            and self._re == other._re
+            and self._im == other._im
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, self._d, tuple(self._re), tuple(self._im)))
 
     def __repr__(self) -> str:
         body = "; ".join(
@@ -209,16 +255,16 @@ class Matrix:
         """The same matrix with a complex field tag."""
         if self.field == COMPLEX:
             return self
-        return Matrix(self.rows, self.cols, self.entries, COMPLEX)
+        return self.with_field(COMPLEX)
 
     def with_field(self, field: str) -> "Matrix":
-        return Matrix(self.rows, self.cols, self.entries, field)
+        return Matrix._from_ints(self.rows, self.cols, self._d, self._re, self._im, field)
 
     def real_part(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, [GaussianRational(e.re) for e in self.entries], REAL)
+        return Matrix._from_ints(self.rows, self.cols, self._d, self._re, [], REAL)
 
     def imag_part(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, [GaussianRational(e.im) for e in self.entries], REAL)
+        return Matrix._from_ints(self.rows, self.cols, self._d, self._im or [0] * len(self._re), [], REAL)
 
     def _join_field(self, other: "Matrix") -> str:
         if self.field != other.field:
@@ -227,34 +273,48 @@ class Matrix:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _elementwise_field(self, other: "Matrix") -> str:
+    def _elementwise(self, other: "Matrix", sign: int) -> "Matrix":
+        """self + sign * other over the lcm of the two denominators."""
         field = self._join_field(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("shape mismatch in addition")
-        return field
-
-    # The elementwise operations below leave zero entries alone.
+        d = lcm(self._d, other._d)
+        s, t = d // self._d, sign * (d // other._d)
+        re = [s * x + t * y for x, y in zip(self._re, other._re)]
+        im = []
+        if self._im or other._im:
+            zeros = [0] * len(re)
+            im = [s * x + t * y for x, y in zip(self._im or zeros, other._im or zeros)]
+        return Matrix._from_ints(self.rows, self.cols, d, re, im, field)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        field = self._elementwise_field(other)
-        ents = [(a + b if a else b) if b else a for a, b in zip(self.entries, other.entries)]
-        return Matrix(self.rows, self.cols, ents, field)
+        return self._elementwise(other, 1)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        field = self._elementwise_field(other)
-        ents = [(a - b if a else -b) if b else a for a, b in zip(self.entries, other.entries)]
-        return Matrix(self.rows, self.cols, ents, field)
+        return self._elementwise(other, -1)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, [-a for a in self.entries], self.field)
+        return Matrix._from_ints(
+            self.rows, self.cols, self._d, [-x for x in self._re], [-y for y in self._im], self.field
+        )
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
             return self._matmul(other)
         c = as_scalar(other)
         field = self.field if (self.field == COMPLEX or not c.im) else COMPLEX
-        ents = [c * a if a else ZERO for a in self.entries] if c else [ZERO] * len(self.entries)
-        return Matrix(self.rows, self.cols, ents, field)
+        # c = (u + i v) / e, so c (re + i im) / d = (u re - v im + i (u im + v re)) / (e d)
+        e, (u,), im_c = integer_form([c])
+        v = im_c[0] if im_c else 0
+        re, im = self._re, self._im
+        if not v:
+            out_re, out_im = [u * x for x in re], [u * y for y in im]
+        elif not im:
+            out_re, out_im = [u * x for x in re], [v * x for x in re]
+        else:
+            out_re = [u * x - v * y for x, y in zip(re, im)]
+            out_im = [u * y + v * x for x, y in zip(re, im)]
+        return Matrix._from_ints(self.rows, self.cols, e * self._d, out_re, out_im, field)
 
     def __rmul__(self, other):
         return self * other
@@ -263,19 +323,18 @@ class Matrix:
         return self._matmul(other)
 
     def _matmul(self, other: "Matrix") -> "Matrix":
-        # With A = (ar + i ai) / da and B = (br + i bi) / db over integers,
-        # AB = (ar br - ai bi + i (ar bi + ai br)) / (da db): the sums run on
-        # Python ints, skipping zero entries, and each output is normalized once.
+        # With A = (ar + i ai) / da and B = (br + i bi) / db, AB = (ar br -
+        # ai bi + i (ar bi + ai br)) / (da db): the sums run on Python ints,
+        # skipping zero entries.
         field = self._join_field(other)
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         n, m, p = self.rows, self.cols, other.cols
-        da, ar, ai = integer_form(self.entries)
-        db, br, bi = integer_form(other.entries)
-        d = da * db
-        out = []
+        ar, ai, br, bi = self._re, self._im, other._re, other._im
+        d = self._d * other._d
+        re: list[int] = []
         if not ai and not bi:
             brows = [[(j, u) for j, u in enumerate(br[k * p : (k + 1) * p]) if u] for k in range(m)]
             for i in range(n):
@@ -284,43 +343,44 @@ class Matrix:
                     if x:
                         for j, u in brows[k]:
                             acc[j] += x * u
-                out.extend(GaussianRational(Fraction(r, d)) if r else ZERO for r in acc)
-            return Matrix(n, p, out, field)
+                re += acc
+            return Matrix._from_ints(n, p, d, re, [], field)
         ai = ai or [0] * (n * m)
         bi = bi or [0] * (m * p)
         brows = [
             [(j, br[t], bi[t]) for j, t in enumerate(range(k * p, (k + 1) * p)) if br[t] or bi[t]]
             for k in range(m)
         ]
+        im: list[int] = []
         for i in range(n):
-            re = [0] * p
-            im = [0] * p
+            acc_re = [0] * p
+            acc_im = [0] * p
             for k, (x, y) in enumerate(zip(ar[i * m : (i + 1) * m], ai[i * m : (i + 1) * m])):
                 if x or y:
                     for j, u, v in brows[k]:
-                        re[j] += x * u - y * v
-                        im[j] += x * v + y * u
-            out.extend(
-                GaussianRational(Fraction(r, d), Fraction(s, d)) if r or s else ZERO
-                for r, s in zip(re, im)
-            )
-        return Matrix(n, p, out, field)
+                        acc_re[j] += x * u - y * v
+                        acc_im[j] += x * v + y * u
+            re += acc_re
+            im += acc_im
+        return Matrix._from_ints(n, p, d, re, im, field)
 
     def transpose(self) -> "Matrix":
-        ents = [self[j, i] for i in range(self.cols) for j in range(self.rows)]
-        return Matrix(self.cols, self.rows, ents, self.field)
+        c = self.cols
+        re = [x for j in range(c) for x in self._re[j::c]]
+        im = [y for j in range(c) for y in self._im[j::c]]
+        return Matrix._from_ints(c, self.rows, self._d, re, im, self.field)
 
     def conj_transpose(self) -> "Matrix":
-        ents = [self[j, i].conjugate() for i in range(self.cols) for j in range(self.rows)]
-        return Matrix(self.cols, self.rows, ents, self.field)
+        c = self.cols
+        re = [x for j in range(c) for x in self._re[j::c]]
+        im = [-y for j in range(c) for y in self._im[j::c]]
+        return Matrix._from_ints(c, self.rows, self._d, re, im, self.field)
 
     def trace(self) -> GaussianRational:
         if not self.is_square:
             raise DimensionMismatch("trace of a non-square matrix")
-        t = ZERO
-        for i in range(self.rows):
-            t = t + self[i, i]
-        return t
+        step = self.cols + 1
+        return _box(sum(self._re[::step]), sum(self._im[::step]), self._d)
 
     def scalar(self) -> GaussianRational:
         if (self.rows, self.cols) != (1, 1):
@@ -329,12 +389,19 @@ class Matrix:
 
     # -- elimination-based operations -----------------------------------------
 
-    def _sparse_rows(self, offset: int = 0) -> list[dict[int, GaussianRational]]:
-        """The rows as {column + offset: entry} dicts without zero entries."""
-        return [
-            {offset + j: v for j, v in enumerate(self.row_list(i)) if v}
-            for i in range(self.rows)
-        ]
+    def _sparse_rows(self) -> list[IntRow]:
+        """The rows of d M as sparse {column: int} dicts of their nonzero real
+        and imaginary parts, each divided by the gcd of its parts."""
+        c, re, im = self.cols, self._re, self._im
+        out = []
+        for i in range(self.rows):
+            row_re, row_im = re[i * c : (i + 1) * c], im[i * c : (i + 1) * c]
+            g = gcd(*row_re, *row_im) or 1
+            out.append((
+                {j: x // g for j, x in enumerate(row_re) if x},
+                {j: y // g for j, y in enumerate(row_im) if y},
+            ))
+        return out
 
     def det(self) -> GaussianRational:
         """det(M) = (-1)^n char_poly(M)(0)."""
@@ -344,7 +411,7 @@ class Matrix:
         return -c0 if self.rows % 2 else c0
 
     def rank(self) -> int:
-        return len(_gauss_jordan(self._sparse_rows()))
+        return len(_integer_gauss_jordan(self._sparse_rows()))
 
     def inverse(self) -> "Matrix":
         if not self.is_square:
@@ -352,11 +419,17 @@ class Matrix:
         return self._solve(Matrix.identity(self.rows, self.field), "matrix is singular")
 
     def kernel_basis(self) -> list["Matrix"]:
-        """Exact basis of the null space; empty list when trivial."""
-        return [
-            Matrix.column([v.get(j, ZERO) for j in range(self.cols)], self.field)
-            for v in kernel_of_sparse_rows(self._sparse_rows(), self.cols)
-        ]
+        """Exact basis of the null space; empty list when trivial: one vector
+        per free (non-pivot) column, as :func:`_integer_kernel` builds it.
+        Deterministic."""
+        n = self.cols
+        basis = []
+        for d, vec in _integer_kernel(_integer_gauss_jordan(self._sparse_rows()), n):
+            vre, vim = [0] * n, [0] * n
+            for c, (x, y) in vec.items():
+                vre[c], vim[c] = x, y
+            basis.append(Matrix._from_ints(n, 1, d, vre, vim, self.field))
+        return basis
 
     def solve_right(self, rhs: "Matrix") -> "Matrix":
         """A particular solution X of self @ X = rhs (free variables set to 0)."""
@@ -369,74 +442,96 @@ class Matrix:
         # Reduce [self | rhs]: the system is consistent exactly when no pivot
         # lands in the rhs columns, and then each pivot row holds the value
         # of its pivot variable with the free variables set to 0.
-        m = self.cols
-        reduced = _gauss_jordan(
-            a | b for a, b in zip(self._sparse_rows(), rhs._sparse_rows(offset=m))
-        )
-        if any(p >= m for p in reduced):
+        m, k = self.cols, rhs.cols
+        pivot_rows = _integer_gauss_jordan(hstack([self, rhs])._sparse_rows())
+        if any(p >= m for p in pivot_rows):
             raise SingularMatrix(failure)
-        ents = [
-            reduced.get(i, {}).get(m + j, ZERO)
-            for i in range(m)
-            for j in range(rhs.cols)
-        ]
-        return Matrix(m, rhs.cols, ents, self.field)
+        d = lcm(*(big_p for big_p, _, _ in pivot_rows.values()))
+        re, im = [0] * (m * k), [0] * (m * k)
+        for i, (big_p, pre, pim) in pivot_rows.items():
+            s = d // big_p
+            for out, part in ((re, pre), (im, pim)):
+                for c, x in part.items():
+                    if c >= m:
+                        out[i * k + c - m] = x * s
+        return Matrix._from_ints(m, k, d, re, im, self.field)
 
 
 def hstack(mats: Sequence[Matrix]) -> Matrix:
-    mats = [m for m in mats]
+    mats = list(mats)
     if not mats:
         raise ParameterError("hstack of nothing")
-    field = mats[0].field
-    rows = mats[0].rows
-    out_rows = []
-    for i in range(rows):
-        row: list[GaussianRational] = []
-        for m in mats:
-            if m.rows != rows:
-                raise DimensionMismatch("hstack with differing row counts")
-            row.extend(m.row_list(i))
-        out_rows.append(row)
-    return Matrix.from_rows(out_rows, field)
+    if any(m.rows != mats[0].rows for m in mats):
+        raise DimensionMismatch("hstack with differing row counts")
+    return Matrix.from_blocks([mats])
 
 
 def vstack(mats: Sequence[Matrix]) -> Matrix:
-    rows = [row for m in mats for row in m.to_lists()]
-    return Matrix.from_rows(rows, mats[0].field)
+    if any(m.cols != mats[0].cols for m in mats):
+        raise DimensionMismatch("ragged rows")
+    return Matrix._from_ints(
+        sum(m.rows for m in mats), mats[0].cols, *_common_integer_form(mats), mats[0].field
+    )
 
 
-def _gauss_jordan(
-    rows: Iterable[dict[int, GaussianRational]],
-) -> dict[int, dict[int, GaussianRational]]:
-    """Reduced row echelon form of a sparse row system, as {pivot column: row}.
+def _common_integer_form(mats: Sequence[Matrix]) -> tuple[int, list[int], list[int]]:
+    """(d, re, im) of the entries of ``mats`` in sequence over their common
+    denominator d, as ``scalars.integer_form`` gives it: im is empty when
+    every entry is real."""
+    d = lcm(*(m._d for m in mats))
+    cplx = any(m._im for m in mats)
+    re: list[int] = []
+    im: list[int] = []
+    for m in mats:
+        s = d // m._d
+        re += [x * s for x in m._re]
+        if cplx:
+            im += [y * s for y in m._im] if m._im else [0] * len(m._re)
+    return d, re, im
 
-    Rows are {column: coefficient} dicts. Rows are taken smallest first, and
-    each is reduced against the pivot rows so far, pivots on its leftmost
-    column and is then eliminated from the earlier pivot rows. Each pivot row
-    thus ends 1 at its pivot, 0 at every other pivot column and 0 left of
-    its pivot, so the result is the unique RREF of the row space: pivots,
-    kernels and solutions do not depend on the order rows arrive in.
 
-    The elimination is fraction-free over Z[i]. Each row is scaled once to
-    Gaussian integers, held as two sparse dicts {column: int} of its nonzero
-    real and imaginary parts, so a real system never touches an imaginary
-    part. A pivot row is kept as [P, re, im] with its pivot column left out:
-    the row is multiplied by the conjugate of its pivot (by its sign, when
-    the pivot is real), which makes the pivot a positive integer P, and the
-    gcd of P and all integer parts is divided out. A hit z at a pivot
-    column c is cleared by cross multiplication, row <- P row - z prow.
-    Fractions appear only at the end, when each pivot row is divided by its
-    pivot.
+def _integer_row(row: dict[int, GaussianRational]) -> IntRow:
+    """A row of GaussianRationals times the lcm of its denominators."""
+    den = lcm(*{f.denominator for v in row.values() for f in (v.re, v.im)})
+    return (
+        {c: v.re.numerator * (den // v.re.denominator) for c, v in row.items() if v.re},
+        {c: v.im.numerator * (den // v.im.denominator) for c, v in row.items() if v.im},
+    )
+
+
+def _row_order(row: IntRow) -> tuple:
+    cols = sorted(row[0].keys() | row[1].keys())
+    return len(cols), cols
+
+
+def _integer_gauss_jordan(rows: Iterable[IntRow]) -> dict[int, list]:
+    """The pivot rows of the reduced row echelon form of a sparse system of
+    Gaussian-integer rows, as {pivot column: [P, re, im]}.
+
+    Each row is a pair (re, im) of sparse {column: int} dicts of its nonzero
+    real and imaginary parts (they are consumed), so a real system never
+    touches an imaginary part. Rows are taken smallest first, and each is
+    reduced against the pivot rows so far, pivots on its leftmost column and
+    is then eliminated from the earlier pivot rows. Each pivot row thus ends
+    0 at every other pivot column and 0 left of its pivot: [P, re, im] is P
+    times the row of the unique RREF of the row space, with its pivot column
+    left out, P a positive integer and the parts coprime. So pivots, kernels
+    and solutions do not depend on the order rows arrive in, or on how each
+    row is scaled.
+
+    The elimination is fraction-free over Z[i]. A new pivot row is
+    multiplied by the conjugate of its pivot (by its sign, when the pivot is
+    real), which makes the pivot a positive integer P, and the gcd of P and
+    all integer parts is divided out. A hit z at a pivot column c is cleared
+    by cross multiplication, row <- P row - z prow.
     """
     pivot_rows: dict[int, list] = {}
-    pending = [r for r in rows if r]
-    pending.sort(key=lambda r: (len(r), sorted(r)))
-    for row in pending:
-        den = lcm(*{f.denominator for v in row.values() for f in (v.re, v.im)})
-        re = {c: v.re.numerator * (den // v.re.denominator) for c, v in row.items() if v.re}
-        im = {c: v.im.numerator * (den // v.im.denominator) for c, v in row.items() if v.im}
+    pending = [r for r in rows if r[0] or r[1]]
+    pending.sort(key=_row_order)
+    for re, im in pending:
         # pivot rows are mutually reduced, so one sweep clears every hit
-        _, re, im = _eliminate(re, im, {c: pivot_rows[c] for c in row if c in pivot_rows})
+        hits = {c: pivot_rows[c] for c in chain(re, im) if c in pivot_rows}
+        _, re, im = _eliminate(re, im, hits)
         if not re and not im:
             continue
         p = min(re.keys() | im.keys())
@@ -448,14 +543,24 @@ def _gauss_jordan(
                 prow[:] = [s * big_p, pre, pim]
                 _make_primitive(prow)
         pivot_rows[p] = nrow
+    return pivot_rows
+
+
+def _gauss_jordan(
+    rows: Iterable[dict[int, GaussianRational]],
+) -> dict[int, dict[int, GaussianRational]]:
+    """Reduced row echelon form of a sparse row system, as {pivot column: row}.
+
+    Rows are {column: coefficient} dicts. Each is scaled once to Gaussian
+    integers for :func:`_integer_gauss_jordan`, and each pivot row it returns
+    is divided by its pivot: the only division. The result is the unique
+    RREF of the row space, 1 at each pivot.
+    """
     out = {}
-    for p, (big_p, re, im) in pivot_rows.items():
+    for p, (big_p, re, im) in _integer_gauss_jordan(map(_integer_row, rows)).items():
         orow = {p: ONE}
-        for c, v in re.items():
-            orow[c] = GaussianRational(Fraction(v, big_p), Fraction(im.get(c, 0), big_p))
-        for c, v in im.items():
-            if c not in re:
-                orow[c] = GaussianRational(0, Fraction(v, big_p))
+        for c in sorted(re.keys() | im.keys()):
+            orow[c] = _box(re.get(c, 0), im.get(c, 0), big_p)
         out[p] = orow
     return out
 
@@ -526,27 +631,43 @@ def _subtract(dst: dict[int, int], k: int, src: dict[int, int]) -> None:
             del dst[c]
 
 
+def _integer_kernel(pivot_rows: dict[int, list], ncols: int) -> list[tuple[int, dict]]:
+    """The kernel basis of a system from its pivot rows (as
+    :func:`_integer_gauss_jordan` returns them), one vector per free column
+    f in increasing f: 1 at f, 0 at every other free column, and minus the
+    reduced rows' column f at the pivots. Each vector is (d, {column: (x, y)})
+    for the entries (x + i*y) / d, zeros left out, f first and then the
+    pivots in the order of ``pivot_rows``."""
+    basis = []
+    for f in range(ncols):
+        if f in pivot_rows:
+            continue
+        # pivot row c is [P, re, im], P times the reduced row
+        hits = [
+            (c, big_p, re.get(f, 0), im.get(f, 0))
+            for c, (big_p, re, im) in pivot_rows.items()
+            if f in re or f in im
+        ]
+        d = lcm(*(big_p for _, big_p, _, _ in hits))
+        vec = {f: (d, 0)}
+        for c, big_p, x, y in hits:
+            vec[c] = (-x * (d // big_p), -y * (d // big_p))
+        basis.append((d, vec))
+    return basis
+
+
 def kernel_of_sparse_rows(
     rows: Iterable[dict[int, GaussianRational]], ncols: int
 ) -> list[dict[int, GaussianRational]]:
     """Kernel basis of a sparse row system; rows are {column: coefficient}.
 
-    One vector per free (non-pivot) column f, in increasing f: 1 at f, 0 at
-    every other free column, and minus the reduced rows' column f at the
-    pivots. Deterministic.
+    The vectors of :meth:`Matrix.kernel_basis`, as {column: entry} dicts
+    without zero entries.
     """
-    pivot_rows = _gauss_jordan(rows)
-    basis = []
-    for f in range(ncols):
-        if f in pivot_rows:
-            continue
-        v = {f: ONE}
-        for c, prow in pivot_rows.items():
-            w = prow.get(f)
-            if w:
-                v[c] = -w
-        basis.append(v)
-    return basis
+    pivot_rows = _integer_gauss_jordan(map(_integer_row, rows))
+    return [
+        {c: _box(x, y, d) for c, (x, y) in vec.items()} for d, vec in _integer_kernel(pivot_rows, ncols)
+    ]
 
 
 # -- characteristic polynomials ------------------------------------------------
@@ -554,10 +675,9 @@ def kernel_of_sparse_rows(
 
 def _integer_char_poly(m: Matrix) -> tuple[int, list[int], list[int]]:
     """(d, re, im) with det(tI - d M) = sum_k (re[k] + i*im[k]) t^k, where d
-    is the lcm of the entry denominators of the square matrix M; im is empty
-    when every coefficient is real (:func:`_samuelson_berkowitz` on d M)."""
-    d, are, aim = integer_form(m.entries)
-    return (d, *_samuelson_berkowitz(m.rows, are, aim))
+    is the common denominator of the square matrix M; im is empty when every
+    coefficient is real (:func:`_samuelson_berkowitz` on d M)."""
+    return (m._d, *_samuelson_berkowitz(m.rows, m._re, m._im))
 
 
 def _samuelson_berkowitz(n: int, are: list[int], aim: list[int]) -> tuple[list[int], list[int]]:

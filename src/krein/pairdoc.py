@@ -76,13 +76,12 @@ def doc_to_pair(doc: dict) -> tuple[MatrixPair, dict]:
         raise SchemaError(f"n must be a positive integer, got {n!r}")
     n_mat = _parse_matrix(doc.get("N"), n, field, "N")
     h_mat = _parse_matrix(doc.get("H"), n, field, "H")
-    for i in range(n):
-        for j in range(i, n):
-            if h_mat[i, j] != h_mat[j, i].conjugate():
-                raise NotHermitian(
-                    f"H[{i}][{j}] = {format_scalar(h_mat[i, j])} is not the conjugate "
-                    f"of H[{j}][{i}] = {format_scalar(h_mat[j, i])}"
-                )
+    if not h_mat.is_hermitian():
+        i, j = next((i, j) for i in range(n) for j in range(i, n) if h_mat[i, j] != h_mat[j, i].conjugate())
+        raise NotHermitian(
+            f"H[{i}][{j}] = {format_scalar(h_mat[i, j])} is not the conjugate "
+            f"of H[{j}][{i}] = {format_scalar(h_mat[j, i])}"
+        )
     try:
         space = IndefiniteSpace(h_mat)
     except SingularH:

@@ -19,6 +19,8 @@ Rational = Fraction
 
 ScalarLike = Union[int, Fraction, "GaussianRational"]
 
+_FRACTION_ZERO = Fraction(0)
+
 
 class GaussianRational:
     """A complex number ``re + im*i`` with exact rational components.
@@ -32,7 +34,8 @@ class GaussianRational:
 
     def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
         self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+        # an int zero imaginary part (the default) becomes one shared Fraction(0)
+        self.im = im if isinstance(im, Fraction) else Fraction(im) if im != 0 else _FRACTION_ZERO
 
     # -- predicates ---------------------------------------------------------
 
@@ -97,10 +100,10 @@ class GaussianRational:
         return as_scalar(other) / self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return GaussianRational(-self.re, -self.im if self.im else 0)
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return GaussianRational(self.re, -self.im) if self.im else self
 
     def norm_sq(self) -> Fraction:
         """|z|^2, exact."""
@@ -149,16 +152,12 @@ def as_scalar(x: ScalarLike) -> GaussianRational:
 def integer_form(values: Sequence[GaussianRational]) -> tuple[int, list[int], list[int]]:
     """(d, re, im) with value k = (re[k] + i*im[k]) / d, where d is the lcm of
     all denominators; im is empty when every value is real."""
-    re = [e.re for e in values]
-    im = [e.im for e in values]
-    if not any(im):
+    re = [e.re.as_integer_ratio() for e in values]
+    im = [e.im.as_integer_ratio() for e in values]
+    if not any(p for p, _ in im):
         im = []
-    d = lcm(*{f.denominator for f in re + im})
-    return (
-        d,
-        [f.numerator * (d // f.denominator) for f in re],
-        [f.numerator * (d // f.denominator) for f in im],
-    )
+    d = lcm(*{q for _, q in re}, *{q for _, q in im})
+    return d, [p * (d // q) for p, q in re], [p * (d // q) for p, q in im]
 
 
 _RAT = r"[+-]?\d+(?:/\d+)?"
@@ -180,14 +179,22 @@ def parse_scalar(text: str) -> GaussianRational:
         return GaussianRational(0, -1)
     m = _PURE_REAL.match(s)
     if m:
-        return GaussianRational(Fraction(m.group(1)))
+        return GaussianRational(_rational(m.group(1), text))
     m = _PURE_IMAG.match(s)
     if m:
-        return GaussianRational(0, Fraction(m.group(1)))
+        return GaussianRational(0, _rational(m.group(1), text))
     m = _FULL.match(s)
     if m:
-        return GaussianRational(Fraction(m.group(1)), Fraction(m.group(2)))
+        return GaussianRational(_rational(m.group(1), text), _rational(m.group(2), text))
     raise SchemaError(f"cannot parse scalar string {text!r}")
+
+
+def _rational(part: str, text: str) -> Fraction:
+    """The Fraction of a matched "p/q" part of the scalar string ``text``."""
+    try:
+        return Fraction(part)
+    except ZeroDivisionError:
+        raise SchemaError(f"zero denominator in scalar string {text!r}") from None
 
 
 def format_scalar(z: GaussianRational) -> str:

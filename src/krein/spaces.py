@@ -101,7 +101,7 @@ class IndefiniteSpace:
 class MatrixPair:
     """An operator together with the space it acts on (the central object here)."""
 
-    __slots__ = ("n_op", "space", "_adjoint", "_char_poly")
+    __slots__ = ("n_op", "space", "_adjoint", "_char_poly", "_normal")
 
     def __init__(self, n_op: Matrix, space: IndefiniteSpace):
         if not n_op.is_square or n_op.rows != space.dim:
@@ -112,6 +112,7 @@ class MatrixPair:
         self.space = space
         self._adjoint = None
         self._char_poly = None
+        self._normal = None
 
     @classmethod
     def from_matrices(cls, n_op: Matrix, h: Matrix) -> "MatrixPair":
@@ -199,9 +200,12 @@ def h_adjoint(a: Matrix, space: IndefiniteSpace) -> Matrix:
 
 
 def is_h_normal(pair: MatrixPair) -> bool:
-    """Exact test that the operator commutes with its H-adjoint."""
-    a, adj = pair.n_op, pair.adjoint
-    return a @ adj == adj @ a
+    """Exact test that the operator commutes with its H-adjoint; the verdict
+    is kept on the (immutable) pair."""
+    if pair._normal is None:
+        a, adj = pair.n_op, pair.adjoint
+        pair._normal = a @ adj == adj @ a
+    return pair._normal
 
 
 def is_h_unitary(u: Matrix, space: IndefiniteSpace) -> bool:

@@ -5,6 +5,7 @@ import pytest
 
 from krein.classify import (
     OUT_OF_SCOPE,
+    _linear_power,
     bound_window,
     classify,
     joint_eigenspace,
@@ -21,7 +22,8 @@ from krein.exceptions import (
     WrongSpectrum,
 )
 from krein.matrices import COMPLEX, REAL, Matrix, hstack
-from krein.scalars import parse_scalar
+from krein.polynomials import Polynomial
+from krein.scalars import GaussianRational, parse_scalar
 from krein.spaces import MatrixPair, direct_sum
 from krein.witnesses import (
     ALL_FAMILIES,
@@ -34,6 +36,24 @@ from krein.witnesses import (
     witness_real_c_even,
     witness_real_c_odd,
 )
+
+
+# --- the single-eigenvalue target -----------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "lam",
+    [
+        GaussianRational(0),
+        GaussianRational(Fraction(-3, 7)),
+        GaussianRational(0, 1),
+        GaussianRational(Fraction(2, 5), Fraction(-7, 3)),
+        GaussianRational(10**20, Fraction(1, 1000003)),
+    ],
+)
+def test_binomial_target_equals_the_power(lam):
+    for n in range(1, 9):
+        assert _linear_power(lam, n) == Polynomial([-lam, 1]) ** n
 
 
 # --- bound windows ------------------------------------------------------------

@@ -91,6 +91,23 @@ def test_classify_non_h_normal_is_exit_one(tmp_path, capsys):
     assert rc == 1
 
 
+def test_classify_zero_denominator_is_an_input_error(tmp_path, capsys):
+    doc = {
+        "schema_version": "1",
+        "field": "complex",
+        "n": 2,
+        "N": [["1/0", "0"], ["0", "1"]],
+        "H": [["1", "0"], ["0", "1"]],
+    }
+    path = tmp_path / "zero-den.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "classify", str(path))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and "N[0][0]" in err and "zero denominator" in err
+    assert "Traceback" not in err
+
+
 def test_decompose_glued_pair(tmp_path, capsys):
     g = direct_sum(witness_complex_b(1, 0, 1).pair, witness_complex_b(1, 2, 3).pair)
     path = tmp_path / "glued.json"

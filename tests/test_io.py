@@ -80,6 +80,14 @@ def test_schema_violations(mutate):
         parse_document(json.dumps(doc))
 
 
+@pytest.mark.parametrize("cell", ["1/0", "0/0", "3/0i", "1/2+3/0i"])
+def test_zero_denominator_is_a_schema_error_naming_the_cell(cell):
+    doc = _doc(build_witness("complex-b", 1, {}).pair)
+    doc["N"][1][0] = cell
+    with pytest.raises(SchemaError, match=r"^N\[1\]\[0\]: zero denominator"):
+        parse_document(json.dumps(doc))
+
+
 def test_invalid_json_is_a_schema_error():
     with pytest.raises(SchemaError):
         parse_pair(b"{not json")

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -646,3 +647,127 @@ def test_block_assembly():
     m = Matrix.from_blocks([[z2, i2], [i2, z2]])
     assert m == Matrix.trailing_identity(4, REAL) or m[0, 2] == 1
     assert m.rows == 4 and m.cols == 4
+
+
+# --- the stored integer form ---------------------------------------------------
+
+
+def _integer_form_parts():
+    return st.one_of(
+        st.just(Fraction(0)),
+        _rationals(),
+        st.sampled_from([Fraction(10**40), Fraction(-(10**40), 7), Fraction(1, 1000003), Fraction(-3)]),
+    )
+
+
+@st.composite
+def _integer_form_matrices(draw, rows, cols, field):
+    """A rows x cols matrix over ``field`` with zeros, huge and fine entries,
+    and sometimes an all-zero row."""
+    part = _integer_form_parts()
+    if field == REAL:
+        entry = part.map(GaussianRational)
+    else:
+        entry = st.one_of(part.map(GaussianRational), st.builds(GaussianRational, part, part))
+    ents = draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))
+    if rows and draw(st.booleans()):
+        i = draw(st.integers(0, rows - 1))
+        ents[i * cols : (i + 1) * cols] = [ZERO] * cols
+    return ents
+
+
+def _assert_integer_form(m, rows, cols, ents, field):
+    """m is canonical, and is the matrix of the reference entries ``ents``."""
+    d, re, im = m._d, m._re, m._im
+    assert type(d) is int and d > 0
+    assert all(type(x) is int for x in re + im)
+    assert len(re) == rows * cols and len(im) in (0, rows * cols)
+    assert gcd(d, *re, *im) == 1
+    assert (not im) == all(not e.im for e in ents)
+    assert (m.rows, m.cols, m.field) == (rows, cols, field)
+    assert type(m.entries) is tuple and all(type(e) is GaussianRational for e in m.entries)
+    assert m.entries == tuple(ents)
+    built = Matrix(rows, cols, ents, field)
+    assert built == m and hash(built) == hash(m)
+
+
+def _side_by_side(*mats):
+    """The entries of the matrices placed side by side, row-major."""
+    return [e for i in range(mats[0].rows) for x in mats for e in x.row_list(i)]
+
+
+def _sympy_matrix(m):
+    def q(f):
+        return sympy.Rational(f.numerator, f.denominator)
+
+    return sympy.Matrix(m.rows, m.cols, [q(e.re) + sympy.I * q(e.im) for e in m.entries])
+
+
+def _from_sympy(s, field):
+    def f(x):
+        return Fraction(int(x.p), int(x.q))
+
+    ents = [GaussianRational(f(sympy.re(x)), f(sympy.im(x))) for x in s]
+    return Matrix(s.rows, s.cols, ents, field)
+
+
+@st.composite
+def _integer_form_cases(draw):
+    n, m, p = (draw(st.integers(0, 4)) for _ in range(3))
+    field = draw(st.sampled_from([REAL, COMPLEX]))
+    mats = {
+        name: Matrix(r, c, draw(_integer_form_matrices(r, c, field)), field)
+        for name, r, c in (("a", n, m), ("b", n, m), ("c", m, p), ("s", n, n), ("w", n, p), ("v", p, m))
+    }
+    scalar = GaussianRational(draw(_integer_form_parts()), draw(_integer_form_parts()))
+    r0, r1 = sorted(draw(st.integers(0, n)) for _ in range(2))
+    c0, c1 = sorted(draw(st.integers(0, m)) for _ in range(2))
+    return mats, scalar, (r0, r1, c0, c1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_integer_form_cases())
+@example(({"a": Matrix.from_rows([[10**40, 0], [0, Fraction(1, 1000003)]], REAL),
+           "b": Matrix.zeros(2, 2, REAL), "c": Matrix.identity(2, REAL),
+           "s": Matrix.from_rows([[Fraction(1, 1000003), 10**40], [0, 0]], REAL),
+           "w": Matrix.zeros(2, 2, REAL), "v": Matrix.identity(2, REAL)},
+          GaussianRational(0, 2), (0, 1, 1, 2)))
+def test_integer_form_matches_the_entrywise_reference(case):
+    mats, c, (r0, r1, c0, c1) = case
+    a, b, cm, s, w, v = (mats[k] for k in "abcswv")
+    n, m, p, field = a.rows, a.cols, cm.cols, a.field
+    for x in mats.values():
+        _assert_integer_form(x, x.rows, x.cols, x.entries, field)
+    pairs = list(zip(a.entries, b.entries))
+    _assert_integer_form(a @ cm, n, p, _reference_product(a, cm), field)
+    _assert_integer_form(a + b, n, m, [x + y for x, y in pairs], field)
+    _assert_integer_form(a - b, n, m, [x - y for x, y in pairs], field)
+    _assert_integer_form(a * c, n, m, [c * x for x in a.entries], COMPLEX if c.im else field)
+    _assert_integer_form(a.transpose(), m, n, [a[i, j] for j in range(m) for i in range(n)], field)
+    _assert_integer_form(a.conj_transpose(), m, n, [a[i, j].conjugate() for j in range(m) for i in range(n)], field)
+    sub = [a[i, j] for i in range(r0, r1) for j in range(c0, c1)]
+    _assert_integer_form(a.submatrix(r0, r1, c0, c1), r1 - r0, c1 - c0, sub, field)
+    _assert_integer_form(hstack([a, w]), n, m + p, _side_by_side(a, w), field)
+    _assert_integer_form(vstack([a, v]), n + p, m, list(a.entries + v.entries), field)
+    if n and m:
+        blocks = Matrix.from_blocks([[a, b], [b, a]])
+        _assert_integer_form(blocks, 2 * n, 2 * m, _side_by_side(a, b) + _side_by_side(b, a), field)
+    if _sympy_matrix(s).det() != 0:
+        inv = s.inverse()
+        _assert_integer_form(inv, n, n, _from_sympy(_sympy_matrix(s).inv(), field).entries, field)
+    else:
+        with pytest.raises(SingularMatrix):
+            s.inverse()
+    basis = a.kernel_basis()
+    expected = [_from_sympy(x, field) for x in _sympy_matrix(a).nullspace()]
+    assert len(basis) == len(expected)
+    for got, want in zip(basis, expected):
+        _assert_integer_form(got, m, 1, want.entries, field)
+
+
+def test_integer_form_of_a_real_matrix_times_a_nonreal_scalar():
+    a = Matrix.from_rows([[10**40, 0], [0, Fraction(1, 1000003)]], REAL)
+    out = a * GaussianRational(0, Fraction(1, 2))
+    _assert_integer_form(out, 2, 2, [GaussianRational(0, 10**40 // 2), ZERO, ZERO, GaussianRational(0, Fraction(1, 2000006))], COMPLEX)
+    assert out._d == 2000006 and out._re == [0, 0, 0, 0]
+    _assert_integer_form(a * GaussianRational(Fraction(1, 2)), 2, 2, [c * Fraction(1, 2) for c in a.entries], REAL)

@@ -79,6 +79,21 @@ def test_parse_rejects_garbage(bad):
         parse_scalar(bad)
 
 
+@pytest.mark.parametrize("bad", ["1/0", "0/0", "-1/0", "3/0i", "1/2+3/0i", "1/0-1/2i"])
+def test_parse_rejects_a_zero_denominator(bad):
+    with pytest.raises(SchemaError, match="zero denominator"):
+        parse_scalar(bad)
+
+
+def test_zero_imaginary_parts_are_shared():
+    z = GaussianRational(Fraction(-3, 4))
+    assert GaussianRational(5).im is z.im
+    assert z.conjugate() is z
+    assert (-z).im is z.im and -z == gq(Fraction(3, 4))
+    w = gq(1, 2)
+    assert w.conjugate() == gq(1, -2) and hash(w.conjugate()) == hash(gq(1, -2))
+
+
 def test_rational_sqrt():
     assert rational_sqrt(Fraction(9, 25)) == Fraction(3, 5)
     assert rational_sqrt(Fraction(0)) == 0
