@@ -27,6 +27,10 @@ systems of :mod:`krein.decompose` (:func:`kernel_of_sparse_rows` scales
 each row to integers first); :func:`_gauss_jordan` divides each pivot row
 by its pivot to give the RREF itself. The RREF is unique, so these results
 do not depend on how rows are ordered, scaled or stored.
+The one symmetric reduction is the Hermitian congruence of
+``_hermitian_inertia``, which reads the inertia of a Hermitian
+Gaussian-integer matrix in O(n^3), fraction-free, with the entries kept at
+the primitive part of the minors.
 Characteristic polynomials come from the division-free Samuelson-Berkowitz
 recurrence on the Gaussian-integer matrix d M (``_samuelson_berkowitz``),
 one code path for real and Gaussian entries, which also takes integer lists
@@ -670,14 +674,93 @@ def kernel_of_sparse_rows(
     ]
 
 
+# -- inertia ---------------------------------------------------------------------
+
+
+def _hermitian_inertia(n: int, re: list[int], im: list[int]) -> tuple[int, int, int]:
+    """(v_minus, v_zero, v_plus) of the n x n Hermitian Gaussian-integer
+    matrix A = re + i*im, row-major; im may be empty for a real A.
+
+    Hermitian congruence reduction over Z[i]; inertia is a congruence
+    invariant (Sylvester's law), and every step keeps it. A nonzero diagonal
+    pivot p is counted by its sign, and the rest C of the matrix is replaced
+    by |p| C - sgn(p) b b* for the pivot column b, a positive multiple of the
+    Schur complement, which is then divided by the gcd of all its integer
+    parts: the entries stay the primitive part of the minors of A (Bareiss).
+    When the whole diagonal vanishes but some a_ij does not, the unimodular
+    congruence row_i += c row_j, col_i += conj(c) col_j makes a_ii = 2 Re a_ij
+    for c = 1 and a_ii = 2 Im a_ij for c = i, so c = 1 unless Re a_ij = 0.
+    The zero matrix that is left over has size v_zero.
+    """
+    ar = [re[i * n : (i + 1) * n] for i in range(n)]
+    ai = [im[i * n : (i + 1) * n] for i in range(n)] if im else None
+    neg = pos = 0
+    while ar:
+        m = len(ar)
+        k = next((i for i in range(m) if ar[i][i]), None)
+        if k is None:
+            hit = next(
+                ((i, j) for i in range(m) for j in range(i + 1, m) if ar[i][j] or (ai and ai[i][j])),
+                None,
+            )
+            if hit is None:
+                return neg, m, pos
+            k, j = hit
+            u, v = (1, 0) if ar[k][j] else (0, 1)
+            _add_line(ar, ai, k, j, u, v)
+        p = ar[k][k]
+        if p < 0:
+            neg += 1
+        else:
+            pos += 1
+        ap, s = abs(p), (1 if p > 0 else -1)
+        rk = ar.pop(k)
+        del rk[k]
+        if ai is None:
+            for row in ar:
+                x = s * row.pop(k)
+                row[:] = [ap * a - x * b for a, b in zip(row, rk)] if x else [ap * a for a in row]
+            g = gcd(*chain.from_iterable(ar))
+            if g > 1:
+                ar = [[a // g for a in row] for row in ar]
+            continue
+        ik = ai.pop(k)
+        del ik[k]
+        for row_r, row_i in zip(ar, ai):
+            # a_rc <- |p| a_rc - sgn(p) a_rk a_kc, with a_rk = x + iy, a_kc = u + iv
+            x, y = s * row_r.pop(k), s * row_i.pop(k)
+            if x or y:
+                row_r[:] = [ap * a - x * u + y * v for a, u, v in zip(row_r, rk, ik)]
+                row_i[:] = [ap * b - x * v - y * u for b, u, v in zip(row_i, rk, ik)]
+            else:
+                row_r[:] = [ap * a for a in row_r]
+                row_i[:] = [ap * b for b in row_i]
+        g = gcd(*chain.from_iterable(ar), *chain.from_iterable(ai))
+        if g > 1:
+            ar = [[a // g for a in row] for row in ar]
+            ai = [[b // g for b in row] for row in ai]
+    return neg, 0, pos
+
+
+def _add_line(ar: list[list[int]], ai: list[list[int]] | None, k: int, j: int, u: int, v: int) -> None:
+    """The congruence row_k += c row_j, col_k += conj(c) col_j, c = u + iv, in place."""
+    if ai is None:
+        ar[k] = [a + u * b for a, b in zip(ar[k], ar[j])]
+        for row in ar:
+            row[k] += u * row[j]
+        return
+    # c (x + iy) = (ux - vy) + i(uy + vx), conj(c) (x + iy) = (ux + vy) + i(uy - vx)
+    ar[k], ai[k] = (
+        [u * x - v * y + a for a, x, y in zip(ar[k], ar[j], ai[j])],
+        [u * y + v * x + b for b, x, y in zip(ai[k], ar[j], ai[j])],
+    )
+    for row_r, row_i in zip(ar, ai):
+        x, y = row_r[j], row_i[j]
+        row_r[k] += u * x + v * y
+        row_i[k] += u * y - v * x
+
+
 # -- characteristic polynomials ------------------------------------------------
-
-
-def _integer_char_poly(m: Matrix) -> tuple[int, list[int], list[int]]:
-    """(d, re, im) with det(tI - d M) = sum_k (re[k] + i*im[k]) t^k, where d
-    is the common denominator of the square matrix M; im is empty when every
-    coefficient is real (:func:`_samuelson_berkowitz` on d M)."""
-    return (m._d, *_samuelson_berkowitz(m.rows, m._re, m._im))
 
 
 def _samuelson_berkowitz(n: int, are: list[int], aim: list[int]) -> tuple[list[int], list[int]]:
@@ -738,13 +821,14 @@ def _sparse_dot(row: list[tuple[int, int, int]], v: list[tuple[int, int]]) -> tu
 def char_poly(m: Matrix) -> Polynomial:
     """Exact characteristic polynomial det(tI - M), monic.
 
-    Coefficient k is the integer coefficient k of :func:`_integer_char_poly`
-    divided by d^(n-k), the only division.
+    Coefficient k is coefficient k of det(tI - d M), the Gaussian-integer
+    matrix of :func:`_samuelson_berkowitz` for the common denominator d of
+    M, divided by d^(n-k), the only division.
     """
     if not m.is_square:
         raise DimensionMismatch("characteristic polynomial of a non-square matrix")
-    n = m.rows
-    d, re, im = _integer_char_poly(m)
+    n, d = m.rows, m._d
+    re, im = _samuelson_berkowitz(n, m._re, m._im)
     im = im or [0] * (n + 1)
     return Polynomial(
         GaussianRational(Fraction(x, d ** (n - k)), Fraction(y, d ** (n - k)))

@@ -3,24 +3,31 @@
 A pair document stores the operator and the Gram matrix as nested arrays of
 exact scalar strings ("p/q" or "p/q+r/si"), never floats, so serialization
 round trips are bit-exact. Parsing validates shape, field purity, Hermitian
-symmetry (naming the offending entry) and nonsingularity of H.
+symmetry (naming the offending entry) and nonsingularity of H. Cells are
+read straight into the integer form of a ``Matrix`` and written from it, so
+no cell is boxed into a scalar on the way in or out.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import repeat
+from math import lcm
 from typing import Optional
 
 from .exceptions import NotHermitian, SchemaError, SingularH
 from .matrices import COMPLEX, REAL, Matrix
-from .scalars import format_scalar, parse_scalar
+from .scalars import format_integer_parts, format_scalar, scalar_parts
 from .spaces import IndefiniteSpace, MatrixPair
 
 SCHEMA_VERSION = "1"
 
 
 def matrix_to_rows(m: Matrix) -> list[list[str]]:
-    return [[format_scalar(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
+    """The cells of ``m`` as scalar strings, formatted from its integer form."""
+    d, c = m._d, m.cols
+    cells = [format_integer_parts(x, y, d) for x, y in zip(m._re, m._im or repeat(0))]
+    return [cells[i * c : (i + 1) * c] for i in range(m.rows)]
 
 
 def pair_to_doc(pair: MatrixPair, metadata: Optional[dict] = None) -> dict:
@@ -43,7 +50,7 @@ def serialize_pair(pair: MatrixPair, metadata: Optional[dict] = None) -> str:
 def _parse_matrix(rows, n: int, field: str, name: str) -> Matrix:
     if not isinstance(rows, list) or len(rows) != n:
         raise SchemaError(f"{name} must be a list of {n} rows")
-    flat = []
+    parts = []
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:
             raise SchemaError(f"{name}[{i}] must be a list of {n} scalar strings")
@@ -51,15 +58,19 @@ def _parse_matrix(rows, n: int, field: str, name: str) -> Matrix:
             if not isinstance(cell, str):
                 raise SchemaError(f"{name}[{i}][{j}] must be a scalar string")
             try:
-                z = parse_scalar(cell)
+                (p, q), (r, s) = scalar_parts(cell)
             except SchemaError as exc:
                 raise SchemaError(f"{name}[{i}][{j}]: {exc}") from None
-            if field == REAL and z.im:
+            if field == REAL and r:
                 raise SchemaError(
                     f"{name}[{i}][{j}] = {cell!r} is complex but the document declares a real field"
                 )
-            flat.append(z)
-    return Matrix(n, n, flat, field)
+            parts.append((p, q, r, s))
+    # the cells over the lcm of their denominators; _from_ints makes the form canonical
+    d = lcm(*{q for _, q, _, _ in parts}, *{s for _, _, _, s in parts})
+    re = [p * (d // q) for p, q, _, _ in parts]
+    im = [r * (d // s) for _, _, r, s in parts] if any(r for _, _, r, _ in parts) else []
+    return Matrix._from_ints(n, n, d, re, im, field)
 
 
 def doc_to_pair(doc: dict) -> tuple[MatrixPair, dict]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import Sequence, Union
 
 from .exceptions import SchemaError
@@ -172,39 +172,63 @@ def parse_scalar(text: str) -> GaussianRational:
     Accepts the canonical forms emitted by :func:`format_scalar` plus the
     shorthands ``i``, ``-i`` and ``+i``.
     """
+    (p, q), (r, s) = scalar_parts(text)
+    return GaussianRational(Fraction(p, q), Fraction(r, s))
+
+
+def scalar_parts(text: str) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The integer parts ((p, q), (r, s)) of a scalar string, the value
+    p/q + (r/s)i with q, s > 0 (not necessarily reduced): the grammar of
+    :func:`parse_scalar`, without building a scalar."""
     s = text.strip().replace(" ", "")
     if s in ("i", "+i"):
-        return I_UNIT
+        return (0, 1), (1, 1)
     if s == "-i":
-        return GaussianRational(0, -1)
+        return (0, 1), (-1, 1)
     m = _PURE_REAL.match(s)
     if m:
-        return GaussianRational(_rational(m.group(1), text))
+        return _ratio(m.group(1), text), (0, 1)
     m = _PURE_IMAG.match(s)
     if m:
-        return GaussianRational(0, _rational(m.group(1), text))
+        return (0, 1), _ratio(m.group(1), text)
     m = _FULL.match(s)
     if m:
-        return GaussianRational(_rational(m.group(1), text), _rational(m.group(2), text))
+        return _ratio(m.group(1), text), _ratio(m.group(2), text)
     raise SchemaError(f"cannot parse scalar string {text!r}")
 
 
-def _rational(part: str, text: str) -> Fraction:
-    """The Fraction of a matched "p/q" part of the scalar string ``text``."""
-    try:
-        return Fraction(part)
-    except ZeroDivisionError:
-        raise SchemaError(f"zero denominator in scalar string {text!r}") from None
+def _ratio(part: str, text: str) -> tuple[int, int]:
+    """(p, q) of a matched "p/q" (or "p") part of the scalar string ``text``."""
+    num, _, den = part.partition("/")
+    q = int(den) if den else 1
+    if not q:
+        raise SchemaError(f"zero denominator in scalar string {text!r}")
+    return int(num), q
 
 
 def format_scalar(z: GaussianRational) -> str:
     """Canonical lossless string form; inverse of :func:`parse_scalar`."""
-    if not z.im:
-        return str(z.re)
-    if not z.re:
-        return f"{z.im}i"
-    sign = "+" if z.im > 0 else "-"
-    return f"{z.re}{sign}{abs(z.im)}i"
+    return _join_parts(str(z.re), str(z.im))
+
+
+def format_integer_parts(x: int, y: int, d: int) -> str:
+    """:func:`format_scalar` of (x + i*y) / d for d > 0, without building it."""
+    return _join_parts(_ratio_text(x, d), _ratio_text(y, d))
+
+
+def _ratio_text(x: int, d: int) -> str:
+    """str(Fraction(x, d)) for d > 0."""
+    g = gcd(x, d)
+    return str(x // g) if g == d else f"{x // g}/{d // g}"
+
+
+def _join_parts(re: str, im: str) -> str:
+    """The scalar string of a real and an imaginary part written as rationals."""
+    if im == "0":
+        return re
+    if re == "0":
+        return f"{im}i"
+    return f"{re}{im}i" if im[0] == "-" else f"{re}+{im}i"
 
 
 def rational_sqrt(q: Fraction) -> Fraction | None:

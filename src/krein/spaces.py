@@ -10,15 +10,14 @@ Gram matrix is nonsingular. The adjoint and normality predicates do not
 depend on the sesquilinear convention; the convention only fixes which
 argument of [.,.] is conjugated.
 
-Inertia is read off the signs of the integer coefficients of the
-characteristic polynomial of H by Descartes' rule of signs, which is exact
-because a Hermitian matrix has only real eigenvalues. No eigenvalue is
-computed, so signatures are exact.
+Inertia is read off a fraction-free Hermitian congruence reduction of the
+Gaussian-integer form of H (``matrices._hermitian_inertia``), the one
+symmetric reduction in the package: by Sylvester's law of inertia a
+congruence keeps it, and no eigenvalue is computed, so signatures are exact.
 """
 
 from __future__ import annotations
 
-from operator import ne
 from typing import Sequence
 
 from .exceptions import (
@@ -27,26 +26,21 @@ from .exceptions import (
     ParameterError,
     SingularH,
 )
-from .matrices import COMPLEX, Matrix, _integer_char_poly, char_poly, hstack
+from .matrices import COMPLEX, Matrix, _hermitian_inertia, char_poly, hstack
 from .polynomials import Polynomial
 from .scalars import GaussianRational
 
 
 def signature(h: Matrix) -> tuple[int, int]:
-    """Exact inertia (v_minus, v_plus) of a nonsingular Hermitian matrix.
-
-    The characteristic polynomial of a Hermitian matrix has only real roots,
-    so Descartes' rule of signs is exact for it: v_plus is the number of sign
-    changes of its integer coefficients.
+    """Exact inertia (v_minus, v_plus) of a nonsingular Hermitian matrix, by
+    the congruence reduction of its integer form d H (d > 0 keeps the inertia).
     """
     if not h.is_hermitian():
         raise NotHermitian("signature needs a Hermitian matrix")
-    _, coeffs, _ = _integer_char_poly(h)
-    if not coeffs[0]:
+    v_minus, v_zero, v_plus = _hermitian_inertia(h.rows, h._re, h._im)
+    if v_zero:
         raise SingularH("Gram matrix is singular")
-    signs = [c > 0 for c in coeffs if c]
-    v_plus = sum(map(ne, signs, signs[1:]))
-    return h.rows - v_plus, v_plus
+    return v_minus, v_plus
 
 
 class IndefiniteSpace:

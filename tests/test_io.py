@@ -1,16 +1,24 @@
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from krein.exceptions import NotHermitian, SchemaError, SingularH
+from krein.matrices import COMPLEX, REAL, Matrix
 from krein.pairdoc import (
     SCHEMA_VERSION,
+    _parse_matrix,
+    matrix_to_rows,
     pair_to_doc,
     parse_document,
     parse_pair,
     pretty_format,
     serialize_pair,
 )
+from krein.scalars import ONE, GaussianRational, format_scalar, parse_scalar
+from krein.spaces import MatrixPair
 from krein.witnesses import ALL_FAMILIES, admissible_ks, build_witness
 
 
@@ -104,3 +112,91 @@ def test_pretty_format_mentions_both_matrices():
     assert "N (4x4, real):" in text
     assert "H (4x4, real):" in text
     assert text.count("[") == 8
+
+
+# --- integer-form parse and serialize ----------------------------------------------
+
+
+_PARTS = st.one_of(
+    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)),
+    st.sampled_from([Fraction(10**40), Fraction(-(10**40), 7), Fraction(1, 1000003), Fraction(-2, 1000003)]),
+)
+
+
+def _matrices(n, field):
+    part = _PARTS.map(GaussianRational) if field == REAL else st.builds(GaussianRational, _PARTS, _PARTS)
+    return st.lists(part, min_size=n * n, max_size=n * n).map(lambda ents: Matrix(n, n, ents, field))
+
+
+def _unit_upper(n, field):
+    # a unit upper triangular T, so T* D T is nonsingular for every sign diagonal D
+    return _matrices(n, field).map(
+        lambda m: Matrix(
+            n, n, [ONE if i == j else m[i, j] if j > i else 0 for i in range(n) for j in range(n)], field
+        )
+    )
+
+
+@st.composite
+def _pairs(draw):
+    n = draw(st.integers(1, 5))
+    field = draw(st.sampled_from([REAL, COMPLEX]))
+    t = draw(_unit_upper(n, field))
+    d = Matrix.diagonal(draw(st.lists(st.sampled_from([1, -1, 2]), min_size=n, max_size=n)), field)
+    return MatrixPair.from_matrices(draw(_matrices(n, field)), t.conj_transpose() @ d @ t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pairs())
+def test_serialize_parse_round_trip_and_reference_paths(pair):
+    text = serialize_pair(pair)
+    assert parse_pair(text) == pair
+    doc = json.loads(text)
+    for name, m in (("N", pair.n_op), ("H", pair.space.h)):
+        rows = doc[name]
+        # the serializer formats each entry as format_scalar does
+        assert rows == [[format_scalar(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
+        # the integer parse gives the matrix the scalar parse builds
+        reference = Matrix(pair.n, pair.n, [parse_scalar(c) for row in rows for c in row], pair.field)
+        assert _parse_matrix(rows, pair.n, pair.field, name) == reference == m
+
+
+def _cell(p, q, r, s):
+    if r is None:
+        return f"{p}/{q}"
+    return f"{p}/{q}{'-' if r < 0 else '+'}{abs(r)}/{s}i"
+
+
+_INTS = st.one_of(st.integers(-6, 6), st.sampled_from([10**40, -(10**40), 1000003]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([REAL, COMPLEX]),
+    st.lists(st.tuples(_INTS, st.integers(1, 6) | st.just(1000003), _INTS, st.integers(1, 6)), min_size=4, max_size=4),
+)
+def test_integer_parse_of_unreduced_cells_matches_the_scalar_parse(field, parts):
+    # cells like "4/6-2/4i" are not in lowest terms; the parse must reduce them
+    cells = [_cell(p, q, None if field == REAL else r, s) for p, q, r, s in parts]
+    rows = [cells[:2], cells[2:]]
+    reference = Matrix(2, 2, [parse_scalar(c) for c in cells], field)
+    assert _parse_matrix(rows, 2, field, "N") == reference
+    assert matrix_to_rows(reference) == [[format_scalar(z) for z in reference.row_list(i)] for i in range(2)]
+
+
+@pytest.mark.parametrize(
+    "cell, field, message",
+    [
+        ("1/0", COMPLEX, "N[1][0]: zero denominator in scalar string '1/0'"),
+        ("3/0i", COMPLEX, "N[1][0]: zero denominator in scalar string '3/0i'"),
+        ("zebra", COMPLEX, "N[1][0]: cannot parse scalar string 'zebra'"),
+        ("1/2i", REAL, "N[1][0] = '1/2i' is complex but the document declares a real field"),
+    ],
+)
+def test_cell_errors_name_the_cell(cell, field, message):
+    family = "complex-b" if field == COMPLEX else "real-d"
+    doc = _doc(build_witness(family, 1 if field == COMPLEX else 2, {}).pair)
+    doc["N"][1][0] = cell
+    with pytest.raises(SchemaError) as err:
+        parse_document(json.dumps(doc))
+    assert str(err.value) == message

@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
+from operator import ne
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from krein.exceptions import NotHermitian, SingularH
-from krein.matrices import COMPLEX, REAL, Matrix, hstack
+import krein.matrices
+from krein.matrices import COMPLEX, REAL, Matrix, _hermitian_inertia, char_poly, hstack
 from krein.scalars import ONE, ZERO, GaussianRational, parse_scalar
 from krein.spaces import (
     IndefiniteSpace,
@@ -22,7 +24,13 @@ from krein.spaces import (
     is_nondegenerate,
     signature,
 )
-from krein.witnesses import witness_complex_a_lower, witness_complex_a_upper
+from krein.witnesses import (
+    ALL_FAMILIES,
+    admissible_ks,
+    build_witness,
+    witness_complex_a_lower,
+    witness_complex_a_upper,
+)
 
 
 def rand_rational(rng, lim=3):
@@ -182,6 +190,85 @@ def test_signature_matches_congruence_reduction(case):
     assert _inertia_or_singular(signature, h) == expected
     if kind == "singular":
         assert expected == "singular"
+
+
+def descartes_inertia(h):
+    """Inertia (v_minus, v_plus) by Descartes' rule of signs on the
+    characteristic polynomial, which has only real roots for a Hermitian H:
+    v_plus is the number of sign changes of its coefficients. An oracle for
+    signature, independent of any congruence."""
+    coeffs = char_poly(h).coeffs
+    if not coeffs[0]:
+        raise SingularH("Gram matrix is singular")
+    signs = [c.re > 0 for c in coeffs if c]
+    v_plus = sum(map(ne, signs, signs[1:]))
+    return h.rows - v_plus, v_plus
+
+
+@settings(max_examples=150, deadline=None)
+@given(_hermitian_matrices())
+def test_signature_matches_descartes_rule(case):
+    h, _ = case
+    assert _inertia_or_singular(signature, h) == _inertia_or_singular(descartes_inertia, h)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_hermitian_matrices())
+def test_hermitian_inertia_counts_the_null_space(case):
+    h, kind = case
+    v_minus, v_zero, v_plus = _hermitian_inertia(h.rows, h._re, h._im)
+    assert v_minus + v_zero + v_plus == h.rows
+    assert v_zero == h.rows - h.rank()
+    if kind == "singular":
+        assert v_zero > 0
+    else:
+        assert v_zero or (v_minus, v_plus) == descartes_inertia(h)
+
+
+def test_zero_diagonal_with_imaginary_entries_adds_i_times_a_line(monkeypatch):
+    # every a_ij is pure imaginary, so row_i += row_j would leave a_ii = 0:
+    # the congruence must use c = i. H = iA for a real antisymmetric A with
+    # Pfaffian 1*6 - 2*5 + 3*4 = 8, so H is nonsingular with eigenvalues +-mu
+    a = [[0, 1, 2, 3], [-1, 0, 4, 5], [-2, -4, 0, 6], [-3, -5, -6, 0]]
+    h = Matrix.from_rows([[GaussianRational(0, x) for x in row] for row in a], COMPLEX)
+    assert h.is_hermitian()
+    calls = []
+    real_add_line = krein.matrices._add_line
+
+    def recording(ar, ai, k, j, u, v):
+        calls.append((u, v))
+        return real_add_line(ar, ai, k, j, u, v)
+
+    monkeypatch.setattr(krein.matrices, "_add_line", recording)
+    assert _hermitian_inertia(4, h._re, h._im) == (2, 0, 2)
+    assert calls and calls[0] == (0, 1)
+    assert signature(h) == congruence_inertia(h) == (2, 2)
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_signature_of_a_zero_diagonal_matrix_with_huge_entries(field):
+    # H = B D (J - I) D + E with B = 10^400, J the all-ones matrix, D a diagonal
+    # of signs and E a small Hermitian perturbation with zero diagonal. J - I
+    # has eigenvalues 23 (once) and -1 (23 times), and ||E|| < 100 << B, so by
+    # Weyl's inequality H has the inertia of J - I.
+    n, big = 24, 10**400
+    rng = random.Random(24)
+    sign = [rng.choice([1, -1]) for _ in range(n)]
+    ents = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            e = GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3) if field == COMPLEX else 0)
+            ents[i][j] = big * sign[i] * sign[j] + e
+            ents[j][i] = ents[i][j].conjugate()
+    assert signature(Matrix.from_rows(ents, field)) == (n - 1, 1)
+
+
+def test_witness_families_keep_their_signature():
+    for family in ALL_FAMILIES:
+        for k in admissible_ks(family, 4):
+            w = build_witness(family, k, {})
+            h = w.pair.space.h
+            assert signature(h) == w.expected_signature == descartes_inertia(h), (family, k)
 
 
 def test_rank_v():
