@@ -45,6 +45,7 @@ from .pairdoc import (
 from .scalars import format_scalar, parse_scalar
 from .spaces import is_h_normal
 from .witnesses import (
+    FAMILY_PARAMS,
     WitnessPair,
     admissible_ks,
     build_witness,
@@ -154,6 +155,43 @@ def _witness_metadata(w: WitnessPair) -> dict:
     if w.spec.r_params is not None:
         meta["r"] = [str(x) for x in w.spec.r_params]
     return meta
+
+
+def _rational(text: str) -> Fraction:
+    z = parse_scalar(text)
+    if z.im:
+        raise SchemaError(f"metadata parameter {text!r} is not real")
+    return z.re
+
+
+def _metadata_witness(meta: dict, n: int) -> WitnessPair | None:
+    """The witness that the metadata of an n x n pair document names, rebuilt
+    from its family, k (at most n, so the rebuild stays small), eigen_params
+    and r as :func:`_witness_metadata` writes them; None when the metadata
+    names no family."""
+    if "family" not in meta:
+        return None
+    family, k, values = meta["family"], meta.get("k"), meta.get("eigen_params")
+    family = _CLI_FAMILIES.get(family, family) if isinstance(family, str) else None
+    names = [name for name, _ in FAMILY_PARAMS[family][1]] if family in FAMILY_PARAMS else None
+    r = meta.get("r", [])
+    if (
+        names is None
+        or type(k) is not int
+        or not 1 <= k <= n
+        or not isinstance(values, list)
+        or len(values) != len(names)
+        or not isinstance(r, list)
+        or not all(isinstance(t, str) for t in values + r)
+    ):
+        raise SchemaError(
+            f"metadata must name a known family, an integer k from 1 to {n} and its eigen_params as strings"
+        )
+    cplx = family.startswith("complex")
+    params = {name: parse_scalar(t) if cplx else _rational(t) for name, t in zip(names, values)}
+    if r:
+        params["r"] = [_rational(t) for t in r]
+    return build_witness(family, k, params)
 
 
 def _cmd_generate(args) -> int:
@@ -290,7 +328,13 @@ def _audit_witness_case(family: str, k: int, budget: int, seed: int) -> dict:
 def _audit_extra_case(path: str, budget: int, seed: int) -> dict:
     t0 = time.perf_counter()
     pair, meta = _load(path)
+    witness = _metadata_witness(meta, pair.n)
     checks = {"h_normal": is_h_normal(pair)}
+    if witness is not None:
+        # a document that names its witness must be that witness, bit for bit
+        w = witness.pair
+        checks["witness_match"] = (w.field, w.n_op, w.space.h) == (pair.field, pair.n_op, pair.space.h)
+        checks["certificate_verified"] = verify_certificate(pair, certify_family(witness))
     record = {
         "input": {"path": path},
         "pair": pair_to_doc(pair, meta or None),

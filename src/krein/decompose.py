@@ -57,9 +57,13 @@ multiplicity below n needs its eigenspace.
 Every linear solve here (the commutant, its selfadjoint part, the real span
 of complex vectors and the candidate subspaces) is an exact kernel or pivot
 set read off the one sparse Gauss-Jordan core of :mod:`krein.matrices`. The
+commutant systems are built as integer rows from each matrix's (d, re, im),
+and their kernel vectors go back into that form, so no scalar is boxed: the
+rows of X A - A X = 0 are those of d (X A - A X), with the same kernel. The
 selfadjoint part is {X in commutant : HX Hermitian}: one product H B per
-basis element B, and integer rows from the upper triangle of the
-skew-Hermitian defect.
+basis element B, integer rows from the upper triangle of the
+skew-Hermitian defect, and each solution summed over the commutant basis
+written over its common denominator.
 
 Family certificates re-derive the specific argument that makes each witness
 family indecomposable. Each kind has one rule in one table (``_RULES``),
@@ -96,16 +100,18 @@ from .exceptions import CertificateCheckFailed, KreinError
 from .matrices import (
     COMPLEX,
     REAL,
+    IntRow,
     Matrix,
     _common_integer_form,
+    _integer_gauss_jordan,
+    _integer_kernel,
     _samuelson_berkowitz,
     char_poly,  # noqa: F401  (re-exported as krein.decompose.char_poly)
     hstack,
-    kernel_of_sparse_rows,
     mat_power,
 )
 from .polynomials import _integer_roots_with_mult, poly_roots
-from .scalars import GaussianRational, ZERO, as_scalar, format_scalar, parse_scalar
+from .scalars import as_scalar, format_scalar, parse_scalar
 from .spaces import (
     MatrixPair,
     SubspaceBasis,
@@ -169,67 +175,43 @@ class DecompositionVerdict:
 # -- commutants ------------------------------------------------------------
 
 
-def _sylvester_rows(a: Matrix, n: int):
-    """Sparse rows of the linear system (X A - A X) = 0 in the n^2 unknowns X_ij."""
+def _sylvester_rows(a: Matrix, n: int) -> list[IntRow]:
+    """Integer rows of d (X A - A X) = 0 in the n^2 unknowns X_ij, for
+    A = (re + i*im) / d: row (i, j) holds A_lj at X_il (l != j), -A_il at
+    X_lj (l != i) and A_jj - A_ii at X_ij."""
+    parts = (a._re, a._im) if a._im else (a._re,)
+    # per part of d A: the nonzero off-diagonal (l, A_lj) of each column j
+    # and (l, -A_il) of each row i
+    acols = [[[(l, p[l * n + j]) for l in range(n) if l != j and p[l * n + j]] for j in range(n)] for p in parts]
+    arows = [[[(l, -p[i * n + l]) for l in range(n) if l != i and p[i * n + l]] for i in range(n)] for p in parts]
     rows = []
-    acols: list[list[tuple[int, GaussianRational]]] = [
-        [(i, a[i, j]) for i in range(n) if a[i, j]] for j in range(n)
-    ]
-    arows: list[list[tuple[int, GaussianRational]]] = [
-        [(j, a[i, j]) for j in range(n) if a[i, j]] for i in range(n)
-    ]
     for i in range(n):
         for j in range(n):
-            row: dict[int, GaussianRational] = {}
-            for l, v in acols[j]:
-                key = i * n + l
-                nv = row.get(key, ZERO) + v
-                if nv:
-                    row[key] = nv
-                else:
-                    row.pop(key, None)
-            for l, v in arows[i]:
-                key = l * n + j
-                nv = row.get(key, ZERO) - v
-                if nv:
-                    row[key] = nv
-                else:
-                    row.pop(key, None)
-            if row:
+            row = ({}, {})
+            for part, p, cols, rws in zip(row, parts, acols, arows):
+                part.update((i * n + l, v) for l, v in cols[j])
+                part.update((l * n + j, v) for l, v in rws[i])
+                if p[j * n + j] != p[i * n + i]:
+                    part[i * n + j] = p[j * n + j] - p[i * n + i]
+            if row[0] or row[1]:
                 rows.append(row)
     return rows
 
 
 def _commutant_of(mats: Sequence[Matrix], n: int, field: str) -> list[Matrix]:
-    rows = []
-    for a in mats:
-        rows.extend(_sylvester_rows(a, n))
-    vecs = kernel_of_sparse_rows(rows, n * n)
+    rows = [row for a in mats for row in _sylvester_rows(a, n)]
     out = []
-    for v in vecs:
-        ents = [ZERO] * (n * n)
-        for idx, val in v.items():
-            ents[idx] = val
-        out.append(Matrix(n, n, ents, field))
+    for d, vec in _integer_kernel(_integer_gauss_jordan(rows), n * n):
+        re, im = [0] * (n * n), [0] * (n * n)
+        for idx, (x, y) in vec.items():
+            re[idx], im[idx] = x, y
+        out.append(Matrix._from_ints(n, n, d, re, im, field))
     return out
 
 
 def commutant_basis(pair: MatrixPair) -> list[Matrix]:
     """Exact basis of {X : XN = NX and X N^[*] = N^[*] X} over the base field."""
     return _commutant_of([pair.n_op, pair.adjoint], pair.n, pair.field)
-
-
-def _sparse_entries(m: Matrix) -> list[tuple[int, GaussianRational]]:
-    return [(idx, val) for idx, val in enumerate(m.entries) if val]
-
-
-def _combination(terms, sparse: Sequence[list], n: int, field: str) -> Matrix:
-    """The n x n matrix sum c * sparse[j] over the (j, c) in ``terms``."""
-    ents = [ZERO] * (n * n)
-    for j, c in terms:
-        for idx, val in sparse[j]:
-            ents[idx] = ents[idx] + val * c
-    return Matrix(n, n, ents, field)
 
 
 def _real_span_solutions(basis: Sequence[Matrix], h: Matrix) -> list[Matrix]:
@@ -239,10 +221,11 @@ def _real_span_solutions(basis: Sequence[Matrix], h: Matrix) -> list[Matrix]:
     real c_j, c'_j of X = sum (c_j + i c'_j) B_j. With P_j = h B_j, the
     defect hX - (hX)* = sum c_j (P_j - P_j*) + c'_j i (P_j + P_j*) is
     skew-Hermitian, so it vanishes when the real and imaginary parts of its
-    upper triangle do. Those are sparse rows over the integers (every P_j
-    written over one common denominator), and their kernel is read off the
-    one Gauss-Jordan core. Each solution is rebuilt as the sparse
-    combination sum (c_j + i c'_j) B_j.
+    upper triangle do. Those are sparse integer rows (every P_j written
+    over one common denominator), and their kernel is read off the one
+    Gauss-Jordan core. Each solution (c_j + i c'_j) = (u_j + i u'_j) / e is
+    summed as sum (u_j + i u'_j) (x + i y) over the integer basis lists
+    (x + i y) / d of :func:`_integer_basis`, into one matrix over e d.
     """
     if not basis:
         return []
@@ -255,28 +238,32 @@ def _real_span_solutions(basis: Sequence[Matrix], h: Matrix) -> list[Matrix]:
     for a in range(n):
         for b in range(a, n):
             above, below = a * n + b, b * n + a
-            re_row: dict[int, GaussianRational] = {}
-            im_row: dict[int, GaussianRational] = {}
+            re_row: dict[int, int] = {}
+            im_row: dict[int, int] = {}
             for j, o in enumerate(offsets):
                 x, y, u, v = pre[o + above], pim[o + above], pre[o + below], pim[o + below]
                 col = 2 * j if cplx else j
                 if x != u:
-                    re_row[col] = GaussianRational(x - u)
+                    re_row[col] = x - u
                 if y + v:
-                    im_row[col] = GaussianRational(y + v)
+                    im_row[col] = y + v
                 if cplx:  # the entries of i (P + P*)
                     if v != y:
-                        re_row[col + 1] = GaussianRational(v - y)
+                        re_row[col + 1] = v - y
                     if x + u:
-                        im_row[col + 1] = GaussianRational(x + u)
-            rows += [re_row, im_row]
-    sparse = [_sparse_entries(b) for b in basis]
+                        im_row[col + 1] = x + u
+            rows += [(re_row, {}), (im_row, {})]
+    d, sparse = _integer_basis(basis, n)
     out = []
-    for sol in kernel_of_sparse_rows(rows, 2 * m if cplx else m):
-        if cplx:  # merge the pair (c_j, c'_j) into c_j + i c'_j
-            merged = ((j, GaussianRational(sol.get(2 * j, ZERO).re, sol.get(2 * j + 1, ZERO).re)) for j in range(m))
-            sol = {j: c for j, c in merged if c}
-        out.append(_combination(sol.items(), sparse, n, field))
+    for e, sol in _integer_kernel(_integer_gauss_jordan(rows), 2 * m if cplx else m):
+        xre, xim = [0] * (n * n), [0] * (n * n)
+        for col, (u, _) in sol.items():
+            j, imaginary = divmod(col, 2) if cplx else (col, 0)
+            a, b = (0, u) if imaginary else (u, 0)
+            for idx, x, y in sparse[j]:  # (a + i b) (x + i y)
+                xre[idx] += a * x - b * y
+                xim[idx] += a * y + b * x
+        out.append(Matrix._from_ints(n, n, e * d, xre, xim, field))
     return out
 
 
@@ -294,8 +281,14 @@ def certify_scalar_commutant(pair: MatrixPair) -> Optional[Certificate]:
 def _evidence_scalar_commutant(pair: MatrixPair, basis=None) -> dict:
     if basis is None:
         basis = selfadjoint_commutant_basis(pair)
-    scalar = len(basis) == 1 and basis[0] == Matrix.identity(pair.n, pair.field) * basis[0][0, 0]
+    scalar = len(basis) == 1 and _is_scalar(basis[0])
     return {"selfadjoint_commutant_dim": len(basis), "scalar": bool(scalar)}
+
+
+def _is_scalar(m: Matrix) -> bool:
+    """m is a multiple of the identity, read off its integer form."""
+    step = m.rows + 1
+    return all(v == (part[0] if t % step == 0 else 0) for part in (m._re, m._im) for t, v in enumerate(part))
 
 
 def _integer_basis(basis: Sequence[Matrix], n: int) -> tuple[int, list[list[tuple[int, int, int]]]]:
@@ -390,7 +383,7 @@ def _evidence_projection_scalar(pair: MatrixPair, k: int) -> dict:
     cbasis = _commutant_of([n1], k, pair.field)
     sols = _real_span_solutions(cbasis, Matrix.identity(k, pair.field))
     dim = len(sols)
-    scalar = dim == 1 and sols[0] == Matrix.identity(k, pair.field) * sols[0][0, 0]
+    scalar = dim == 1 and _is_scalar(sols[0])
     return {
         "k": k,
         "layout_ok": bool(layout_ok),

@@ -22,15 +22,21 @@ multiples of the reduced row echelon form: each row is eliminated by cross
 multiplication, pivot rows are kept primitive with a positive integer
 pivot, and no fraction is formed. Rank, kernels, inverses and particular
 solutions are read off the integer pivot rows of d M, and kernels by one
-helper, ``_integer_kernel``, also for the sparse ``GaussianRational`` row
-systems of :mod:`krein.decompose` (:func:`kernel_of_sparse_rows` scales
-each row to integers first); :func:`_gauss_jordan` divides each pivot row
-by its pivot to give the RREF itself. The RREF is unique, so these results
-do not depend on how rows are ordered, scaled or stored.
+helper, ``_integer_kernel``, also for the integer commutant systems that
+:mod:`krein.decompose` builds from the (d, re, im) of its matrices.
+:func:`kernel_of_sparse_rows` and :func:`_gauss_jordan` take rows of
+``GaussianRational``s and scale each to integers first; :func:`_gauss_jordan`
+divides each pivot row by its pivot to give the RREF itself. The RREF is
+unique, so these results do not depend on how rows are ordered, scaled or
+stored.
 The one symmetric reduction is the Hermitian congruence of
 ``_hermitian_inertia``, which reads the inertia of a Hermitian
 Gaussian-integer matrix in O(n^3), fraction-free, with the entries kept at
 the primitive part of the minors.
+Starred arguments (``lcm(*[...])``, ``gcd(*[...])``) come from lists, not
+generators or iterators: those build their argument tuple by resizing, and
+the freed tuple lands on the free list of another size, so between full
+garbage collections such calls grow the interpreter's tuple free lists.
 Characteristic polynomials come from the division-free Samuelson-Berkowitz
 recurrence on the Gaussian-integer matrix d M (``_samuelson_berkowitz``),
 one code path for real and Gaussian entries, which also takes integer lists
@@ -450,7 +456,7 @@ class Matrix:
         pivot_rows = _integer_gauss_jordan(hstack([self, rhs])._sparse_rows())
         if any(p >= m for p in pivot_rows):
             raise SingularMatrix(failure)
-        d = lcm(*(big_p for big_p, _, _ in pivot_rows.values()))
+        d = lcm(*[big_p for big_p, _, _ in pivot_rows.values()])
         re, im = [0] * (m * k), [0] * (m * k)
         for i, (big_p, pre, pim) in pivot_rows.items():
             s = d // big_p
@@ -482,7 +488,7 @@ def _common_integer_form(mats: Sequence[Matrix]) -> tuple[int, list[int], list[i
     """(d, re, im) of the entries of ``mats`` in sequence over their common
     denominator d, as ``scalars.integer_form`` gives it: im is empty when
     every entry is real."""
-    d = lcm(*(m._d for m in mats))
+    d = lcm(*[m._d for m in mats])
     cplx = any(m._im for m in mats)
     re: list[int] = []
     im: list[int] = []
@@ -652,7 +658,7 @@ def _integer_kernel(pivot_rows: dict[int, list], ncols: int) -> list[tuple[int, 
             for c, (big_p, re, im) in pivot_rows.items()
             if f in re or f in im
         ]
-        d = lcm(*(big_p for _, big_p, _, _ in hits))
+        d = lcm(*[big_p for _, big_p, _, _ in hits])
         vec = {f: (d, 0)}
         for c, big_p, x, y in hits:
             vec[c] = (-x * (d // big_p), -y * (d // big_p))
@@ -720,7 +726,7 @@ def _hermitian_inertia(n: int, re: list[int], im: list[int]) -> tuple[int, int, 
             for row in ar:
                 x = s * row.pop(k)
                 row[:] = [ap * a - x * b for a, b in zip(row, rk)] if x else [ap * a for a in row]
-            g = gcd(*chain.from_iterable(ar))
+            g = gcd(*[a for row in ar for a in row])
             if g > 1:
                 ar = [[a // g for a in row] for row in ar]
             continue
@@ -735,7 +741,7 @@ def _hermitian_inertia(n: int, re: list[int], im: list[int]) -> tuple[int, int, 
             else:
                 row_r[:] = [ap * a for a in row_r]
                 row_i[:] = [ap * b for b in row_i]
-        g = gcd(*chain.from_iterable(ar), *chain.from_iterable(ai))
+        g = gcd(*[a for row in ar for a in row], *[b for row in ai for b in row])
         if g > 1:
             ar = [[a // g for a in row] for row in ar]
             ai = [[b // g for b in row] for row in ai]

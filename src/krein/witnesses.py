@@ -424,31 +424,28 @@ def witness_real_e(k: int, a1, b1, a2, b2) -> WitnessPair:
     return _finish(pair, spec, "RealE", 2 * k, (k, k), CERT_NEUTRAL_EIGENSPAN, **args)
 
 
+# each family's constructor and its eigen_params in WitnessSpec order, with
+# the defaults that build_witness fills in
+FAMILY_PARAMS = {
+    COMPLEX_A_LOWER: (witness_complex_a_lower, (("lambda", ZERO),)),
+    COMPLEX_A_UPPER: (witness_complex_a_upper, (("lambda", ZERO),)),
+    COMPLEX_B: (witness_complex_b, (("l1", 0), ("l2", 1))),
+    REAL_C_EVEN: (witness_real_c_even, (("alpha", 0), ("beta", 1))),
+    REAL_C_ODD: (witness_real_c_odd, (("alpha", 0), ("beta", 1))),
+    REAL_D: (witness_real_d, (("lambda", 1), ("alpha", 0), ("beta", 1))),
+    REAL_E: (witness_real_e, (("alpha1", 0), ("beta1", 1), ("alpha2", 1), ("beta2", 1))),
+}
+
+
 def build_witness(family: str, k: int, params: dict) -> WitnessPair:
     """Dispatch a witness construction from (family, k, named parameters)."""
-    if family == COMPLEX_A_LOWER:
-        return witness_complex_a_lower(k, params.get("lambda", ZERO))
+    if family not in FAMILY_PARAMS:
+        raise ParameterError(f"unknown witness family {family!r}")
+    make, names = FAMILY_PARAMS[family]
+    args = [params.get(name, default) for name, default in names]
     if family == COMPLEX_A_UPPER:
-        return witness_complex_a_upper(k, params.get("lambda", ZERO), params.get("r"))
-    if family == COMPLEX_B:
-        return witness_complex_b(k, params.get("l1", 0), params.get("l2", 1))
-    if family == REAL_C_EVEN:
-        return witness_real_c_even(k, params.get("alpha", 0), params.get("beta", 1))
-    if family == REAL_C_ODD:
-        return witness_real_c_odd(k, params.get("alpha", 0), params.get("beta", 1))
-    if family == REAL_D:
-        return witness_real_d(
-            k, params.get("lambda", 1), params.get("alpha", 0), params.get("beta", 1)
-        )
-    if family == REAL_E:
-        return witness_real_e(
-            k,
-            params.get("alpha1", 0),
-            params.get("beta1", 1),
-            params.get("alpha2", 1),
-            params.get("beta2", 1),
-        )
-    raise ParameterError(f"unknown witness family {family!r}")
+        args.append(params.get("r"))
+    return make(k, *args)
 
 
 def admissible_ks(family: str, kmax: int) -> list[int]:

@@ -180,6 +180,60 @@ def test_audit_tampered_extra_fails(tmp_path, capsys):
     assert any(not rec["passed"] for rec in records)
 
 
+def _audit_extra(tmp_path, capsys, doc):
+    extra = tmp_path / "extra.json"
+    extra.write_text(json.dumps(doc))
+    log = tmp_path / "audit.jsonl"
+    rc, _, err = run(capsys, "audit", "--kmax", "1", "--families", "b",
+                     "--log", str(log), "--extra", str(extra))
+    records = [json.loads(line) for line in log.read_text().splitlines()] if log.exists() else []
+    return rc, err, records
+
+
+def test_audit_rebuilds_the_witness_an_extra_document_names(tmp_path, capsys):
+    # b k=2 with N[0][1] changed from 1 to 7 stays H-normal; only the
+    # rebuilt witness tells it apart
+    out = tmp_path / "b2.json"
+    assert run(capsys, "generate", "--family", "b", "--k", "2", "--out", str(out))[0] == 0
+    doc = json.loads(out.read_text())
+    rc, _, records = _audit_extra(tmp_path, capsys, doc)
+    assert rc == 0
+    assert records[-1]["checks"]["witness_match"] is True
+    assert records[-1]["checks"]["certificate_verified"] is True
+
+    doc["N"][0][1] = "7"
+    rc, _, records = _audit_extra(tmp_path, capsys, doc)
+    assert rc == 1
+    checks = records[-1]["checks"]
+    assert checks["h_normal"] is True
+    assert checks["witness_match"] is False
+    assert not records[-1]["passed"]
+
+
+def test_audit_rebuilds_every_family_from_its_metadata(tmp_path, capsys):
+    for argv in (["a-lower", "--k", "2", "--lambda", "1+2i"], ["a-upper", "--k", "2", "--r", "3/5,4/5"],
+                 ["b", "--k", "3", "--l1", "1/2", "--l2", "i"], ["c-even", "--k", "2", "--alpha", "1/3"],
+                 ["c-odd", "--k", "3"], ["d", "--k", "2", "--beta", "1/2"], ["e", "--k", "4"]):
+        out = tmp_path / "w.json"
+        assert run(capsys, "generate", "--family", *argv, "--out", str(out))[0] == 0
+        rc, _, records = _audit_extra(tmp_path, capsys, json.loads(out.read_text()))
+        assert rc == 0, argv
+        assert records[-1]["checks"]["witness_match"] is True
+
+
+def test_audit_rejects_metadata_that_names_no_buildable_witness(tmp_path, capsys):
+    out = tmp_path / "b1.json"
+    assert run(capsys, "generate", "--family", "b", "--k", "1", "--out", str(out))[0] == 0
+    doc = json.loads(out.read_text())
+    for key, value in (("family", "f"), ("k", "1"), ("k", 10**9), ("eigen_params", ["0"]),
+                       ("eigen_params", ["0", "1/0"])):
+        bad = json.loads(json.dumps(doc))
+        bad["metadata"][key] = value
+        rc, err, _ = _audit_extra(tmp_path, capsys, bad)
+        assert rc == 2, (key, value)
+        assert err.startswith("error:")
+
+
 def test_version_flag(capsys):
     rc, out, _ = run(capsys, "--version")
     assert rc == 0

@@ -24,7 +24,7 @@ from krein.decompose import (
 from krein.exceptions import KreinError, ParameterError
 from krein.matrices import COMPLEX, REAL, Matrix, char_poly, hstack, kernel_of_sparse_rows
 from krein.polynomials import poly_gcd, poly_roots
-from krein.scalars import I_UNIT, GaussianRational, format_scalar, integer_form
+from krein.scalars import I_UNIT, ZERO, GaussianRational, format_scalar, integer_form
 from krein.spaces import (
     MatrixPair,
     direct_sum,
@@ -112,6 +112,105 @@ def test_glued_pair_selfadjoint_commutant_contains_block_projections():
     )
     assert _in_span(proj, basis)
     assert _in_span(Matrix.identity(4, COMPLEX) - proj, basis)
+
+
+# --- reference oracle for the commutant ----------------------------------------
+
+
+def _reference_sylvester_rows(a, n):
+    """Sparse GaussianRational rows of X A - A X = 0 in the n^2 unknowns X_ij."""
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            row = {}
+            for l in range(n):
+                for key, v in ((i * n + l, a[l, j]), (l * n + j, -a[i, l])):
+                    if v:
+                        nv = row.get(key, ZERO) + v
+                        if nv:
+                            row[key] = nv
+                        else:
+                            del row[key]
+            if row:
+                rows.append(row)
+    return rows
+
+
+def reference_commutant(mats, n, field):
+    """{X : X A = A X for every A in mats}, with boxed scalars throughout: the
+    Sylvester rows as GaussianRationals, their kernel from
+    ``kernel_of_sparse_rows`` and each basis matrix from its entries."""
+    rows = [row for a in mats for row in _reference_sylvester_rows(a, n)]
+    out = []
+    for v in kernel_of_sparse_rows(rows, n * n):
+        ents = [ZERO] * (n * n)
+        for idx, val in v.items():
+            ents[idx] = val
+        out.append(Matrix(n, n, ents, field))
+    return out
+
+
+_EXTREME = [Fraction(10**40), Fraction(-(10**40), 7), Fraction(1, 1000003)]
+_real_entries = st.sampled_from([0, 0, 1, -2] + _EXTREME)
+
+
+@st.composite
+def _commutant_inputs(draw):
+    """One or two n x n matrices: zero, scalar or dense, real or Gaussian,
+    with entries 10^40, -10^40/7 and 1/1000003 among small ones."""
+    field = draw(st.sampled_from([REAL, COMPLEX]))
+    n = draw(st.integers(1, 4))
+    entries = (
+        _real_entries
+        if field == REAL
+        else st.builds(GaussianRational, _real_entries, _real_entries)
+    )
+
+    def matrix():
+        kind = draw(st.sampled_from(["zero", "scalar", "dense", "dense"]))
+        if kind == "zero":
+            return Matrix.zeros(n, n, field)
+        if kind == "scalar":
+            return Matrix.identity(n, field) * draw(entries)
+        return Matrix(n, n, [draw(entries) for _ in range(n * n)], field)
+
+    return [matrix() for _ in range(draw(st.integers(1, 2)))], n, field
+
+
+def _assert_commutant_matches_the_reference(mats, n, field):
+    got = _commutant_of(mats, n, field)
+    assert [repr(x) for x in got] == [repr(x) for x in reference_commutant(mats, n, field)]
+    for x in got:
+        for a in mats:
+            assert x @ a == a @ x
+
+
+@settings(max_examples=60, deadline=None)
+@given(_commutant_inputs())
+def test_commutant_matches_the_boxed_reference(inputs):
+    _assert_commutant_matches_the_reference(*inputs)
+
+
+def test_commutant_of_witnesses_and_glued_sums_matches_the_boxed_reference():
+    for pair in _reference_pairs():
+        _assert_commutant_matches_the_reference([pair.n_op, pair.adjoint], pair.n, pair.field)
+
+
+def test_commutant_systems_do_no_scalar_arithmetic(monkeypatch):
+    # the commutant, its selfadjoint part and the certificates before any draw
+    # run on the integer form of each matrix: no GaussianRational is added,
+    # subtracted or multiplied
+    pairs = [build_witness(family, k, {}).pair for family in ALL_FAMILIES for k in admissible_ks(family, 3)]
+
+    def boxed(*args):
+        raise AssertionError("GaussianRational arithmetic")
+
+    for name in ("__add__", "__sub__", "__mul__"):
+        monkeypatch.setattr(GaussianRational, name, boxed)
+    for pair in pairs:
+        assert commutant_basis(pair)
+        assert selfadjoint_commutant_basis(pair)
+        assert search_decomposition(pair, budget=20, seed=SEED).status == "indecomposable"
 
 
 # --- reference oracle for the selfadjoint commutant ------------------------------

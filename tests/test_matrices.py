@@ -771,3 +771,36 @@ def test_integer_form_of_a_real_matrix_times_a_nonreal_scalar():
     _assert_integer_form(out, 2, 2, [GaussianRational(0, 10**40 // 2), ZERO, ZERO, GaussianRational(0, Fraction(1, 2000006))], COMPLEX)
     assert out._d == 2000006 and out._re == [0, 0, 0, 0]
     _assert_integer_form(a * GaussianRational(Fraction(1, 2)), 2, 2, [c * Fraction(1, 2) for c in a.entries], REAL)
+
+
+def test_repeated_eliminations_leave_no_blocks_behind():
+    # f(*generator) builds its argument tuple by resizing a 10-slot tuple, so
+    # the tuple it frees lands on the free list of another size: between full
+    # garbage collections, calls like lcm(*(... for ...)) grew the
+    # interpreter's tuple free lists by one tuple each, up to their caps
+    import gc
+    import sys
+
+    from krein.decompose import selfadjoint_commutant_basis
+    from krein.spaces import signature
+    from krein.witnesses import build_witness
+
+    pair = build_witness("complex-a-upper", 2, {}).pair
+    h = pair.space.h
+
+    def work():
+        selfadjoint_commutant_basis(pair)  # kernels and common integer forms
+        signature(h)  # the Hermitian congruence down to 1x1
+        h.inverse()  # a particular solution
+
+    gc.collect()
+    gc.disable()
+    try:
+        work()
+        before = sys.getallocatedblocks()
+        for _ in range(20):
+            work()
+        grown = sys.getallocatedblocks() - before
+    finally:
+        gc.enable()
+    assert grown < 20  # about 520 blocks with the starred generators
