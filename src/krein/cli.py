@@ -123,6 +123,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _collect_params(args) -> dict:
+    """The witness parameters given on the command line: eigenvalues as
+    scalars for a complex family and as reals for a real one (family d's
+    lambda), real parts, imaginary parts and r as reals."""
+    real = not _CLI_FAMILIES[args.family].startswith("complex")
     params = {}
     for flag, key in (
         ("lam", "lambda"),
@@ -131,13 +135,13 @@ def _collect_params(args) -> dict:
     ):
         val = getattr(args, flag, None)
         if val is not None:
-            params[key] = parse_scalar(val)
+            params[key] = _rational(val) if real else parse_scalar(val)
     for flag in ("alpha", "beta", "alpha1", "beta1", "alpha2", "beta2"):
         val = getattr(args, flag, None)
         if val is not None:
-            params[flag] = Fraction(val)
+            params[flag] = _rational(val)
     if getattr(args, "r", None):
-        params["r"] = [Fraction(tok) for tok in args.r.split(",") if tok]
+        params["r"] = [_rational(tok) for tok in args.r.split(",") if tok]
     return params
 
 
@@ -158,9 +162,11 @@ def _witness_metadata(w: WitnessPair) -> dict:
 
 
 def _rational(text: str) -> Fraction:
+    """A real parameter in the scalar grammar of :func:`parse_scalar`; a
+    malformed or nonreal value is an input error."""
     z = parse_scalar(text)
     if z.im:
-        raise SchemaError(f"metadata parameter {text!r} is not real")
+        raise SchemaError(f"parameter {text!r} is not real")
     return z.re
 
 
@@ -280,7 +286,7 @@ def _cmd_reduce(args) -> int:
         if has_lam:
             red = reduce_single_eigenvalue(pair, parse_scalar(args.lam))
         else:
-            red = reduce_conjugate_pair(pair, Fraction(args.alpha), Fraction(args.beta))
+            red = reduce_conjugate_pair(pair, _rational(args.alpha), _rational(args.beta))
     except (NotSingleEigenvalue, WrongSpectrum, S0NotNeutral) as exc:
         print(json.dumps({"path": args.path, "error": str(exc)}))
         return 1

@@ -49,7 +49,8 @@ denominator d as sparse integer lists, so each draw d X is an integer sum,
 and f = det(tI - d X) comes from the same Samuelson-Berkowitz recurrence as
 :func:`krein.matrices.char_poly`, on those lists. ``poly_roots`` sees only
 the primitive part of w(d t), for the squarefree part w of f: its roots are
-the eigenvalues mu of X, so the size of d never reaches the float solve.
+the eigenvalues mu of X, so its size, and the p-adic precision its roots
+need, do not grow with d.
 y = d mu is an integer root of f, and its multiplicity comes from exact
 synthetic division. A ``Matrix`` for X is built only when a root of
 multiplicity below n needs its eigenspace.

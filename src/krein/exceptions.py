@@ -50,7 +50,9 @@ class CertificateCheckFailed(KreinError):
 
 
 class RootFindingError(KreinError):
-    """The numeric root finder failed to converge; never silently ignored."""
+    """An irrational root has no float display value: a coefficient of its
+    factor, or the root itself, is past the float range. Never silently
+    ignored."""
 
 
 class SchemaError(KreinError):

@@ -1,25 +1,28 @@
 """Exact univariate polynomials over the Gaussian rationals, plus root finding.
 
 All polynomial arithmetic is exact. The gcd, Yun's squarefree decomposition
-and the root checks run on integers: a polynomial is written once over the
-lcm of its coefficient denominators as integer lists (re, im), im empty for a
+and root finding run on integers: a polynomial is written once over the lcm
+of its coefficient denominators as integer lists (re, im), im empty for a
 real polynomial, and kept primitive (coprime integer parts, a positive
 integer leading coefficient) through a pseudo-remainder sequence, so no step
-divides ``Fraction``s. Floating point enters only in :func:`poly_roots`, to
-propose Gaussian-rational roots by the Gauss lemma (exact evaluation over Z[i]
-accepts them) and to report the other roots, one per numeric root with no
-grouping, as approximate values; Sturm sequences count the real ones exactly.
+divides ``Fraction``s. :func:`poly_roots` finds every root in Q(i) exactly
+and p-adically: the roots of each squarefree factor modulo a prime
+p = 1 (mod 4) are Hensel-lifted, each candidate is read back off a reduced
+2-D lattice, and exact evaluation over Z[i] accepts it. Floating point enters
+only after that, for display values of the roots outside Q(i) (an
+Aberth-Ehrlich iteration); Sturm sequences count the real ones exactly.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import chain, count, islice
+from math import gcd, isqrt
 from operator import ne
 from typing import Iterable, Sequence, Union
-
-import numpy as np
 
 from .exceptions import ParameterError, RootFindingError
 from .scalars import ZERO, GaussianRational, as_scalar, integer_form
@@ -338,13 +341,10 @@ def _monic(f: ZPoly) -> Polynomial:
     )
 
 
-def _vanishes_at(f: ZPoly, z: GaussianRational) -> bool:
-    """f(z) == 0 exactly: with z = (a + b i) / q and d = deg f, Horner's rule
-    computes q^d f(z) = sum f_k (a + b i)^k q^(d-k) over Z[i]."""
+def _vanishes_at(f: ZPoly, a: int, b: int, q: int) -> bool:
+    """f((a + b i) / q) == 0 exactly, for q > 0: with d = deg f, Horner's rule
+    computes q^d f((a + b i) / q) = sum f_k (a + b i)^k q^(d-k) over Z[i]."""
     re, im = f
-    q = lcm(z.re.denominator, z.im.denominator)
-    a = z.re.numerator * (q // z.re.denominator)
-    b = z.im.numerator * (q // z.im.denominator)
     xr = xi = 0
     qk = 1
     for cr, ci in zip(reversed(re), reversed(im or [0] * len(re))):
@@ -365,45 +365,233 @@ class Root:
     is_exact: bool
 
 
-def _numeric_roots(f: ZPoly) -> list[complex]:
-    """Numeric roots of f from its monic coefficients as floats."""
+# -- roots in Q(i), p-adically -----------------------------------------------------
+#
+# A root r of a primitive squarefree f over Z[i] with positive integer lead L
+# has L r in Z[i] (Gauss lemma) and |L r| <= B = L + max_k (|Re f_k| + |Im f_k|)
+# (Cauchy). For a prime p = 1 (mod 4) and iota^2 = -1 (mod p^k), the ring map
+# Z[i] -> Z/p^k, i -> iota, has a principal kernel (alpha) with N(alpha) = p^k:
+# a square lattice of side sqrt(p^k). Once p^k > 8 B^2, L r is the only point
+# of its residue class within sqrt(p^k) / 2 of 0, so it is read back off
+# L rho mod p^k for the p-adic root rho it reduces to (Loos, SIAM J. Comput.
+# 1983; the reconstruction after Collins and Encarnacion, J. Symbolic Comput.
+# 1995). When p does not divide L and f mod p is squarefree, every root in Q(i)
+# reduces to a simple root of f mod p, which lifts to exactly one rho, so
+# none is missed.
+
+
+def _split_primes():
+    """(p, iota) for the primes p = 1 (mod 4), ascending, with iota^2 = -1
+    (mod p): iota = c^((p-1)/4) for the least quadratic nonresidue c."""
+    for p in count(5, 4):
+        if all(p % q for q in range(3, isqrt(p) + 1, 2)):
+            c = next(c for c in count(2) if pow(c, p // 2, p) == p - 1)
+            yield p, pow(c, p // 4, p)
+
+
+# The first primes of _split_primes. An f for which each of them divides the
+# lead or leaves f mod p with a repeated factor takes the next ones.
+_PRIMES = tuple(islice(_split_primes(), 8))
+
+
+def _exact_roots(f: ZPoly) -> list[tuple[int, int]]:
+    """The roots r in Q(i) of a primitive squarefree f of degree >= 1, as the
+    Gaussian integers L r = x + y i for the lead L: each root of f mod p is
+    Hensel-lifted (Newton steps, doubling the precision) until p^k > 8 B^2,
+    L rho is read back off the kernel lattice of Z[i] -> Z/p^k, and the
+    candidate is kept only if f vanishes there exactly."""
     re, im = f
+    im = im or [0] * len(re)
+    lead = re[-1]
+    for p, iota in chain(_PRIMES, islice(_split_primes(), len(_PRIMES), None)):
+        if lead % p:
+            fp = [(x + iota * y) % p for x, y in zip(re, im)]
+            if len(_fp_gcd(fp, _fp_trim([k * c % p for k, c in enumerate(fp)][1:]), p)) == 1:
+                break
+    rhos = _fp_roots(fp, p)
+    if not rhos:
+        return []
+    bound = lead + max(abs(x) + abs(y) for x, y in zip(re[:-1], im))
+    m = p
+    while m <= 8 * bound * bound:
+        m *= m
+        iota = (iota - (iota * iota + 1) * pow(2 * iota, -1, m)) % m
+        g = [(x + iota * y) % m for x, y in zip(re, im)]
+        dg = [k * c for k, c in enumerate(g)][1:]
+        rhos = [(r - _eval_mod(g, r, m) * pow(_eval_mod(dg, r, m), -1, m)) % m for r in rhos]
+    a, b = _kernel_generator(m, iota)
+    out = []
+    for r in rhos:
+        # L rho minus the nearest point of the lattice (a + b i) Z[i]
+        c = lead * r % m
+        qa, qb = _round_div(c * a, m), _round_div(-c * b, m)
+        x, y = c - a * qa + b * qb, -a * qb - b * qa
+        if _vanishes_at(f, x, y, lead):
+            out.append((x, y))
+    return out
+
+
+# Polynomials over F_p are ascending coefficient lists in 0..p-1 with a
+# nonzero last coefficient; [] is zero.
+
+
+def _fp_roots(f: list[int], p: int) -> list[int]:
+    """The roots in F_p of a squarefree f of degree >= 1: the product of its
+    linear factors h = gcd(f, t^p - t), split by gcd(h, (t + a)^((p-1)/2) - 1)
+    for the shifts a = 0, 1, 2, ... (Cantor-Zassenhaus, made deterministic:
+    two distinct roots differ in quadratic character after some shift)."""
+    x = _fp_powmod(0, p, f, p) + [0, 0]
+    x[1] -= 1
+    return _fp_split(_fp_gcd(f, _fp_trim([c % p for c in x]), p), p)
+
+
+def _fp_split(h: list[int], p: int) -> list[int]:
+    """The roots of a product h of distinct linear factors over F_p."""
+    if len(h) <= 2:
+        return [-h[0] * pow(h[1], -1, p) % p] if len(h) == 2 else []
+    for a in count():
+        s = _fp_powmod(a, p // 2, h, p) or [0]
+        s[0] -= 1
+        g = _fp_gcd(h, _fp_trim([c % p for c in s]), p)
+        if 1 < len(g) < len(h):
+            return _fp_split(g, p) + _fp_split(_fp_divmod(h, g, p)[0], p)
+
+
+def _fp_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder over F_p of a (any integer list) by a nonzero b."""
+    a = list(a)
+    m = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    q = [0] * max(len(a) - m, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = a.pop() * inv % p
+        if c:
+            for j in range(m):
+                a[k + j] -= c * b[j]
+    return q, _fp_trim([x % p for x in a])
+
+
+def _fp_trim(a: list[int]) -> list[int]:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    while b:
+        a, b = b, _fp_divmod(a, b, p)[1]
+    return a
+
+
+def _fp_powmod(a: int, e: int, f: list[int], p: int) -> list[int]:
+    """(t + a)^e mod f over F_p for e >= 1, by left-to-right squaring (a step
+    that multiplies by t + a is a shift and an add)."""
+    x = _fp_divmod([a, 1], f, p)[1]
+    for bit in bin(e)[3:]:
+        sq = [0] * (2 * len(x) - 1) if x else []
+        for i, u in enumerate(x):
+            if u:
+                for j, v in enumerate(x):
+                    sq[i + j] += u * v
+        if bit == "1":
+            sq = [a * u + v for u, v in zip(sq + [0], [0] + sq)]
+        x = _fp_divmod(sq, f, p)[1]
+    return x
+
+
+def _eval_mod(g: list[int], x: int, m: int) -> int:
+    acc = 0
+    for c in reversed(g):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _kernel_generator(m: int, iota: int) -> tuple[int, int]:
+    """A shortest nonzero (a, b) with a + b iota = 0 (mod m), by Gauss
+    reduction of the lattice basis (m, 0), (-iota, 1). For iota^2 = -1 (mod m)
+    that lattice is the kernel of Z[i] -> Z/m, i -> iota, and a + b i
+    generates it, with a^2 + b^2 = m."""
+    u, v = (m, 0), (-iota, 1)
+    while True:
+        nv = v[0] * v[0] + v[1] * v[1]
+        q = _round_div(u[0] * v[0] + u[1] * v[1], nv)
+        u = (u[0] - q * v[0], u[1] - q * v[1])
+        if u[0] * u[0] + u[1] * u[1] >= nv:
+            return v
+        u, v = v, u
+
+
+def _round_div(x: int, m: int) -> int:
+    """The integer nearest x / m, for m > 0 (halves round up)."""
+    return (2 * x + m) // (2 * m)
+
+
+# -- display values for the other roots --------------------------------------------
+
+
+def _approximate_roots(g: ZPoly) -> list[complex]:
+    """Display values for the roots of a squarefree g over Z[i] of degree >= 1,
+    by the Aberth-Ehrlich iteration on its monic float coefficients. The
+    Newton ratio g/g' at z is taken from g at z when |z| <= 1 and from the
+    reversed polynomial at 1/z otherwise, so no power of z overflows. A
+    coefficient or root past the float range raises RootFindingError."""
+    re, im = g
+    im = im or [0] * len(re)
     lead = re[-1]
     try:
-        coeffs = [complex(x / lead, y / lead) for x, y in zip(reversed(re), reversed(im or [0] * len(re)))]
-    except OverflowError as exc:
-        raise RootFindingError(f"coefficient too large for a float ({exc})") from None
-    vals = np.roots(np.asarray(coeffs, dtype=complex))
-    if not np.all(np.isfinite(vals)):
-        raise RootFindingError("numeric root finder returned non-finite values")
-    return [complex(v) for v in vals]
-
-
-def _round_to(z: GaussianRational, q: int) -> GaussianRational:
-    """The nearest point of the grid (Z + Z i) / q to z, computed exactly."""
-    return GaussianRational(Fraction(round(z.re * q), q), Fraction(round(z.im * q), q))
-
-
-def _candidates(f: ZPoly, z: complex):
-    """Candidate roots in Q(i) for the numeric root z of f: a root r of the
-    primitive f has L r in Z[i] for its positive integer lead L (Gauss lemma),
-    so round L z. A double may not resolve L z (L |z| >= 2^50, or a badly
-    conditioned root), so the second comes from z after at most 8 exact Newton
-    steps, stopped once L |step| < 1/4, on the grid Z[i] / (2^64 L)."""
-    lead = f[0][-1]
-    w = GaussianRational(Fraction(z.real), Fraction(z.imag))
-    yield _round_to(w, lead)
-    g = _monic(f)
-    dg = g.derivative()
-    for _ in range(8):
-        slope = dg.evaluate(w)
-        if not slope:
+        cs = [complex(x / lead, y / lead) for x, y in zip(re, im)]
+        zs = _aberth_start(re, im)
+    except OverflowError:
+        raise RootFindingError("coefficient too large for a float") from None
+    n = len(cs) - 1
+    for _ in range(100):
+        moved = overflowed = False
+        for k, z in enumerate(zs):
+            outer = abs(z) > 1
+            w = 1 / z if outer else z
+            v = dv = 0j
+            for c in cs if outer else reversed(cs):
+                dv = dv * w + v
+                v = v * w + c
+            # g/g' = num/den; past the unit circle v is rev(w) = w^n g(1/w),
+            # and g/g' = z rev / (n rev - w rev')
+            num, den = (z * v, n * v - w * dv) if outer else (v, dv)
+            # the Aberth step (g/g') / (1 - (g/g') sum_u 1/(z - u))
+            den -= num * sum(1 / (z - u) for u in zs if u != z)
+            step = num / den if den else 0j
+            if cmath.isfinite(step) and cmath.isfinite(z - step):
+                zs[k] = z - step
+                moved = moved or abs(step) > 2**-48 * abs(z)
+            else:
+                overflowed = True
+        if not moved:
             break
-        step = g.evaluate(w) / slope
-        w = _round_to(w - step, lead << 64)
-        if 16 * lead * lead * step.norm_sq() < 1:
-            break
-    yield _round_to(w, lead)
+    if overflowed:
+        raise RootFindingError("a root is too large for a float")
+    return zs
+
+
+def _aberth_start(re: list[int], im: list[int]) -> list[complex]:
+    """Starting points for the Aberth-Ehrlich iteration (Bini, Numer.
+    Algorithms 1996): for each edge (i, j) of the upper convex hull of the
+    points (k, log2 |g_k|), j - i points spread on the circle of radius
+    (|g_i| / |g_j|)^(1/(j-i)), about where that many roots lie."""
+    hull: list[tuple[int, float]] = []
+    for k, (x, y) in enumerate(zip(re, im)):
+        if x or y:
+            h = math.log2(abs(x) + abs(y))
+            # drop the last hull point while it is not above the chord to (k, h)
+            while len(hull) > 1 and (hull[-1][0] - hull[-2][0]) * (h - hull[-2][1]) >= (
+                hull[-1][1] - hull[-2][1]
+            ) * (k - hull[-2][0]):
+                hull.pop()
+            hull.append((k, h))
+    n = len(re) - 1
+    return [
+        cmath.rect(2.0 ** ((a - b) / (j - i)), 2 * math.pi * (t / (j - i) + i / n) + 0.7)
+        for (i, a), (j, b) in zip(hull, hull[1:])
+        for t in range(j - i)
+    ]
 
 
 def _real_root_count(f: ZPoly) -> int:
@@ -423,41 +611,34 @@ def _real_root_count(f: ZPoly) -> int:
 
 
 def poly_roots(p: Polynomial) -> list[Root]:
-    """All complex roots with multiplicity.
+    """All complex roots with multiplicity: the exact roots in Q(i) first, in
+    ascending (re, im) order, then the approximate ones.
 
-    Each numeric root of a squarefree factor proposes :func:`_candidates`,
-    accepted if not yet taken, nearest to that numeric root and vanishing
-    exactly over Z[i] (:func:`_vanishes_at`). Each other numeric root is one
-    approximate root, in (re, im) order. In a real factor, as many of them as
-    :func:`_real_root_count` leaves after the exact real roots, those of
-    smallest |imag|, get imag 0.0 and the others a nonzero one (the least
-    subnormal, signed, for a 0.0), so ``imag == 0`` is exactly realness.
+    Each squarefree factor of Yun's decomposition gives its roots in Q(i)
+    exactly, found p-adically (:func:`_exact_roots`) and each checked by exact
+    evaluation over Z[i]; no float enters. They are divided out exactly, and
+    only the cofactor, which has no root in Q(i), gets approximate display
+    values (:func:`_approximate_roots`), in (re, im) order. In a real cofactor
+    as many of them as its Sturm sequence counts real roots
+    (:func:`_real_root_count`), those of smallest |imag|, get imag 0.0 and the
+    others a nonzero one (the least subnormal, signed, for a 0.0), so
+    ``imag == 0`` is exactly realness.
     """
     if p.degree < 1:
         raise ParameterError("root finding needs degree >= 1")
     exact: list[Root] = []
     approx: list[Root] = []
     for factor, mult in _squarefree_parts(_integer_poly(p)):
-        degree = len(factor[0]) - 1
-        found: list[GaussianRational] = []
-        leftovers: list[complex] = []
-        numeric = _numeric_roots(factor)
-        for z in numeric:
-            if len(found) == degree:
-                break
-            for cand in _candidates(factor, z):
-                # z claims only a candidate it is the nearest numeric root to,
-                # never a neighbouring exact root
-                c = cand.to_complex()
-                if cand not in found and abs(z - c) <= min(abs(w - c) for w in numeric) and _vanishes_at(factor, cand):
-                    found.append(cand)
-                    break
-            else:
-                leftovers.append(z)
-        exact.extend(Root(cand, mult, True) for cand in found)
-        leftovers.sort(key=lambda v: (v.real, v.imag))
-        if leftovers and not factor[1]:
-            n_real = _real_root_count(factor) - sum(1 for cand in found if cand.is_real)
+        lead = factor[0][-1]
+        found = _exact_roots(factor)
+        exact.extend(Root(GaussianRational(Fraction(x, lead), Fraction(y, lead)), mult, True) for x, y in found)
+        if len(found) == len(factor[0]) - 1:
+            continue
+        for x, y in found:
+            factor = _exact_quotient(factor, _primitive([-x, lead], [-y, 0] if y else []))
+        leftovers = sorted(_approximate_roots(factor), key=lambda v: (v.real, v.imag))
+        if not factor[1]:
+            n_real = _real_root_count(factor)
             for rank, j in enumerate(sorted(range(len(leftovers)), key=lambda j: abs(leftovers[j].imag))):
                 z = leftovers[j]
                 leftovers[j] = complex(z.real, 0.0 if rank < n_real else z.imag or (-1) ** rank * 5e-324)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from krein.cli import main
 from krein.pairdoc import parse_document, serialize_pair
 from krein.spaces import direct_sum
@@ -27,6 +29,34 @@ def test_generate_rejects_odd_k_for_family_d(capsys):
     rc, _, err = run(capsys, "generate", "--family", "d", "--k", "3")
     assert rc == 2
     assert "even" in err
+
+
+def test_generate_family_d_takes_a_real_lambda(capsys):
+    rc, out, _ = run(capsys, "generate", "--family", "d", "--k", "2", "--lambda", "2")
+    assert rc == 0
+    assert json.loads(out)["metadata"]["eigen_params"] == ["2", "0", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--family", "d", "--k", "2", "--lambda", "2i"],
+        ["generate", "--family", "c-even", "--k", "2", "--alpha", "1/0"],
+        ["generate", "--family", "a-upper", "--k", "1", "--r", "1/0"],
+    ],
+)
+def test_generate_bad_parameter_is_an_input_error(capsys, argv):
+    rc, _, err = run(capsys, *argv)
+    assert rc == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_reduce_zero_denominator_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    assert run(capsys, "generate", "--family", "c-even", "--k", "2", "--out", str(path))[0] == 0
+    rc, _, err = run(capsys, "reduce", str(path), "--alpha", "1/0", "--beta", "1")
+    assert rc == 2
+    assert err.startswith("error:")
 
 
 def test_generate_upper_default_r_in_metadata(capsys):
@@ -239,13 +269,15 @@ def test_version_flag(capsys):
     assert rc == 0
 
 
-def test_classify_overflowing_eigenvalue_is_exit_one(tmp_path, capsys):
-    # 10^400 has no float; root finding must fail as a KreinError, not escape
+def test_classify_reports_a_huge_eigenvalue_exactly(tmp_path, capsys):
+    # 10^400 has no float, and the exact spectrum does not need one
     path = tmp_path / "huge.json"
     path.write_text(serialize_pair(witness_complex_b(1, 10**400, 0).pair))
-    rc, _, err = run(capsys, "classify", str(path))
-    assert rc == 1
-    assert err.startswith("error:")
+    rc, out, _ = run(capsys, "classify", str(path))
+    assert rc == 0
+    report = json.loads(out)
+    assert report["case"] == "ComplexB"
+    assert [(e["value"], e["exact"]) for e in report["eigenvalues"]] == [("0", True), (str(10**400), True)]
 
 
 def test_audit_streams_records_before_a_bad_extra_document(tmp_path, capsys):

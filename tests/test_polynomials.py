@@ -13,6 +13,7 @@ from krein.decompose import certify_family, verify_certificate
 from krein.exceptions import ParameterError, RootFindingError
 from krein.matrices import char_poly
 from krein.polynomials import (
+    _PRIMES,
     Polynomial,
     _integer_poly,
     _integer_roots_with_mult,
@@ -23,7 +24,7 @@ from krein.polynomials import (
     poly_roots,
     squarefree_decomposition,
 )
-from krein.scalars import GaussianRational
+from krein.scalars import GaussianRational, as_scalar
 from krein.witnesses import witness_complex_b, witness_real_e
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -150,13 +151,24 @@ def test_degree_zero_rejected():
         poly_roots(Polynomial([3]))
 
 
-def test_nonfinite_numeric_roots_are_reported(monkeypatch):
-    import numpy as np
-    import krein.polynomials as polys
+def test_irrational_root_past_the_float_range_is_reported():
+    # t^2 - 2 10^800 has no root in Q(i), and its coefficients have no float
+    # for the display values: the one error left in root finding. In
+    # t^2 - 1.7 10^308 t + 2 the coefficients are floats but the large root's
+    # Newton steps overflow, which must not pass as a display value
+    for p in (Polynomial([-2 * 10**800, 0, 1]), Polynomial([2, -17 * 10**307, 1])):
+        with pytest.raises(RootFindingError):
+            poly_roots(p)
 
-    monkeypatch.setattr(polys.np, "roots", lambda c: np.array([np.nan + 0j]))
-    with pytest.raises(RootFindingError):
-        poly_roots(Polynomial([1, 1]))
+
+def test_display_values_of_far_apart_irrational_roots():
+    # +-sqrt(2) 10^100 and +-sqrt(3) i: the fourth power of the large roots
+    # has no float, and they are 10^100 times the small ones
+    roots = poly_roots(Polynomial([-2 * 10**200, 0, 1]) * Polynomial([3, 0, 1]))
+    assert not any(r.is_exact for r in roots)
+    expected = [-math.sqrt(2) * 1e100, -math.sqrt(3) * 1j, math.sqrt(3) * 1j, math.sqrt(2) * 1e100]
+    assert all(abs(r.value - z) <= 1e-12 * abs(z) for r, z in zip(roots, expected))
+    assert [r.value.imag == 0 for r in roots] == [True, False, False, True]
 
 
 def test_poly_from_roots_round_trip():
@@ -195,14 +207,17 @@ def test_snap_on_real_e_neighbouring_conjugate_pairs():
     assert verify_certificate(w.pair, certify_family(w))
 
 
-def test_huge_coefficient_raises_root_finding_error():
-    # Yun's algorithm runs on integers, so only the float conversion for the
-    # numeric solve can overflow; it must surface as RootFindingError
+def test_huge_root_is_found_exactly():
+    # no float enters the search for roots in Q(i), so a root past the float
+    # range is found with its multiplicity
     t = Polynomial([0, 1])
     p = (t - Polynomial([10**400])) ** 2 * (t - Polynomial([1]))
     assert squarefree_decomposition(p)[1] == (t - Polynomial([10**400]), 2)
-    with pytest.raises(RootFindingError):
-        poly_roots(p)
+    roots = poly_roots(p)
+    assert [(r.value, r.multiplicity, r.is_exact) for r in roots] == [
+        (GaussianRational(1), 1, True),
+        (GaussianRational(10**400), 2, True),
+    ]
 
 
 @pytest.mark.parametrize("c", [Fraction(1, 10**17), Fraction(1, 10**20), Fraction(1, 10**30)])
@@ -356,6 +371,58 @@ def test_roots_of_a_product_are_found_exactly(case):
     assert sum(r.multiplicity for r in roots if not r.is_exact) == 2
 
 
+_huge_rationals = st.builds(Fraction, st.integers(-(10**400), 10**400), st.integers(1, 10**30))
+
+
+@st.composite
+def _huge_roots_times_quadratic(draw):
+    """Up to three distinct Gaussian-rational roots with parts up to 10^400
+    and denominators up to 10^30, multiplicities 1 to 3, times an irreducible
+    quadratic."""
+    gaussian = draw(st.booleans())
+    values = st.builds(GaussianRational, _huge_rationals, _huge_rationals if gaussian else st.just(0))
+    roots = draw(st.lists(values, min_size=1, max_size=3, unique=True))
+    mults = [draw(st.integers(1, 3)) for _ in roots]
+    p = Polynomial(draw(st.sampled_from(_IRREDUCIBLE_QUADRATICS)))
+    for r, m in zip(roots, mults):
+        p = p * Polynomial([-r, 1]) ** m
+    return p, set(zip(roots, mults))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_huge_roots_times_quadratic())
+@example(
+    (
+        Polynomial([1, 1, 1])
+        * Polynomial([-GaussianRational(Fraction(10**400 - 1, 10**30 - 1), Fraction(-(10**400), 7)), 1]) ** 3,
+        {(GaussianRational(Fraction(10**400 - 1, 10**30 - 1), Fraction(-(10**400), 7)), 3)},
+    )
+)
+def test_huge_and_fine_roots_are_found_exactly(case):
+    p, expected = case
+    roots = poly_roots(p)
+    assert {(r.value, r.multiplicity) for r in roots if r.is_exact} == expected
+    assert sum(r.multiplicity for r in roots if not r.is_exact) == 2
+
+
+def test_bad_primes_are_skipped():
+    # q is divisible by every prime of the list, which divides the lead of
+    # the first polynomial and, mod each prime, makes two roots of the others
+    # coincide; every prime is skipped and the roots come from a later one
+    assert all(p % 4 == 1 and (iota * iota + 1) % p == 0 for p, iota in _PRIMES)
+    q = math.prod(p for p, _ in _PRIMES)
+    t = Polynomial([0, 1])
+    i = GaussianRational(0, 1)
+    for p, expected in (
+        (Polynomial([-1, q]) * Polynomial([3, 0, 1]), [Fraction(1, q)]),
+        (t * (t - Polynomial([q])) * Polynomial([1, 1, 1]), [0, q]),
+        ((t - Polynomial([i])) * (t - Polynomial([q + i])) * Polynomial([-2, 0, 1]), [i, q + i]),
+    ):
+        roots = poly_roots(p)
+        assert [(r.value, r.multiplicity) for r in roots if r.is_exact] == [(as_scalar(r), 1) for r in expected]
+        assert sum(1 for r in roots if not r.is_exact) == 2
+
+
 _real_coeffs = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6))
 
 
@@ -428,6 +495,14 @@ def test_integer_roots_with_multiplicity_match_poly_roots(p, d):
 
 def test_importing_krein_does_not_import_sympy():
     code = "import sys; sys.path.insert(0, sys.argv[1]); import krein; print('sympy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(SRC)], capture_output=True, text=True, timeout=120, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
+def test_importing_krein_does_not_import_numpy():
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import krein; print('numpy' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code, str(SRC)], capture_output=True, text=True, timeout=120, check=True
     )
