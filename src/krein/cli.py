@@ -64,6 +64,8 @@ _FAMILY_TO_CLI = {v: k for k, v in _CLI_FAMILIES.items()}
 
 # the errors reported as input errors (exit code 2)
 _INPUT_ERRORS = (SchemaError, NotHermitian, SingularH, ParameterError, ValueError)
+# the decider is deterministic; the two flags stay for the callers that pass them
+_RECORDED_ONLY = "recorded in the verdict; changes nothing else"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,10 +99,10 @@ def build_parser() -> argparse.ArgumentParser:
         s = sub.add_parser(name, help=help_text)
         s.add_argument("paths", nargs="+")
 
-    d = sub.add_parser("decompose", help="search for a decomposition witness")
+    d = sub.add_parser("decompose", help="decide decomposability and give a splitting subspace")
     d.add_argument("paths", nargs="+")
-    d.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    d.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    d.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=_RECORDED_ONLY)
+    d.add_argument("--seed", type=int, default=DEFAULT_SEED, help=_RECORDED_ONLY)
 
     r = sub.add_parser("reduce", help="canonical corner reduction")
     r.add_argument("path")
@@ -116,8 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=",".join(sorted(_CLI_FAMILIES)),
     )
     a.add_argument("--log", default="krein-audit.jsonl")
-    a.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    a.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    a.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=_RECORDED_ONLY)
+    a.add_argument("--seed", type=int, default=DEFAULT_SEED, help=_RECORDED_ONLY)
     a.add_argument("--extra", action="append", default=[], help="extra pair document to audit")
     return p
 

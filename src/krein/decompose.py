@@ -1,59 +1,57 @@
-"""Certified indecomposability checks and a sound decomposition search.
+"""The exact decomposability decider, its certificates and splitting subspaces.
 
 A decomposition of a pair is a proper nondegenerate subspace invariant under
 both the operator and its H-adjoint. Its H-orthogonal projection is a
-selfadjoint idempotent commuting with both, so:
+selfadjoint idempotent commuting with both. One signature decides whether
+there is one.
 
-* if the selfadjoint commutant is exactly the real scalars, the pair is
-  indecomposable (certificate ``scalar_selfadjoint_commutant``);
-* more generally, if the image of the selfadjoint commutant modulo the
-  radical is R or a copy of C, it has no idempotent but 0 and 1, so the
-  pair is indecomposable (certificate ``selfadjoint_quotient_field``, below);
-* conversely, the searcher samples selfadjoint commutant elements X with small
-  integer coefficients. For each rational root mu of the exact characteristic
-  polynomial of X, of multiplicity m < n, the generalized eigenspace
-  ker (X - mu)^m is a decomposition: it is invariant because X commutes with
-  both operators, and nondegenerate because an H-selfadjoint X has
-  H-orthogonal generalized eigenspaces for eigenvalues lambda != conj(nu)
+The decider. Let S be the selfadjoint commutant, the X = X^[*] that commute
+with N and N^[*], and G(X, Y) = tr(XY) on S. G is real, since
+conj tr(XY) = tr((XY)^[*]) = tr(YX), and I is in S with G(I, I) = n > 0. The
+pair is decomposable iff the positive index of G is at least 2:
+
+* If the pair is decomposable, its projection P gives u = 2P - I in S with
+  u^2 = I and |tr u| < n, since P != 0, I. The Gram matrix
+  [[n, tr u], [tr u, n]] of (I, u) is positive definite, so G has two
+  positive directions.
+* Conversely, a plane on which G is positive definite meets the
+  G-orthogonal complement of I: some x in S has tr x = 0 and tr x^2 > 0.
+  The spectrum of the H-selfadjoint x holds conj(lambda) as often as
+  lambda. If it were one real lambda, tr x = 0 would give lambda = 0 and
+  tr x^2 = 0; if it were one pair a +- ib with b != 0, tr x = 0 would give
+  a = 0 and tr x^2 = -n b^2 < 0. So it falls into at least two classes
+  closed under conjugation. The generalized eigenspaces of an
+  H-selfadjoint x are H-orthogonal for eigenvalues lambda != conj(nu)
   (Gohberg, Lancaster and Rodman, *Indefinite Linear Algebra and Its
-  Applications*, 2005). Candidates are still verified exactly before being
-  reported, so ``decomposable`` verdicts are sound; exhausting the budget
-  yields ``unknown``. Verdicts are deterministic given (budget, seed).
+  Applications*, 2005), so the sum of those of one class is proper,
+  nondegenerate and defined over the base field. It is invariant under N
+  and N^[*], which commute with x.
 
-The trace-form certificate. Let C be the commutant of {N, N^[*]}, S its
-selfadjoint part and Q_s the image of S in C / rad C. C is closed under X ->
-X^[*], and rad C is the kernel of the trace form (X, Y) -> tr(XY) on C
-(Dickson's criterion; the characteristic is 0). For X, Y in S, tr(XY) is
-real, since conj tr(XY) = tr((XY)^[*]) = tr(YX). Restricted to S the form
-has kernel the intersection of S and rad C: over C every element of C is Y1
-+ i Y2 with Y1, Y2 in S, and over R tr(XK) = 0 for X in S and K = -K^[*] in
-C. So the rank of the Gram matrix G_ij = tr(S_i S_j) on a basis S_i of S is
-dim_R Q_s. The projection of a decomposition is a selfadjoint idempotent P
-in C, P != 0, I; rad C is nilpotent, so the image of P is an idempotent of
-Q_s other than 0 and 1. If rank G = 1, Q_s = R 1 has none. If rank G = 2,
-take the first basis element X with [[n, tr X], [tr X, tr X^2]] nonsingular:
-the images 1 and x of I and X span Q_s, and x^2 lies in it (X^2 is
-selfadjoint and commutes), say x^2 = a + b x. The element X^2 - a - b X of
-rad C is nilpotent and so is its product with X, so the power sums p_k =
-tr(X^k) satisfy p2 = a n + b p1 and p3 = a p1 + b p2. When b^2 + 4a < 0, Q_s
-is R[t] / (t^2 - b t - a), a copy of C, a field with no other idempotent.
-The evidence records dim S, rank G and, at rank 2, the basis index of X, the
-exact p1, p2, p3 and b^2 + 4a; the rule accepts rank 1, or rank 2 with a
-negative discriminant. G is summed on the integer basis lists the draws use
-and its rank read off the one Gauss-Jordan core. Any other case (rank >= 3,
-or a split quotient at rank 2) goes to the sampler with the same seeded
-draws, so decomposable verdicts do not change.
+The evidence of the ``selfadjoint_quotient_field`` certificate is dim S, and
+the rank and the inertia (v_-, v_0, v_+) of the Gram matrix
+G_ij = tr(S_i S_j) on the basis S_i of S; the rule accepts v_+ = 1. G is
+summed on the integer basis lists over the common denominator d of the
+basis, which scales it by d^2, and its inertia is read off the Hermitian
+congruence of :func:`krein.matrices._hermitian_inertia`.
 
-The draws run on Python ints. The basis is written once over its common
-denominator d as sparse integer lists, so each draw d X is an integer sum,
-and f = det(tI - d X) comes from the same Samuelson-Berkowitz recurrence as
-:func:`krein.matrices.char_poly`, on those lists. ``poly_roots`` sees only
-the primitive part of w(d t), for the squarefree part w of f: its roots are
-the eigenvalues mu of X, so its size, and the p-adic precision its roots
-need, do not grow with d.
-y = d mu is an integer root of f, and its multiplicity comes from exact
-synthetic division. A ``Matrix`` for X is built only when a root of
-multiplicity below n needs its eigenspace.
+The subspace. For a decomposable pair the search tries fixed elements x of
+S, in order: N + N^[*], N N^[*], i (N - N^[*]) over C, then the basis of S.
+For each rational root mu of the characteristic polynomial of x, of
+multiplicity m < n, the generalized eigenspace ker (x - mu)^m is invariant
+and nondegenerate, by the argument above with mu its own class. It is still
+checked exactly before it is reported. The search keeps no budget and no
+seed: the verdict records the ones it is given and does not depend on them.
+A pair on which no such x has a rational root that splits the space, such
+as N = [[1, 1], [1, -1]] with H = I over R (eigenvalues +-sqrt 2), is
+``decomposable`` with no subspace.
+
+The candidates run on Python ints. For the integer form (d, re, im) of x,
+f = det(tI - d x) comes from the same Samuelson-Berkowitz recurrence as
+:func:`krein.matrices.char_poly`. ``poly_roots`` sees only the primitive
+part of w(d t), for the squarefree part w of f: its roots are the
+eigenvalues mu of x, so its size, and the p-adic precision its roots need,
+do not grow with d. y = d mu is an integer root of f, and its multiplicity
+comes from exact synthetic division.
 
 Every linear solve here (the commutant, its selfadjoint part, the real span
 of complex vectors and the candidate subspaces) is an exact kernel or pivot
@@ -74,7 +72,7 @@ the arguments it records, and one acceptance condition on it, which
 
 * ``scalar_selfadjoint_commutant``: the selfadjoint commutant is R I.
 * ``selfadjoint_quotient_field``: the trace form on the selfadjoint
-  commutant has rank 1, or rank 2 with a negative discriminant (above).
+  commutant has positive index 1 (above).
 * ``jordan_chain_unique`` (``k``): n = 2k, H = [[0, I], [I, 0]] and
   N = [[lam I, W], [0, lam I]] with W W*^-1 the k x k chain, whose
   eigenspace is one-dimensional.
@@ -92,7 +90,6 @@ the arguments it records, and one acceptance condition on it, which
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -104,6 +101,7 @@ from .matrices import (
     IntRow,
     Matrix,
     _common_integer_form,
+    _hermitian_inertia,
     _integer_gauss_jordan,
     _integer_kernel,
     _samuelson_berkowitz,
@@ -112,7 +110,7 @@ from .matrices import (
     mat_power,
 )
 from .polynomials import _integer_roots_with_mult, poly_roots
-from .scalars import as_scalar, format_scalar, parse_scalar
+from .scalars import I_UNIT, as_scalar, format_scalar, parse_scalar
 from .spaces import (
     MatrixPair,
     SubspaceBasis,
@@ -136,7 +134,6 @@ CERT_QUOTIENT_FIELD = "selfadjoint_quotient_field"
 
 STATUS_INDECOMPOSABLE = "indecomposable"
 STATUS_DECOMPOSABLE = "decomposable"
-STATUS_UNKNOWN = "unknown"
 
 DEFAULT_BUDGET = 200
 DEFAULT_SEED = 1729
@@ -155,14 +152,24 @@ class Certificate:
 
 @dataclass(frozen=True)
 class DecompositionVerdict:
+    """The decider's verdict and its trace-form evidence, with the certificate
+    of an indecomposable pair or a splitting subspace of a decomposable one,
+    when the search finds one. ``budget`` and ``seed`` are only recorded."""
+
     status: str
+    trace_form: dict
     certificate: Optional[Certificate]
     witness_subspace: Optional[SubspaceBasis]
     budget: int
     seed: Optional[int]
 
     def to_json_dict(self) -> dict:
-        d: dict = {"status": self.status, "budget": self.budget, "seed": self.seed}
+        d: dict = {
+            "status": self.status,
+            "trace_form": dict(self.trace_form),
+            "budget": self.budget,
+            "seed": self.seed,
+        }
         if self.certificate is not None:
             d["certificate"] = self.certificate.to_json_dict()
         if self.witness_subspace is not None:
@@ -279,9 +286,8 @@ def certify_scalar_commutant(pair: MatrixPair) -> Optional[Certificate]:
     return _accepted(CERT_SCALAR_COMMUTANT, pair, _evidence_scalar_commutant(pair))
 
 
-def _evidence_scalar_commutant(pair: MatrixPair, basis=None) -> dict:
-    if basis is None:
-        basis = selfadjoint_commutant_basis(pair)
+def _evidence_scalar_commutant(pair: MatrixPair) -> dict:
+    basis = selfadjoint_commutant_basis(pair)
     scalar = len(basis) == 1 and _is_scalar(basis[0])
     return {"selfadjoint_commutant_dim": len(basis), "scalar": bool(scalar)}
 
@@ -303,44 +309,28 @@ def _integer_basis(basis: Sequence[Matrix], n: int) -> tuple[int, list[list[tupl
     ]
 
 
-def _evidence_selfadjoint_quotient_field(pair: MatrixPair, basis=None, ibasis=None) -> dict:
-    """Rank of the trace form on the selfadjoint basis and, at rank 2, the
-    relation x^2 = a + b x of the first element X that is independent of I
-    modulo the radical (module docstring)."""
+def _evidence_selfadjoint_quotient_field(pair: MatrixPair, basis=None) -> dict:
+    """dim S, and the rank and inertia of the trace form on its basis
+    (module docstring)."""
     if basis is None:
         basis = selfadjoint_commutant_basis(pair)
     n = pair.n
-    _, sparse = ibasis or _integer_basis(basis, n)
+    _, sparse = _integer_basis(basis, n)
     # d^2 tr(B_i B_j) = sum over the entries (a, b) of B_i of B_i[a, b] B_j[b, a];
     # it is real for selfadjoint B_i, B_j
     flipped = [{(idx % n) * n + idx // n: (x, y) for idx, x, y in b} for b in sparse]
     m = len(sparse)
-    gram = [[0] * m for _ in range(m)]
+    gram = [0] * (m * m)
     for i, bi in enumerate(sparse):
         for j in range(i, m):
             fj = flipped[j]
-            gram[i][j] = gram[j][i] = sum(x * fj[idx][0] - y * fj[idx][1] for idx, x, y in bi if idx in fj)
-    rank = Matrix._from_ints(m, m, 1, [g for row in gram for g in row], [], REAL).rank()
-    ev = {
+            gram[i * m + j] = gram[j * m + i] = sum(x * fj[idx][0] - y * fj[idx][1] for idx, x, y in bi if idx in fj)
+    neg, zero, pos = _hermitian_inertia(m, gram, [])
+    return {
         "selfadjoint_commutant_dim": m,
-        "trace_form_rank": rank,
-        "basis_index": None,
-        "power_sums": None,
-        "discriminant": None,
+        "trace_form_rank": m - zero,
+        "trace_form_inertia": [neg, zero, pos],
     }
-    if rank != 2:
-        return ev
-    # the Gram matrix of (I, B_i) is [[n, tr B_i], [tr B_i, gram_ii]] / d^2
-    traces = [sum(x for idx, x, _ in b if idx % (n + 1) == 0) for b in sparse]
-    i = next(i for i in range(m) if n * gram[i][i] != traces[i] ** 2)
-    x = basis[i]
-    x2 = x @ x
-    p1, p2, p3 = (t.trace().re for t in (x, x2, x2 @ x))
-    # tr((X^2 - a - b X) X^j) = 0 for j = 0, 1, by Cramer's rule
-    det = n * p2 - p1 * p1
-    a, b = (p2 * p2 - p1 * p3) / det, (n * p3 - p1 * p2) / det
-    ev.update(basis_index=i, power_sums=[str(p1), str(p2), str(p3)], discriminant=str(b * b + 4 * a))
-    return ev
 
 
 # -- family certificates -----------------------------------------------------
@@ -464,8 +454,7 @@ _RULES = {
     CERT_QUOTIENT_FIELD: _Rule(
         (),
         _evidence_selfadjoint_quotient_field,
-        lambda pair, ev: ev["trace_form_rank"] == 1
-        or (ev["trace_form_rank"] == 2 and Fraction(ev["discriminant"]) < 0),
+        lambda pair, ev: ev["trace_form_inertia"][2] == 1,
     ),
     CERT_JORDAN_CHAIN_UNIQUE: _Rule(
         ("k",),
@@ -556,61 +545,42 @@ def _try_root_subspace(pair: MatrixPair, x: Matrix, mu: Fraction, mult: int):
     return sub
 
 
+def _splitting_subspace(pair: MatrixPair, basis: Sequence[Matrix]) -> Optional[SubspaceBasis]:
+    """The first generalized eigenspace ker (x - mu)^m, for a rational root mu
+    of multiplicity m < n, that passes the exact checks, with x running over
+    N + N^[*], N N^[*], i (N - N^[*]) over C, then the selfadjoint basis;
+    None if there is none."""
+    n, nop, adj = pair.n, pair.n_op, pair.adjoint
+    xs = [nop + adj, nop @ adj]
+    if pair.field == COMPLEX:
+        xs.append((nop - adj) * I_UNIT)
+    for x in xs + list(basis):
+        d = x._d
+        # a root y of det(tI - d x) is d mu for an eigenvalue mu of x
+        for y, mult in _integer_roots_with_mult(_samuelson_berkowitz(n, x._re, x._im), d):
+            if mult == n:  # ker (x - mu)^n is the whole space
+                continue
+            sub = _try_root_subspace(pair, x, Fraction(y, d), mult)
+            if sub is not None:
+                return sub
+    return None
+
+
 def search_decomposition(
     pair: MatrixPair, budget: int = DEFAULT_BUDGET, seed: int = DEFAULT_SEED
 ) -> DecompositionVerdict:
-    """Look for an exact decomposition witness; sound and reproducible.
+    """Decide decomposability exactly, and give a splitting subspace if one is found.
 
-    Returns ``indecomposable`` when the scalar-commutant or the trace-form
-    certificate applies, before any draw. Otherwise each of up to ``budget``
-    seeded draws X offers as candidates the rational roots mu of its
-    characteristic polynomial with multiplicity m < n, whose generalized
-    eigenspaces are invariant and nondegenerate (module docstring). The
-    polynomial is det(tI - d X) over the integers, for the common
-    denominator d of the basis, and each draw makes one ``poly_roots`` call,
-    on its squarefree part rescaled to the roots of X. The first candidate
-    that passes the exact checks is returned as ``decomposable``;
-    ``unknown`` once the budget is exhausted.
+    The trace form on the selfadjoint commutant decides (module docstring).
+    At positive index 1 the verdict is ``indecomposable``, with its
+    ``selfadjoint_quotient_field`` certificate; otherwise it is
+    ``decomposable``, with the subspace of :func:`_splitting_subspace` or
+    none. Every verdict records the trace-form evidence. ``budget`` and
+    ``seed`` are recorded in the verdict and change nothing else.
     """
-    n = pair.n
     basis = selfadjoint_commutant_basis(pair)
-    cert = _accepted(CERT_SCALAR_COMMUTANT, pair, _evidence_scalar_commutant(pair, basis=basis))
-    if cert is None:
-        ibasis = _integer_basis(basis, n)
-        cert = _accepted(CERT_QUOTIENT_FIELD, pair, _evidence_selfadjoint_quotient_field(pair, basis, ibasis))
+    ev = _evidence_selfadjoint_quotient_field(pair, basis)
+    cert = _accepted(CERT_QUOTIENT_FIELD, pair, ev)
     if cert is not None:
-        return DecompositionVerdict(STATUS_INDECOMPOSABLE, cert, None, budget, seed)
-    m = len(basis)
-    # each draw d X is an integer sum over the basis written over d
-    d, sparse = ibasis
-    # for large commutants each draw touches a bounded number of basis
-    # elements; the remaining coefficients are zero (still "small integers")
-    width = m if m <= 8 else 6
-    rng = random.Random(seed)
-    seen: set[tuple] = set()
-    for _ in range(budget):
-        if width == m:
-            picks = tuple(enumerate(rng.randint(-3, 3) for _ in range(m)))
-        else:
-            idxs = sorted(rng.sample(range(m), width))
-            picks = tuple((i, rng.randint(-3, 3)) for i in idxs)
-        if not any(c for _, c in picks) or picks in seen:
-            continue
-        seen.add(picks)
-        xre, xim = [0] * (n * n), [0] * (n * n)
-        for j, c in picks:
-            if c:
-                for idx, x, y in sparse[j]:
-                    xre[idx] += c * x
-                    xim[idx] += c * y
-        x = None
-        # a root y of det(tI - d X) is d mu for an eigenvalue mu of X
-        for y, mult in _integer_roots_with_mult(_samuelson_berkowitz(n, xre, xim), d):
-            if mult == n:  # ker (X - mu)^n is the whole space
-                continue
-            if x is None:
-                x = Matrix._from_ints(n, n, d, xre, xim, pair.field)
-            sub = _try_root_subspace(pair, x, Fraction(y, d), mult)
-            if sub is not None:
-                return DecompositionVerdict(STATUS_DECOMPOSABLE, None, sub, budget, seed)
-    return DecompositionVerdict(STATUS_UNKNOWN, None, None, budget, seed)
+        return DecompositionVerdict(STATUS_INDECOMPOSABLE, ev, cert, None, budget, seed)
+    return DecompositionVerdict(STATUS_DECOMPOSABLE, ev, None, _splitting_subspace(pair, basis), budget, seed)

@@ -294,9 +294,19 @@ def witness_complex_b(k: int, l1, l2) -> WitnessPair:
     return _finish(pair, spec, "ComplexB", 2 * k, (k, k), CERT_NEUTRAL_EIGENSPAN, **_eigen_args(l1, l2))
 
 
+def _real(x, name: str) -> Fraction:
+    """A real parameter as a Fraction: a real GaussianRational, or anything
+    ``Fraction`` takes."""
+    if isinstance(x, GaussianRational):
+        if not x.is_real:
+            raise ParameterError(f"{name} must be real, got {format_scalar(x)}")
+        return x.re
+    return Fraction(x)
+
+
 def rotation_block(alpha, beta) -> Matrix:
     """The 2x2 block [[a, b], [-b, a]] with eigenvalues a +- ib."""
-    a, b = Fraction(alpha), Fraction(beta)
+    a, b = _real(alpha, "alpha"), _real(beta, "beta")
     return Matrix.from_rows([[a, b], [-b, a]], REAL)
 
 
@@ -328,10 +338,10 @@ def _block_antidiagonal_h(nblocks: int, center_trailing: bool = False) -> Matrix
     return Matrix.from_blocks(grid)
 
 
-def _check_beta(beta) -> Fraction:
-    b = Fraction(beta)
+def _check_beta(beta, name: str = "beta") -> Fraction:
+    b = _real(beta, name)
     if b <= 0:
-        raise ParameterError("beta must be positive")
+        raise ParameterError(f"{name} must be positive")
     return b
 
 
@@ -340,13 +350,12 @@ def witness_real_c_even(k: int, alpha, beta) -> WitnessPair:
     alpha +- i*beta, attaining the lower bound n = 2k."""
     if k < 2 or k % 2:
         raise ParameterError("this family needs an even k >= 2")
-    b = _check_beta(beta)
-    a = rotation_block(alpha, b)
-    n_op = _rotation_jordan(k, a)
+    a_f, b = _real(alpha, "alpha"), _check_beta(beta)
+    n_op = _rotation_jordan(k, rotation_block(a_f, b))
     h = _block_antidiagonal_h(k)
     pair = MatrixPair.from_matrices(n_op, h)
-    spec = WitnessSpec(REAL_C_EVEN, k, (as_scalar(Fraction(alpha)), as_scalar(b)))
-    args = {"alpha": str(Fraction(alpha)), "beta": str(b)}
+    spec = WitnessSpec(REAL_C_EVEN, k, (as_scalar(a_f), as_scalar(b)))
+    args = {"alpha": str(a_f), "beta": str(b)}
     return _finish(pair, spec, "RealC", 2 * k, (k, k), CERT_JOINT_EIGENSPACE_2D, **args)
 
 
@@ -361,8 +370,8 @@ def witness_real_c_odd(k: int, alpha, beta) -> WitnessPair:
     """
     if k < 1 or k % 2 == 0:
         raise ParameterError("this family needs an odd k >= 1")
-    b = _check_beta(beta)
-    a = rotation_block(alpha, b)
+    a_f, b = _real(alpha, "alpha"), _check_beta(beta)
+    a = rotation_block(a_f, b)
     at = a.conj_transpose()
     x = Matrix.from_rows([[1, 1], [1, 1]], REAL)
     z2 = Matrix.zeros(2, 2, REAL)
@@ -381,8 +390,8 @@ def witness_real_c_odd(k: int, alpha, beta) -> WitnessPair:
     n_op = Matrix.from_blocks(grid)
     h = _block_antidiagonal_h(k, center_trailing=True)
     pair = MatrixPair.from_matrices(n_op, h)
-    spec = WitnessSpec(REAL_C_ODD, k, (as_scalar(Fraction(alpha)), as_scalar(b)))
-    args = {"alpha": str(Fraction(alpha)), "beta": str(b)}
+    spec = WitnessSpec(REAL_C_ODD, k, (as_scalar(a_f), as_scalar(b)))
+    args = {"alpha": str(a_f), "beta": str(b)}
     return _finish(pair, spec, "RealC", 2 * k, (k, k), CERT_JOINT_EIGENSPACE_2D, **args)
 
 
@@ -390,16 +399,13 @@ def witness_real_d(k: int, lam, alpha, beta) -> WitnessPair:
     """2k x 2k real pair (k even): one real eigenvalue and one conjugate pair."""
     if k < 2 or k % 2:
         raise ParameterError("family d is only defined for even k")
-    b = _check_beta(beta)
-    lam_f = Fraction(lam)
-    n1 = _rotation_jordan(k // 2, rotation_block(alpha, b))
+    lam_f, a_f, b = _real(lam, "lambda"), _real(alpha, "alpha"), _check_beta(beta)
+    n1 = _rotation_jordan(k // 2, rotation_block(a_f, b))
     n2 = Matrix.identity(k, REAL) * as_scalar(lam_f)
     n_op = Matrix.block_diagonal([n1, n2])
     pair = MatrixPair.from_matrices(n_op, _split_h(k, REAL))
-    spec = WitnessSpec(
-        REAL_D, k, (as_scalar(lam_f), as_scalar(Fraction(alpha)), as_scalar(b))
-    )
-    args = _eigen_args(GaussianRational(Fraction(alpha), b), as_scalar(lam_f))
+    spec = WitnessSpec(REAL_D, k, (as_scalar(lam_f), as_scalar(a_f), as_scalar(b)))
+    args = _eigen_args(GaussianRational(a_f, b), as_scalar(lam_f))
     return _finish(pair, spec, "RealD", 2 * k, (k, k), CERT_NEUTRAL_EIGENSPAN, **args)
 
 
@@ -407,8 +413,8 @@ def witness_real_e(k: int, a1, b1, a2, b2) -> WitnessPair:
     """2k x 2k real pair (k even): two distinct conjugate eigenvalue pairs."""
     if k < 2 or k % 2:
         raise ParameterError("family e is only defined for even k")
-    bb1, bb2 = _check_beta(b1), _check_beta(b2)
-    aa1, aa2 = Fraction(a1), Fraction(a2)
+    bb1, bb2 = _check_beta(b1, "beta1"), _check_beta(b2, "beta2")
+    aa1, aa2 = _real(a1, "alpha1"), _real(a2, "alpha2")
     if (aa1, bb1) == (aa2, bb2):
         raise ParameterError("the two conjugate eigenvalue pairs must differ")
     n1 = _rotation_jordan(k // 2, rotation_block(aa1, bb1))

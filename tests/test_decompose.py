@@ -1,3 +1,4 @@
+import random
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -322,22 +323,31 @@ _SMALL_PAIRS = [
 ]
 
 
-@st.composite
-def _unimodular_congruences(draw):
-    """A small pair and the pair hidden by (N, H) -> (T^-1 N T, T* H T), T a
-    product of shears I + c e_i e_j^T with c = +-1 (or +-i over C), so det T
-    is 1."""
-    pair = draw(st.sampled_from(_SMALL_PAIRS))()
+def _hidden(pair, shears):
+    """The pair hidden by (N, H) -> (T^-1 N T, T* H T), for T the product of
+    the shears I + c e_i e_j^T over the (i, j, c) in ``shears``, so det T is 1."""
     n, field = pair.n, pair.field
-    units = [1, -1] + ([I_UNIT, -I_UNIT] if field == COMPLEX else [])
     t = Matrix.identity(n, field)
-    for _ in range(draw(st.integers(1, 2 * n))):
-        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 2))
-        j += j >= i
-        c = draw(st.sampled_from(units))
+    for i, j, c in shears:
         ents = [1 if a == b else (c if (a, b) == (i, j) else 0) for a in range(n) for b in range(n)]
         t = t @ Matrix(n, n, ents, field)
-    return pair, MatrixPair.from_matrices(t.inverse() @ pair.n_op @ t, t.conj_transpose() @ pair.space.h @ t)
+    return MatrixPair.from_matrices(t.inverse() @ pair.n_op @ t, t.conj_transpose() @ pair.space.h @ t)
+
+
+def _units(field):
+    return [1, -1] + ([I_UNIT, -I_UNIT] if field == COMPLEX else [])
+
+
+@st.composite
+def _unimodular_congruences(draw):
+    """A small pair and the pair hidden by shears with c = +-1 (or +-i over C)."""
+    pair = draw(st.sampled_from(_SMALL_PAIRS))()
+    n = pair.n
+    shears = []
+    for _ in range(draw(st.integers(1, 2 * n))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 2))
+        shears.append((i, j + (j >= i), draw(st.sampled_from(_units(pair.field)))))
+    return pair, _hidden(pair, shears)
 
 
 @settings(max_examples=25, deadline=None)
@@ -524,7 +534,7 @@ def test_search_never_decomposes_witnesses():
         for k in admissible_ks(family, 2):
             w = build_witness(family, k, {})
             verdict = search_decomposition(w.pair, budget=60, seed=SEED)
-            assert verdict.status in ("indecomposable", "unknown"), (family, k)
+            assert verdict.status == "indecomposable", (family, k)
 
 
 def test_search_is_deterministic():
@@ -631,9 +641,10 @@ def test_search_golden_verdict_on_b_sum():
     g = direct_sum(witness_complex_b(1, 0, 1).pair, witness_complex_b(1, 2, 3).pair)
     assert search_decomposition(g, seed=1729).to_json_dict() == {
         "status": "decomposable",
+        "trace_form": {"selfadjoint_commutant_dim": 4, "trace_form_rank": 4, "trace_form_inertia": [2, 0, 2]},
         "budget": 200,
         "seed": 1729,
-        "witness_subspace": [["0", "0", "1", "0"], ["0", "0", "0", "1"]],
+        "witness_subspace": [["1", "0", "0", "0"], ["0", "1", "0", "0"]],
     }
 
 
@@ -647,10 +658,21 @@ def test_search_golden_verdict_on_d_plus_e_sum():
     units = [["1" if i == j else "0" for i in range(8)] for j in range(4, 8)]
     assert search_decomposition(g, seed=1729).to_json_dict() == {
         "status": "decomposable",
+        "trace_form": {"selfadjoint_commutant_dim": 4, "trace_form_rank": 4, "trace_form_inertia": [2, 0, 2]},
         "budget": 200,
         "seed": 1729,
         "witness_subspace": units,
     }
+
+
+def test_verdicts_differ_across_budget_and_seed_only_in_those_fields():
+    pairs = [make() for make in GLUED_PAIRS] + [build_witness(f, admissible_ks(f, 2)[-1], {}).pair for f in ALL_FAMILIES]
+    for pair in pairs:
+        base = search_decomposition(pair).to_json_dict()
+        for budget, seed in ((0, 0), (1, None), (5000, 7)):
+            doc = search_decomposition(pair, budget=budget, seed=seed).to_json_dict()
+            assert (doc.pop("budget"), doc.pop("seed")) == (budget, seed)
+            assert doc == {k: v for k, v in base.items() if k not in ("budget", "seed")}
 
 
 # eight distinct primes just above 10^20
@@ -786,7 +808,8 @@ def _counted_draws():
 def _assert_certified_without_draws(w, draws):
     verdict = search_decomposition(w.pair, budget=200, seed=SEED)
     assert verdict.status == "indecomposable", (w.spec, verdict.to_json_dict())
-    assert verdict.certificate.kind in ("scalar_selfadjoint_commutant", "selfadjoint_quotient_field")
+    assert verdict.certificate.kind == "selfadjoint_quotient_field"
+    assert verdict.certificate.evidence == verdict.trace_form
     assert verify_certificate(w.pair, verdict.certificate)
     assert draws == []
     return verdict.certificate
@@ -799,12 +822,13 @@ def test_every_default_witness_is_certified_before_any_draw():
             for k in admissible_ks(family, 4):
                 w = build_witness(family, k, {})
                 ev = _assert_certified_without_draws(w, draws).evidence
-                kinds.add((family, ev["trace_form_rank"], ev["discriminant"]))
+                kinds.add((family, ev["trace_form_rank"], tuple(ev["trace_form_inertia"])))
     assert {(f, r) for f, r, _ in kinds} == {
         ("complex-a-lower", 1), ("complex-a-upper", 1), ("real-c-even", 1),
         ("complex-b", 2), ("real-c-odd", 2), ("real-d", 2), ("real-e", 2),
     }
-    assert {disc for _, rank, disc in kinds if rank == 2} == {"-4"}
+    # positive index 1; at rank 2 the second direction is negative
+    assert all(inertia[2] == 1 and inertia[0] == rank - 1 for _, rank, inertia in kinds)
 
 
 _small = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
@@ -840,22 +864,42 @@ def test_drawn_witnesses_are_certified_before_any_draw(w):
         _assert_certified_without_draws(w, draws)
 
 
-def _quotient_invariants(pair):
-    """The trace-form rank and the sign of the discriminant (None below rank 2)."""
-    ev = _evidence_selfadjoint_quotient_field(pair)
-    disc = ev["discriminant"]
-    return ev["trace_form_rank"], disc and (Fraction(disc) > 0) - (Fraction(disc) < 0)
+def _decider_invariants(pair):
+    """dim S, the trace-form rank and inertia, and the status."""
+    verdict = search_decomposition(pair)
+    return verdict.trace_form, verdict.status
 
 
 @settings(max_examples=25, deadline=None)
 @given(_unimodular_congruences())
-def test_trace_form_rank_and_discriminant_sign_survive_congruence(pairs):
+def test_trace_form_inertia_and_status_survive_congruence(pairs):
     pair, hidden = pairs
-    assert _quotient_invariants(hidden) == _quotient_invariants(pair)
+    assert _decider_invariants(hidden) == _decider_invariants(pair)
+
+
+def test_a_doubled_b_witness_is_decomposable_under_every_congruence():
+    # the two summands have the same spectrum, so the fixed candidates need
+    # not split a hidden copy; the decider must still say decomposable
+    rng = random.Random(SEED)
+    pair = direct_sum(witness_complex_b(1, 0, 1).pair, witness_complex_b(1, 0, 1).pair)
+    n = pair.n
+    split = 0
+    for _ in range(30):
+        shears = [(i, j + (j >= i), rng.choice(_units(COMPLEX))) for i, j in
+                  ((rng.randrange(n), rng.randrange(n - 1)) for _ in range(2 * n))]
+        hidden = _hidden(pair, shears)
+        verdict = search_decomposition(hidden)
+        assert verdict.status == "decomposable"
+        assert verdict.certificate is None
+        assert verdict.trace_form["trace_form_inertia"][2] >= 2
+        if verdict.witness_subspace is not None:
+            _assert_sound_witness(hidden, verdict)
+            split += 1
+    assert split > 0, split
 
 
 def test_glued_verdicts_do_not_depend_on_the_trace_form_certificate(monkeypatch):
-    # with the rule made to reject everything the search draws as before
+    # with the rule made to reject everything the splitter gives the same subspaces
     import krein.decompose as decompose
 
     verdicts = [search_decomposition(make()).to_json_dict() for make in GLUED_PAIRS]
@@ -867,16 +911,18 @@ def test_glued_verdicts_do_not_depend_on_the_trace_form_certificate(monkeypatch)
 
 def test_split_quotient_is_not_certified():
     # N = [[1, 1], [1, -1]] is symmetric with N^2 = 2: the selfadjoint
-    # quotient is R[t]/(t^2 - 2), which splits over R (eigenvalues +-sqrt 2),
-    # so the pair is decomposable and must never be called indecomposable
+    # commutant is spanned by I and N, and tr N = 0 < tr N^2, so the trace
+    # form is positive definite and the pair is decomposable over R (the
+    # eigenvectors of +-sqrt 2 are orthogonal); no rational eigenvalue splits
+    # it, so no subspace over Q is attached
     pair = MatrixPair.from_matrices(Matrix.from_rows([[1, 1], [1, -1]], REAL), Matrix.identity(2, REAL))
     ev = _evidence_selfadjoint_quotient_field(pair)
-    assert ev["trace_form_rank"] == 2 and Fraction(ev["discriminant"]) > 0
-    x = selfadjoint_commutant_basis(pair)[ev["basis_index"]]
-    c = x - Matrix.identity(2, REAL) * (x.trace() / 2)  # a multiple of N
-    assert Fraction(ev["discriminant"]) == 4 * (c @ c)[0, 0].re
+    assert ev == {"selfadjoint_commutant_dim": 2, "trace_form_rank": 2, "trace_form_inertia": [0, 0, 2]}
     assert not verify_certificate(pair, Certificate("selfadjoint_quotient_field", ev))
-    assert search_decomposition(pair, budget=200, seed=SEED).status == "unknown"
+    verdict = search_decomposition(pair, budget=200, seed=SEED)
+    assert verdict.status == "decomposable"
+    assert verdict.trace_form == ev
+    assert verdict.certificate is None and verdict.witness_subspace is None
 
 
 def test_forged_trace_form_evidence_is_rejected():
@@ -885,16 +931,24 @@ def test_forged_trace_form_evidence_is_rejected():
     ev = cert.evidence
     assert cert.kind == "selfadjoint_quotient_field" and ev["trace_form_rank"] == 2
     assert verify_certificate(w.pair, cert)
-    p1, p2, p3 = ev["power_sums"]
+    neg, zero, pos = ev["trace_form_inertia"]
     forged = [
         dict(ev, trace_form_rank=1),
-        dict(ev, power_sums=[p1, str(Fraction(p2) + 1), p3]),
-        dict(ev, discriminant=str(-Fraction(ev["discriminant"]))),
-        dict(ev, discriminant="-1"),
-        dict(ev, basis_index=ev["basis_index"] + 1),
+        dict(ev, trace_form_rank=3),
+        dict(ev, trace_form_inertia=[neg - 1, zero + 1, pos]),
+        dict(ev, trace_form_inertia=[neg + 1, zero - 1, pos]),
+        dict(ev, trace_form_inertia=[neg, zero - 1, pos + 1]),
+        dict(ev, trace_form_inertia=[0, zero, pos]),
     ]
     for f in forged:
         assert not verify_certificate(w.pair, Certificate(cert.kind, f)), f
+    # a glued sum's evidence with its inertia forged to positive index 1
+    for make in GLUED_PAIRS:
+        pair = make()
+        ev = _evidence_selfadjoint_quotient_field(pair)
+        neg, zero, pos = ev["trace_form_inertia"]
+        f = dict(ev, trace_form_inertia=[neg + pos - 1, zero, 1])
+        assert not verify_certificate(pair, Certificate("selfadjoint_quotient_field", f)), (pair, f)
     # a witness's certificate presented for each glued sum
     witness_certs = [
         search_decomposition(build_witness(family, k, {}).pair).certificate

@@ -277,6 +277,25 @@ def test_e_family_parameter_gates():
         witness_real_e(2, 0, -1, 1, 1)
 
 
+@pytest.mark.parametrize(
+    "family, k, name",
+    [
+        ("real-c-even", 2, "alpha"),
+        ("real-c-odd", 1, "alpha"),
+        ("real-c-odd", 1, "beta"),
+        ("real-d", 2, "lambda"),
+        ("real-e", 2, "alpha1"),
+        ("real-e", 2, "beta2"),
+    ],
+)
+def test_real_families_take_real_gaussian_parameters(family, k, name):
+    # a real GaussianRational builds the same witness as its Fraction, and a
+    # non-real one is a parameter error
+    assert build_witness(family, k, {name: GaussianRational(2)}) == build_witness(family, k, {name: Fraction(2)})
+    with pytest.raises(ParameterError, match=f"{name} must be real"):
+        build_witness(family, k, {name: GaussianRational(2, 1)})
+
+
 def test_lower_witness_golden_layout_k1():
     w = build_witness("complex-a-lower", 1, {})
     assert w.pair.n_op == Matrix.from_rows([[0, 1], [0, 0]], COMPLEX)
