@@ -29,11 +29,10 @@ from .matrices import (
     COMPLEX,
     REAL,
     Matrix,
-    apply_poly,
     char_poly,
     hstack,
 )
-from .polynomials import Polynomial, Root, poly_from_roots, poly_roots
+from .polynomials import Polynomial, Root, poly_roots
 from .spaces import (
     IndefiniteSpace,
     MatrixPair,
@@ -41,9 +40,7 @@ from .spaces import (
     direct_sum,
     h_adjoint,
     h_orthogonal_complement,
-    indefinite_product,
     is_h_normal,
-    is_h_unitary,
     is_neutral,
     is_nondegenerate,
     signature,
@@ -82,7 +79,6 @@ from .decompose import (
     Certificate,
     DecompositionVerdict,
     certify_family,
-    certify_scalar_commutant,
     commutant_basis,
     search_decomposition,
     selfadjoint_commutant_basis,

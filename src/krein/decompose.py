@@ -27,12 +27,16 @@ pair is decomposable iff the positive index of G is at least 2:
   nondegenerate and defined over the base field. It is invariant under N
   and N^[*], which commute with x.
 
-The evidence of the ``selfadjoint_quotient_field`` certificate is dim S, and
+The one certificate kind, ``selfadjoint_quotient_field``, holds dim S, and
 the rank and the inertia (v_-, v_0, v_+) of the Gram matrix
-G_ij = tr(S_i S_j) on the basis S_i of S; the rule accepts v_+ = 1. G is
+G_ij = tr(S_i S_j) on the basis S_i of S; it is issued at v_+ = 1. G is
 summed on the integer basis lists over the common denominator d of the
 basis, which scales it by d^2, and its inertia is read off the Hermitian
-congruence of :func:`krein.matrices._hermitian_inertia`.
+congruence of :func:`krein.matrices._hermitian_inertia`. The trace form is
+computed once per :class:`krein.spaces.MatrixPair` object and kept on it:
+certifying, verifying and the search read it, each with its own copy of the
+evidence. A certificate verifies iff it equals the pair's own, so one of any
+other kind (such as the family kinds of older logs) does not.
 
 The subspace. For a decomposable pair the search tries fixed elements x of
 S, in order: N + N^[*], N N^[*], i (N - N^[*]) over C, then the basis of S.
@@ -63,41 +67,17 @@ selfadjoint part is {X in commutant : HX Hermitian}: one product H B per
 basis element B, integer rows from the upper triangle of the
 skew-Hermitian defect, and each solution summed over the commutant basis
 written over its common denominator.
-
-Family certificates re-derive the specific argument that makes each witness
-family indecomposable. Each kind has one rule in one table (``_RULES``),
-shared by certifying, verifying and the search: the evidence, rebuilt from
-the arguments it records, and one acceptance condition on it, which
-:func:`verify_certificate` applies to the evidence it recomputes:
-
-* ``scalar_selfadjoint_commutant``: the selfadjoint commutant is R I.
-* ``selfadjoint_quotient_field``: the trace form on the selfadjoint
-  commutant has positive index 1 (above).
-* ``jordan_chain_unique`` (``k``): n = 2k, H = [[0, I], [I, 0]] and
-  N = [[lam I, W], [0, lam I]] with W W*^-1 the k x k chain, whose
-  eigenspace is one-dimensional.
-* ``projection_scalar`` (``k``): the pair has the 4k layout of
-  :func:`krein.witnesses.witness_complex_a_upper` (H and every block of N
-  but N1 = N[k:2k, 3k:4k] and N2 = N[2k:3k, 3k:4k]), N1 is nonsingular and
-  only real scalars are Hermitian and commute with it.
-* ``neutral_eigenspan`` (``primary``, ``secondary``): the spectrum is
-  exactly {primary, secondary} (with conjugates over R), primary has
-  geometric multiplicity 1, secondary is semisimple, and its (real)
-  eigenspan is nonzero and neutral (Gohberg, Lancaster and Rodman).
-* ``joint_eigenspace_two_dim`` (``alpha``, ``beta``): char_poly(N) is a power
-  of (t - alpha)^2 + beta^2 and the real joint eigenspace is 2-dimensional.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
-from .exceptions import CertificateCheckFailed, KreinError
+from .exceptions import CertificateCheckFailed
 from .matrices import (
     COMPLEX,
-    REAL,
     IntRow,
     Matrix,
     _common_integer_form,
@@ -109,27 +89,14 @@ from .matrices import (
     hstack,
     mat_power,
 )
-from .polynomials import _integer_roots_with_mult, poly_roots
-from .scalars import I_UNIT, as_scalar, format_scalar, parse_scalar
-from .spaces import (
-    MatrixPair,
-    SubspaceBasis,
-    is_neutral,
-    is_nondegenerate,
+from .polynomials import (
+    _integer_roots_with_mult,
+    poly_roots,  # noqa: F401  (re-exported as krein.decompose.poly_roots)
 )
-from .witnesses import (
-    CERT_JOINT_EIGENSPACE_2D,
-    CERT_JORDAN_CHAIN_UNIQUE,
-    CERT_NEUTRAL_EIGENSPAN,
-    CERT_PROJECTION_SCALAR,
-    WitnessPair,
-    _a_upper_layout,
-    _split_h,
-    chain_matrix,
-)
-from .classify import _is_conjugate_pair_spectrum, _real_span_of_complex, joint_eigenspace_real
+from .scalars import I_UNIT, as_scalar, format_scalar
+from .spaces import MatrixPair, SubspaceBasis, is_nondegenerate
+from .witnesses import WitnessPair
 
-CERT_SCALAR_COMMUTANT = "scalar_selfadjoint_commutant"
 CERT_QUOTIENT_FIELD = "selfadjoint_quotient_field"
 
 STATUS_INDECOMPOSABLE = "indecomposable"
@@ -206,20 +173,17 @@ def _sylvester_rows(a: Matrix, n: int) -> list[IntRow]:
     return rows
 
 
-def _commutant_of(mats: Sequence[Matrix], n: int, field: str) -> list[Matrix]:
-    rows = [row for a in mats for row in _sylvester_rows(a, n)]
+def commutant_basis(pair: MatrixPair) -> list[Matrix]:
+    """Exact basis of {X : XN = NX and X N^[*] = N^[*] X} over the base field."""
+    n = pair.n
+    rows = [row for a in (pair.n_op, pair.adjoint) for row in _sylvester_rows(a, n)]
     out = []
     for d, vec in _integer_kernel(_integer_gauss_jordan(rows), n * n):
         re, im = [0] * (n * n), [0] * (n * n)
         for idx, (x, y) in vec.items():
             re[idx], im[idx] = x, y
-        out.append(Matrix._from_ints(n, n, d, re, im, field))
+        out.append(Matrix._from_ints(n, n, d, re, im, pair.field))
     return out
-
-
-def commutant_basis(pair: MatrixPair) -> list[Matrix]:
-    """Exact basis of {X : XN = NX and X N^[*] = N^[*] X} over the base field."""
-    return _commutant_of([pair.n_op, pair.adjoint], pair.n, pair.field)
 
 
 def _real_span_solutions(basis: Sequence[Matrix], h: Matrix) -> list[Matrix]:
@@ -281,23 +245,6 @@ def selfadjoint_commutant_basis(pair: MatrixPair) -> list[Matrix]:
     return _real_span_solutions(commutant_basis(pair), pair.space.h)
 
 
-def certify_scalar_commutant(pair: MatrixPair) -> Optional[Certificate]:
-    """Certificate that the selfadjoint commutant is exactly the real scalars."""
-    return _accepted(CERT_SCALAR_COMMUTANT, pair, _evidence_scalar_commutant(pair))
-
-
-def _evidence_scalar_commutant(pair: MatrixPair) -> dict:
-    basis = selfadjoint_commutant_basis(pair)
-    scalar = len(basis) == 1 and _is_scalar(basis[0])
-    return {"selfadjoint_commutant_dim": len(basis), "scalar": bool(scalar)}
-
-
-def _is_scalar(m: Matrix) -> bool:
-    """m is a multiple of the identity, read off its integer form."""
-    step = m.rows + 1
-    return all(v == (part[0] if t % step == 0 else 0) for part in (m._re, m._im) for t, v in enumerate(part))
-
-
 def _integer_basis(basis: Sequence[Matrix], n: int) -> tuple[int, list[list[tuple[int, int, int]]]]:
     """(d, sparse): the basis over its common denominator d, that is
     B_j = sum (x + i y) e_idx / d over the (idx, x, y) of sparse[j]."""
@@ -309,220 +256,55 @@ def _integer_basis(basis: Sequence[Matrix], n: int) -> tuple[int, list[list[tupl
     ]
 
 
-def _evidence_selfadjoint_quotient_field(pair: MatrixPair, basis=None) -> dict:
-    """dim S, and the rank and inertia of the trace form on its basis
-    (module docstring)."""
-    if basis is None:
-        basis = selfadjoint_commutant_basis(pair)
-    n = pair.n
-    _, sparse = _integer_basis(basis, n)
-    # d^2 tr(B_i B_j) = sum over the entries (a, b) of B_i of B_i[a, b] B_j[b, a];
-    # it is real for selfadjoint B_i, B_j
-    flipped = [{(idx % n) * n + idx // n: (x, y) for idx, x, y in b} for b in sparse]
-    m = len(sparse)
-    gram = [0] * (m * m)
-    for i, bi in enumerate(sparse):
-        for j in range(i, m):
-            fj = flipped[j]
-            gram[i * m + j] = gram[j * m + i] = sum(x * fj[idx][0] - y * fj[idx][1] for idx, x, y in bi if idx in fj)
-    neg, zero, pos = _hermitian_inertia(m, gram, [])
-    return {
-        "selfadjoint_commutant_dim": m,
-        "trace_form_rank": m - zero,
-        "trace_form_inertia": [neg, zero, pos],
-    }
+def _trace_form(pair: MatrixPair) -> tuple[tuple[Matrix, ...], dict]:
+    """(basis of S, evidence): dim S, and the rank and inertia of the trace
+    form on that basis (module docstring). Computed once per pair object and
+    kept on it, like its adjoint; every call returns a fresh copy of the
+    evidence."""
+    if pair._trace_form is None:
+        n = pair.n
+        basis = tuple(selfadjoint_commutant_basis(pair))
+        _, sparse = _integer_basis(basis, n)
+        # d^2 tr(B_i B_j) = sum over the entries (a, b) of B_i of B_i[a, b] B_j[b, a];
+        # it is real for selfadjoint B_i, B_j
+        flipped = [{(idx % n) * n + idx // n: (x, y) for idx, x, y in b} for b in sparse]
+        m = len(sparse)
+        gram = [0] * (m * m)
+        for i, bi in enumerate(sparse):
+            for j in range(i, m):
+                fj = flipped[j]
+                gram[i * m + j] = gram[j * m + i] = sum(x * fj[idx][0] - y * fj[idx][1] for idx, x, y in bi if idx in fj)
+        neg, zero, pos = _hermitian_inertia(m, gram, [])
+        ev = {"selfadjoint_commutant_dim": m, "trace_form_rank": m - zero, "trace_form_inertia": [neg, zero, pos]}
+        pair._trace_form = basis, ev
+    basis, ev = pair._trace_form
+    return basis, dict(ev, trace_form_inertia=list(ev["trace_form_inertia"]))
 
 
-# -- family certificates -----------------------------------------------------
-
-
-def _evidence_jordan_chain(pair: MatrixPair, k: int) -> dict:
-    n = pair.n
-    nmat, h = pair.n_op, pair.space.h
-    layout_ok = n == 2 * k and h == _split_h(k, pair.field)
-    lam = nmat[0, 0]
-    if layout_ok:
-        li = Matrix.identity(k, pair.field) * lam
-        layout_ok = (
-            nmat.submatrix(0, k, 0, k) == li
-            and nmat.submatrix(k, n, k, n) == li
-            and nmat.submatrix(k, n, 0, k).is_zero
-        )
-    chain = chain_matrix(k)
-    cm = chain.matrix.with_field(pair.field)
-    factor_ok = False
-    if layout_ok:
-        w = pair.n_op.submatrix(0, k, k, n)
-        factor_ok = w @ w.conj_transpose().inverse() == cm
-    eig_dim = len((cm - Matrix.identity(k, pair.field) * chain.sign).kernel_basis())
-    return {
-        "k": k,
-        "eigenvalue": format_scalar(lam),
-        "corner_layout_ok": bool(layout_ok),
-        "chain_factor_ok": bool(factor_ok),
-        "chain_eigenvector_dim": eig_dim,
-    }
-
-
-def _evidence_projection_scalar(pair: MatrixPair, k: int) -> dict:
-    n = pair.n
-    if n != 4 * k:
-        raise CertificateCheckFailed("pair size does not match a 4k layout")
-    nmat = pair.n_op
-    n1, n2 = (nmat.submatrix(r * k, (r + 1) * k, 3 * k, n) for r in (1, 2))
-    layout_ok = (nmat, pair.space.h) == _a_upper_layout(nmat[0, 0], n1, n2)
-    cbasis = _commutant_of([n1], k, pair.field)
-    sols = _real_span_solutions(cbasis, Matrix.identity(k, pair.field))
-    dim = len(sols)
-    scalar = dim == 1 and _is_scalar(sols[0])
-    return {
-        "k": k,
-        "layout_ok": bool(layout_ok),
-        "n1_nonsingular": bool(n1.rank() == k),
-        "hermitian_commutant_dim": dim,
-        "hermitian_commutant_scalar": bool(scalar),
-    }
-
-
-def _exact_spectrum_strings(pair: MatrixPair) -> list[str]:
-    roots = poly_roots(pair.char_poly)
-    if not all(r.is_exact for r in roots):
-        raise CertificateCheckFailed("spectrum is not exactly computable")
-    return sorted(format_scalar(r.value) for r in roots)
-
-
-def _evidence_neutral_eigenspan(pair: MatrixPair, primary: str, secondary: str) -> dict:
-    primary, secondary = parse_scalar(primary), parse_scalar(secondary)
-    cn = pair.n_op.complexified()
-    n = pair.n
-    ident = Matrix.identity(n, COMPLEX)
-    g1 = len((cn - ident * primary).kernel_basis())
-    sec_shift = cn - ident * secondary
-    k1 = sec_shift.kernel_basis()
-    k2 = (sec_shift @ sec_shift).kernel_basis()
-    span = _real_span_of_complex(k1, n) if pair.field == REAL else SubspaceBasis(k1, n, COMPLEX)
-    return {
-        "primary": format_scalar(primary),
-        "secondary": format_scalar(secondary),
-        "primary_geometric_dim": g1,
-        "secondary_eigenspace_dim": len(k1),
-        "secondary_semisimple": bool(len(k1) == len(k2)),
-        "eigenspan_dim": span.dim,
-        "eigenspan_gram_zero": bool(is_neutral(span, pair.space)),
-        "spectrum": _exact_spectrum_strings(pair),
-    }
-
-
-def _evidence_joint_eigenspace_2d(pair: MatrixPair, alpha: str, beta: str) -> dict:
-    a_f, b_f = Fraction(alpha), Fraction(beta)
-    js = joint_eigenspace_real(pair, a_f, b_f)
-    return {
-        "alpha": str(a_f),
-        "beta": str(b_f),
-        "s0_dim": js.s0_basis.dim,
-        "p": js.s0_prime_dim,
-        "q": js.s0_doubleprime_dim,
-        "s0_neutral": bool(js.is_neutral_s0),
-        "spectrum_ok": _is_conjugate_pair_spectrum(pair, a_f, b_f),
-    }
-
-
-def _spectrum_is_exactly(pair: MatrixPair, ev: dict) -> bool:
-    """The evidence spectrum is {primary, secondary}, closed under conjugation over R."""
-    ends = [parse_scalar(ev["primary"]), parse_scalar(ev["secondary"])]
-    if pair.field == REAL:
-        ends += [z.conjugate() for z in ends]
-    return set(ev["spectrum"]) == {format_scalar(z) for z in ends}
-
-
-class _Rule(NamedTuple):
-    """``evidence(pair, **{a: ev[a] for a in args})`` rebuilds evidence ``ev``
-    from the arguments it records, in their JSON form; ``accept(pair, ev)``
-    is the kind's acceptance condition."""
-
-    args: tuple[str, ...]
-    evidence: Callable[..., dict]
-    accept: Callable[[MatrixPair, dict], bool]
-
-
-_RULES = {
-    CERT_SCALAR_COMMUTANT: _Rule(
-        (),
-        _evidence_scalar_commutant,
-        lambda pair, ev: ev["selfadjoint_commutant_dim"] == 1 and ev["scalar"],
-    ),
-    CERT_QUOTIENT_FIELD: _Rule(
-        (),
-        _evidence_selfadjoint_quotient_field,
-        lambda pair, ev: ev["trace_form_inertia"][2] == 1,
-    ),
-    CERT_JORDAN_CHAIN_UNIQUE: _Rule(
-        ("k",),
-        _evidence_jordan_chain,
-        lambda pair, ev: (
-            ev["corner_layout_ok"] and ev["chain_factor_ok"] and ev["chain_eigenvector_dim"] == 1
-        ),
-    ),
-    CERT_PROJECTION_SCALAR: _Rule(
-        ("k",),
-        _evidence_projection_scalar,
-        lambda pair, ev: (
-            ev["layout_ok"]
-            and ev["n1_nonsingular"]
-            and ev["hermitian_commutant_dim"] == 1
-            and ev["hermitian_commutant_scalar"]
-        ),
-    ),
-    CERT_NEUTRAL_EIGENSPAN: _Rule(
-        ("primary", "secondary"),
-        _evidence_neutral_eigenspan,
-        lambda pair, ev: (
-            ev["primary_geometric_dim"] == 1
-            and ev["secondary_semisimple"]
-            and ev["eigenspan_gram_zero"]
-            and ev["eigenspan_dim"] > 0
-            and _spectrum_is_exactly(pair, ev)
-        ),
-    ),
-    CERT_JOINT_EIGENSPACE_2D: _Rule(
-        ("alpha", "beta"),
-        _evidence_joint_eigenspace_2d,
-        lambda pair, ev: ev["s0_dim"] == 2 and ev["spectrum_ok"],
-    ),
-}
-
-
-def _accepted(kind: str, pair: MatrixPair, ev: dict) -> Optional[Certificate]:
-    """The certificate of ``kind`` on evidence ``ev`` if its rule accepts it."""
-    return Certificate(kind, ev) if _RULES[kind].accept(pair, ev) else None
+def _certificate(pair: MatrixPair) -> Optional[Certificate]:
+    """The pair's ``selfadjoint_quotient_field`` certificate, or None when the
+    trace form has positive index other than 1."""
+    _, ev = _trace_form(pair)
+    return Certificate(CERT_QUOTIENT_FIELD, ev) if ev["trace_form_inertia"][2] == 1 else None
 
 
 def certify_family(wpair: WitnessPair) -> Certificate:
-    """Build the family-specific indecomposability certificate, checked exactly.
+    """The indecomposability certificate of a witness, checked exactly.
 
-    Raises CertificateCheckFailed if the property the certificate rests on
-    does not hold, which would indicate a construction bug.
+    Raises CertificateCheckFailed if the trace form of the witness does not
+    have positive index 1, which would indicate a construction bug.
     """
-    kind = wpair.certificate_recipe
-    if kind not in _RULES:
-        raise CertificateCheckFailed(f"unknown certificate recipe {kind!r}")
-    ev = _RULES[kind].evidence(wpair.pair, **wpair.certificate_args)
-    cert = _accepted(kind, wpair.pair, ev)
+    cert = _certificate(wpair.pair)
     if cert is None:
-        raise CertificateCheckFailed(f"{kind} certificate failed: {ev}")
+        raise CertificateCheckFailed(f"{wpair.spec.family} witness is not certified: {_trace_form(wpair.pair)[1]}")
     return cert
 
 
 def verify_certificate(pair: MatrixPair, cert: Certificate) -> bool:
-    """Rebuild a certificate's evidence from the arguments it records, compare
-    it exactly, and apply the kind's acceptance rule to the rebuilt evidence."""
-    try:
-        rule = _RULES[cert.kind]
-        ev = cert.evidence
-        recomputed = rule.evidence(pair, **{a: ev[a] for a in rule.args})
-        return recomputed == ev and bool(rule.accept(pair, recomputed))
-    except (KreinError, KeyError, ValueError, TypeError, AttributeError, ZeroDivisionError):
-        return False
+    """True when ``cert`` is the pair's own certificate: kind
+    ``selfadjoint_quotient_field``, evidence equal to the pair's trace-form
+    evidence, and positive index 1. Any other kind or evidence gives False."""
+    return isinstance(cert, Certificate) and cert == _certificate(pair)
 
 
 # -- decomposition search ------------------------------------------------------
@@ -578,9 +360,8 @@ def search_decomposition(
     none. Every verdict records the trace-form evidence. ``budget`` and
     ``seed`` are recorded in the verdict and change nothing else.
     """
-    basis = selfadjoint_commutant_basis(pair)
-    ev = _evidence_selfadjoint_quotient_field(pair, basis)
-    cert = _accepted(CERT_QUOTIENT_FIELD, pair, ev)
+    basis, ev = _trace_form(pair)
+    cert = _certificate(pair)
     if cert is not None:
         return DecompositionVerdict(STATUS_INDECOMPOSABLE, ev, cert, None, budget, seed)
     return DecompositionVerdict(STATUS_DECOMPOSABLE, ev, None, _splitting_subspace(pair, basis), budget, seed)

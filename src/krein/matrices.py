@@ -374,12 +374,6 @@ class Matrix:
             im += acc_im
         return Matrix._from_ints(n, p, d, re, im, field)
 
-    def transpose(self) -> "Matrix":
-        c = self.cols
-        re = [x for j in range(c) for x in self._re[j::c]]
-        im = [y for j in range(c) for y in self._im[j::c]]
-        return Matrix._from_ints(c, self.rows, self._d, re, im, self.field)
-
     def conj_transpose(self) -> "Matrix":
         c = self.cols
         re = [x for j in range(c) for x in self._re[j::c]]
@@ -842,15 +836,7 @@ def char_poly(m: Matrix) -> Polynomial:
     )
 
 
-def apply_poly(p: Polynomial, m: Matrix) -> Matrix:
-    """Evaluate a polynomial at a square matrix (Horner)."""
-    if not m.is_square:
-        raise DimensionMismatch("polynomial of a non-square matrix")
-    acc = Matrix.zeros(m.rows, m.rows, m.field)
-    ident = Matrix.identity(m.rows, m.field)
-    for c in reversed(p.coeffs):
-        acc = acc @ m + ident * c
-    return acc
+
 
 
 def mat_power(m: Matrix, k: int) -> Matrix:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import chain, count, islice
 from math import gcd, isqrt
 from operator import ne
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 from .exceptions import ParameterError, RootFindingError
 from .scalars import ZERO, GaussianRational, as_scalar, integer_form
@@ -110,9 +110,6 @@ class Polynomial:
         lead = self.leading()
         return Polynomial([c / lead for c in self.coeffs])
 
-    def derivative(self) -> "Polynomial":
-        return Polynomial([k * c for k, c in enumerate(self.coeffs)][1:])
-
     def evaluate(self, x) -> GaussianRational:
         """Exact evaluation by Horner's rule."""
         x = as_scalar(x)
@@ -129,14 +126,6 @@ class Polynomial:
             if c:
                 terms.append(f"({c})*t^{k}" if k else f"({c})")
         return "Polynomial(" + " + ".join(terms) + ")"
-
-
-def poly_from_roots(roots: Sequence) -> Polynomial:
-    """Monic polynomial with the given (exact) roots."""
-    p = Polynomial([1])
-    for r in roots:
-        p = p * Polynomial([-as_scalar(r), 1])
-    return p
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:

@@ -105,10 +105,6 @@ class GaussianRational:
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im) if self.im else self
 
-    def norm_sq(self) -> Fraction:
-        """|z|^2, exact."""
-        return self.re * self.re + self.im * self.im
-
     # -- comparisons / hashing ----------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -127,9 +123,6 @@ class GaussianRational:
         return (self.re, self.im)
 
     # -- conversions --------------------------------------------------------
-
-    def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
 
     def __repr__(self) -> str:
         return format_scalar(self)

@@ -28,7 +28,6 @@ from .exceptions import (
 )
 from .matrices import COMPLEX, Matrix, _hermitian_inertia, char_poly, hstack
 from .polynomials import Polynomial
-from .scalars import GaussianRational
 
 
 def signature(h: Matrix) -> tuple[int, int]:
@@ -95,7 +94,7 @@ class IndefiniteSpace:
 class MatrixPair:
     """An operator together with the space it acts on (the central object here)."""
 
-    __slots__ = ("n_op", "space", "_adjoint", "_char_poly", "_normal")
+    __slots__ = ("n_op", "space", "_adjoint", "_char_poly", "_normal", "_trace_form")
 
     def __init__(self, n_op: Matrix, space: IndefiniteSpace):
         if not n_op.is_square or n_op.rows != space.dim:
@@ -107,6 +106,7 @@ class MatrixPair:
         self._adjoint = None
         self._char_poly = None
         self._normal = None
+        self._trace_form = None  # set once by krein.decompose._trace_form
 
     @classmethod
     def from_matrices(cls, n_op: Matrix, h: Matrix) -> "MatrixPair":
@@ -200,20 +200,6 @@ def is_h_normal(pair: MatrixPair) -> bool:
         a, adj = pair.n_op, pair.adjoint
         pair._normal = a @ adj == adj @ a
     return pair._normal
-
-
-def is_h_unitary(u: Matrix, space: IndefiniteSpace) -> bool:
-    """Exact test of U U^[*] = I."""
-    if not u.is_square or u.rows != space.dim:
-        raise DimensionMismatch("operator shape does not match the space")
-    return u @ h_adjoint(u, space) == Matrix.identity(space.dim, u.field)
-
-
-def indefinite_product(x: Matrix, y: Matrix, space: IndefiniteSpace) -> GaussianRational:
-    """[x, y] = (Hx, y) = y* H x; conjugate-linear in y."""
-    if x.cols != 1 or y.cols != 1 or x.rows != space.dim or y.rows != space.dim:
-        raise DimensionMismatch("arguments must be column vectors of the space")
-    return (y.conj_transpose() @ space.h @ x).scalar()
 
 
 def is_neutral(sub: SubspaceBasis, space: IndefiniteSpace) -> bool:

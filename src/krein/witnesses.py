@@ -1,8 +1,9 @@
 """Constructors for the strictness-witness families.
 
 Each constructor returns a :class:`WitnessPair`: an H-normal pair together
-with its declared classification case, size, and the kind of
-indecomposability certificate that applies to it. Layout conventions follow
+with its declared classification case and size. Each constructor's
+docstring says why its pair is indecomposable; :mod:`krein.decompose`
+certifies every one by the trace form instead. Layout conventions follow
 the displayed block forms literally and are pinned by serialization tests.
 
 Families (all exact; n is the space dimension, k = min inertia index of H):
@@ -56,13 +57,6 @@ ALL_FAMILIES = (
     REAL_E,
 )
 
-# certificate recipes (see krein.decompose)
-CERT_JORDAN_CHAIN_UNIQUE = "jordan_chain_unique"
-CERT_PROJECTION_SCALAR = "projection_scalar"
-CERT_NEUTRAL_EIGENSPAN = "neutral_eigenspan"
-CERT_JOINT_EIGENSPACE_2D = "joint_eigenspace_two_dim"
-
-
 @dataclass(frozen=True)
 class WitnessSpec:
     """Parameters selecting one witness construction."""
@@ -82,8 +76,6 @@ class WitnessPair:
     expected_case: str
     expected_n: int
     expected_signature: tuple[int, int]
-    certificate_recipe: str
-    certificate_args: dict  # the recipe's evidence arguments, in JSON form
 
 
 @dataclass(frozen=True)
@@ -182,16 +174,12 @@ def _validate_r_params(k: int, r: Sequence[Fraction]) -> tuple[tuple[Fraction, .
     return rs, tuple(mates)
 
 
-def _finish(pair: MatrixPair, spec, case, n, sig, recipe, **cert_args) -> WitnessPair:
+def _finish(pair: MatrixPair, spec, case, n, sig) -> WitnessPair:
     if pair.n != n:
         raise KreinError("witness has unexpected size (construction bug)")
     if not is_h_normal(pair):
         raise KreinError("witness pair is not H-normal (construction bug)")
-    return WitnessPair(pair, spec, case, n, sig, recipe, cert_args)
-
-
-def _eigen_args(primary: GaussianRational, secondary: GaussianRational) -> dict:
-    return {"primary": format_scalar(primary), "secondary": format_scalar(secondary)}
+    return WitnessPair(pair, spec, case, n, sig)
 
 
 def _split_h(k: int, field: str) -> Matrix:
@@ -201,7 +189,18 @@ def _split_h(k: int, field: str) -> Matrix:
 
 
 def witness_complex_a_lower(k: int, lam) -> WitnessPair:
-    """2k x 2k single-eigenvalue pair attaining the lower size bound n = 2k."""
+    """2k x 2k single-eigenvalue pair attaining the lower size bound n = 2k.
+
+    N = [[lam I, W], [0, lam I]] and H = [[0, I], [I, 0]], with W the chain
+    witness. It is indecomposable because C = W W*^-1 is the chain C_k,
+    whose eigenspace is one line. N - lam I and N^[*] - conj(lam) I are
+    [[0, W], [0, 0]] and [[0, W*], [0, 0]]: both have the neutral first block
+    V1 as kernel and image. A nonzero nondegenerate invariant subspace is not
+    inside V1, so it meets V1 in the images of those two maps on it, and C
+    maps the second image onto the first. The summands of a decomposition
+    would so split V1 into two nonzero C-invariant parts, each holding an
+    eigenvector of C.
+    """
     if k < 1:
         raise ParameterError("k must be >= 1")
     lam = as_scalar(lam)
@@ -210,7 +209,7 @@ def witness_complex_a_lower(k: int, lam) -> WitnessPair:
     n_op = Matrix.from_blocks([[li, w], [Matrix.zeros(k, k, COMPLEX), li]])
     pair = MatrixPair.from_matrices(n_op, _split_h(k, COMPLEX))
     spec = WitnessSpec(COMPLEX_A_LOWER, k, (lam,))
-    return _finish(pair, spec, "ComplexA", 2 * k, (k, k), CERT_JORDAN_CHAIN_UNIQUE, k=k)
+    return _finish(pair, spec, "ComplexA", 2 * k, (k, k))
 
 
 def _cyclic_weight_matrix(r: Sequence[Fraction], field: str) -> Matrix:
@@ -227,48 +226,43 @@ def _cyclic_weight_matrix(r: Sequence[Fraction], field: str) -> Matrix:
     return Matrix.from_rows(rows, field)
 
 
-def _a_upper_layout(lam, n1: Matrix, n2: Matrix) -> tuple[Matrix, Matrix]:
-    """(N, H) of the 4k upper-bound layout: H = [[0, 0, 0, I], [0, I, 0, 0],
-    [0, 0, I, 0], [I, 0, 0, 0]] and N = [[lam I, I, 0, 0], [0, lam I, 0, N1],
-    [0, 0, lam I, N2], [0, 0, 0, lam I]] for k x k blocks N1 and N2."""
-    k, field = n1.rows, n1.field
-    ik = Matrix.identity(k, field)
-    z = Matrix.zeros(k, k, field)
-    li = ik * lam
-    n_op = Matrix.from_blocks(
-        [
-            [li, ik, z, z],
-            [z, li, z, n1],
-            [z, z, li, n2],
-            [z, z, z, li],
-        ]
-    )
-    h = Matrix.from_blocks(
-        [
-            [z, z, z, ik],
-            [z, ik, z, z],
-            [z, z, ik, z],
-            [ik, z, z, z],
-        ]
-    )
-    return n_op, h
-
-
 def witness_complex_a_upper(k: int, lam, r: Optional[Sequence[Fraction]] = None) -> WitnessPair:
-    """4k x 4k single-eigenvalue pair attaining the upper size bound n = 4k."""
+    """4k x 4k single-eigenvalue pair attaining the upper size bound n = 4k.
+
+    H = [[0, 0, 0, I], [0, I, 0, 0], [0, 0, I, 0], [I, 0, 0, 0]] and
+    N = [[lam I, I, 0, 0], [0, lam I, 0, N1], [0, 0, lam I, N2],
+    [0, 0, 0, lam I]], for the weighted cyclic shift N1 and the diagonal mate
+    N2 (nonsingular) with N1* N1 + N2* N2 = I.
+
+    It is indecomposable because only real scalars are Hermitian and commute
+    with N1: such a matrix commutes with N1* N1 = diag(r_j^2), whose entries
+    are distinct, so it is diagonal, and the cyclic shift makes its diagonal
+    constant. With A = N - lam I, A A^[*] is I in block (1, 4) and zero
+    elsewhere, and A^2 is N1 there. The H-orthogonal projection P of a
+    decomposition commutes with both, so it keeps block 1 and blocks 1-3,
+    P11 = P44 and P11 commutes with N1; P = P^[*] makes P11 = P44* Hermitian.
+    So P11 is 0 or I; take 0, replacing P by I - P. Then the blocks (1, 2)
+    and (1, 3) of PA = AP give P22 = 0 and P23 = 0, P = P^[*] gives P32 = 0,
+    and block (1, 3) of P A^[*] = A^[*] P gives N2* P33 = 0. P has trace 0,
+    so the idempotent P is 0.
+    """
     if k < 1:
         raise ParameterError("k must be >= 1")
     lam = as_scalar(lam)
     rs, mates = _validate_r_params(k, default_r_params(k) if r is None else r)
     n1 = _cyclic_weight_matrix(rs, COMPLEX)
     n2 = Matrix.diagonal(mates, COMPLEX)
-    n_op, h = _a_upper_layout(lam, n1, n2)
+    ik = Matrix.identity(k, COMPLEX)
+    z = Matrix.zeros(k, k, COMPLEX)
+    li = ik * lam
+    n_op = Matrix.from_blocks([[li, ik, z, z], [z, li, z, n1], [z, z, li, n2], [z, z, z, li]])
+    h = Matrix.from_blocks([[z, z, z, ik], [z, ik, z, z], [z, z, ik, z], [ik, z, z, z]])
     # the identity that makes the pair H-normal, kept as a hard runtime check
     if n1.conj_transpose() @ n1 + n2.conj_transpose() @ n2 != Matrix.identity(k, COMPLEX):
         raise KreinError("cyclic/diagonal blocks do not satisfy N1*N1 + N2*N2 = I")
     pair = MatrixPair.from_matrices(n_op, h)
     spec = WitnessSpec(COMPLEX_A_UPPER, k, (lam,), rs)
-    return _finish(pair, spec, "ComplexA", 4 * k, (k, 3 * k), CERT_PROJECTION_SCALAR, k=k)
+    return _finish(pair, spec, "ComplexA", 4 * k, (k, 3 * k))
 
 
 def _jordan_block(k: int, lam: GaussianRational, field: str) -> Matrix:
@@ -280,7 +274,16 @@ def _jordan_block(k: int, lam: GaussianRational, field: str) -> Matrix:
 
 
 def witness_complex_b(k: int, l1, l2) -> WitnessPair:
-    """2k x 2k two-eigenvalue pair: Jordan block plus scalar block, n = 2k."""
+    """2k x 2k two-eigenvalue pair: Jordan block plus scalar block, n = 2k.
+
+    It is indecomposable because the eigenspace of l2 is neutral and that
+    of l1 is one line. The summands of a decomposition are N-invariant, so
+    each generalized eigenspace of N is the sum of its parts in the two. That
+    of l1 is one Jordan chain, so it lies in one summand. The other summand
+    is then inside the generalized eigenspace of l2, the second block: it is
+    the eigenspace, as N is l2 I there, and it is neutral, as the second
+    diagonal block of H is 0. A neutral nondegenerate subspace is zero.
+    """
     if k < 1:
         raise ParameterError("k must be >= 1")
     l1, l2 = as_scalar(l1), as_scalar(l2)
@@ -291,7 +294,7 @@ def witness_complex_b(k: int, l1, l2) -> WitnessPair:
     )
     pair = MatrixPair.from_matrices(n_op, _split_h(k, COMPLEX))
     spec = WitnessSpec(COMPLEX_B, k, (l1, l2))
-    return _finish(pair, spec, "ComplexB", 2 * k, (k, k), CERT_NEUTRAL_EIGENSPAN, **_eigen_args(l1, l2))
+    return _finish(pair, spec, "ComplexB", 2 * k, (k, k))
 
 
 def _real(x, name: str) -> Fraction:
@@ -347,7 +350,17 @@ def _check_beta(beta, name: str = "beta") -> Fraction:
 
 def witness_real_c_even(k: int, alpha, beta) -> WitnessPair:
     """2k x 2k real pair (k even) with the single conjugate eigenvalue pair
-    alpha +- i*beta, attaining the lower bound n = 2k."""
+    alpha +- i*beta, attaining the lower bound n = 2k.
+
+    It is indecomposable because its real joint eigenspace S0 (the real
+    span of the common eigenvectors of N and N^[*] over C, see
+    :func:`krein.classify.joint_eigenspace_real`) is 2-dimensional. A
+    decomposition splits S0 between its two real summands. Each holds a
+    common eigenvector z over C of the commuting N and N^[*], which may be
+    taken with N z = (alpha + i beta) z; its real and imaginary parts are
+    independent, as the eigenvalue is not real. So S0 would have dimension
+    at least 4.
+    """
     if k < 2 or k % 2:
         raise ParameterError("this family needs an even k >= 2")
     a_f, b = _real(alpha, "alpha"), _check_beta(beta)
@@ -355,8 +368,7 @@ def witness_real_c_even(k: int, alpha, beta) -> WitnessPair:
     h = _block_antidiagonal_h(k)
     pair = MatrixPair.from_matrices(n_op, h)
     spec = WitnessSpec(REAL_C_EVEN, k, (as_scalar(a_f), as_scalar(b)))
-    args = {"alpha": str(a_f), "beta": str(b)}
-    return _finish(pair, spec, "RealC", 2 * k, (k, k), CERT_JOINT_EIGENSPACE_2D, **args)
+    return _finish(pair, spec, "RealC", 2 * k, (k, k))
 
 
 def witness_real_c_odd(k: int, alpha, beta) -> WitnessPair:
@@ -366,7 +378,8 @@ def witness_real_c_odd(k: int, alpha, beta) -> WitnessPair:
     the all-ones 2x2 block on the superdiagonal; H is block antidiagonal with
     a central trailing-identity block. For k = 1 this degenerates to a single
     rotation block with H = the 2x2 trailing identity, and the pair is
-    H-selfadjoint, hence H-normal.
+    H-selfadjoint, hence H-normal. It is indecomposable because its real
+    joint eigenspace is 2-dimensional, as for :func:`witness_real_c_even`.
     """
     if k < 1 or k % 2 == 0:
         raise ParameterError("this family needs an odd k >= 1")
@@ -391,12 +404,17 @@ def witness_real_c_odd(k: int, alpha, beta) -> WitnessPair:
     h = _block_antidiagonal_h(k, center_trailing=True)
     pair = MatrixPair.from_matrices(n_op, h)
     spec = WitnessSpec(REAL_C_ODD, k, (as_scalar(a_f), as_scalar(b)))
-    args = {"alpha": str(a_f), "beta": str(b)}
-    return _finish(pair, spec, "RealC", 2 * k, (k, k), CERT_JOINT_EIGENSPACE_2D, **args)
+    return _finish(pair, spec, "RealC", 2 * k, (k, k))
 
 
 def witness_real_d(k: int, lam, alpha, beta) -> WitnessPair:
-    """2k x 2k real pair (k even): one real eigenvalue and one conjugate pair."""
+    """2k x 2k real pair (k even): one real eigenvalue and one conjugate pair.
+
+    It is indecomposable by the argument of :func:`witness_complex_b` over
+    R: alpha + i beta has geometric multiplicity 1, so its real generalized
+    eigenspace, the first block, lies in one summand, and the eigenspace of
+    lambda, the second block, is neutral.
+    """
     if k < 2 or k % 2:
         raise ParameterError("family d is only defined for even k")
     lam_f, a_f, b = _real(lam, "lambda"), _real(alpha, "alpha"), _check_beta(beta)
@@ -405,12 +423,17 @@ def witness_real_d(k: int, lam, alpha, beta) -> WitnessPair:
     n_op = Matrix.block_diagonal([n1, n2])
     pair = MatrixPair.from_matrices(n_op, _split_h(k, REAL))
     spec = WitnessSpec(REAL_D, k, (as_scalar(lam_f), as_scalar(a_f), as_scalar(b)))
-    args = _eigen_args(GaussianRational(a_f, b), as_scalar(lam_f))
-    return _finish(pair, spec, "RealD", 2 * k, (k, k), CERT_NEUTRAL_EIGENSPAN, **args)
+    return _finish(pair, spec, "RealD", 2 * k, (k, k))
 
 
 def witness_real_e(k: int, a1, b1, a2, b2) -> WitnessPair:
-    """2k x 2k real pair (k even): two distinct conjugate eigenvalue pairs."""
+    """2k x 2k real pair (k even): two distinct conjugate eigenvalue pairs.
+
+    It is indecomposable by the argument of :func:`witness_complex_b` over
+    R: alpha1 + i beta1 has geometric multiplicity 1, so its real
+    generalized eigenspace, the first block, lies in one summand, and the
+    real eigenspace of alpha2 +- i beta2, the second block, is neutral.
+    """
     if k < 2 or k % 2:
         raise ParameterError("family e is only defined for even k")
     bb1, bb2 = _check_beta(b1, "beta1"), _check_beta(b2, "beta2")
@@ -426,8 +449,7 @@ def witness_real_e(k: int, a1, b1, a2, b2) -> WitnessPair:
         k,
         (as_scalar(aa1), as_scalar(bb1), as_scalar(aa2), as_scalar(bb2)),
     )
-    args = _eigen_args(GaussianRational(aa1, bb1), GaussianRational(aa2, bb2))
-    return _finish(pair, spec, "RealE", 2 * k, (k, k), CERT_NEUTRAL_EIGENSPAN, **args)
+    return _finish(pair, spec, "RealE", 2 * k, (k, k))
 
 
 # each family's constructor and its eigen_params in WitnessSpec order, with

@@ -11,6 +11,7 @@ from fractions import Fraction
 from krein.classify import (
     bound_window,
     classify,
+    joint_eigenspace_real,
     reduce_conjugate_pair,
     reduce_single_eigenvalue,
 )
@@ -19,13 +20,15 @@ from krein.decompose import (
     Certificate,
     certify_family,
     search_decomposition,
+    selfadjoint_commutant_basis,
     verify_certificate,
 )
-from krein.matrices import COMPLEX, REAL, Matrix, apply_poly, char_poly, hstack
+from krein.matrices import COMPLEX, REAL, Matrix, char_poly, hstack
 from krein.pairdoc import parse_document, parse_pair, serialize_pair
 from krein.scalars import GaussianRational
 from krein.spaces import (
     IndefiniteSpace,
+    MatrixPair,
     SubspaceBasis,
     direct_sum,
     h_adjoint,
@@ -113,12 +116,19 @@ def test_criterion_04_inductive_chain_construction():
 def test_criterion_05_indecomposability_certificates():
     for w in all_witnesses():
         cert = certify_family(w)
+        assert cert.kind == "selfadjoint_quotient_field"
+        assert cert.evidence["trace_form_inertia"][2] == 1
         assert verify_certificate(w.pair, cert), (w.spec.family, w.spec.k)
+        assert search_decomposition(w.pair).certificate == cert
+        # the facts each family's own argument rests on (see its constructor)
+        k = w.spec.k
         if w.spec.family in ("real-c-even", "real-c-odd"):
-            assert cert.evidence["s0_dim"] == 2
+            assert joint_eigenspace_real(w.pair, *(p.re for p in w.spec.eigen_params)).s0_basis.dim == 2
         if w.spec.family == "complex-a-upper":
-            assert cert.evidence["hermitian_commutant_dim"] == 1
-    _report(5, f"family certificates produced and re-verified, k <= {KMAX}")
+            # X Hermitian with X N1 = N1 X: the selfadjoint commutant of N1 for H = I
+            n1 = w.pair.n_op.submatrix(k, 2 * k, 3 * k, 4 * k)
+            assert len(selfadjoint_commutant_basis(MatrixPair.from_matrices(n1, Matrix.identity(k, COMPLEX)))) == 1
+    _report(5, f"trace-form certificates produced and re-verified, k <= {KMAX}")
 
 
 GLUED_PAIRS = [
@@ -244,7 +254,7 @@ def test_criterion_09_core_algebra_properties():
     for _ in range(100):
         n = rng.randint(1, 5)
         m = _rand_matrix(rng, n)
-        assert apply_poly(char_poly(m), m).is_zero
+        assert _apply_poly(char_poly(m), m).is_zero
     done = 0
     while done < 100:
         n = rng.randint(2, 6)
@@ -271,6 +281,14 @@ def test_criterion_09_core_algebra_properties():
     _report(9, "adjoint laws, Sylvester invariance, Cayley-Hamilton, complement reconstruction: 100 exact trials each")
 
 
+def _apply_poly(p, m):
+    """p(m) by Horner's rule."""
+    acc = Matrix.zeros(m.rows, m.rows, m.field)
+    for c in reversed(p.coeffs):
+        acc = acc @ m + Matrix.identity(m.rows, m.field) * c
+    return acc
+
+
 def test_criterion_10_cli_contract(tmp_path, capsys):
     log = tmp_path / "audit.jsonl"
     rc = cli_main(["audit", "--kmax", "4", "--log", str(log), "--seed", str(SEED)])
@@ -281,7 +299,8 @@ def test_criterion_10_cli_contract(tmp_path, capsys):
     for rec in records:
         assert rec["passed"]
         pair = parse_pair(json.dumps(rec["pair"]))
-        cert = Certificate(rec["certificate"]["kind"], rec["certificate"]["evidence"])
+        assert "certificate" not in rec and rec["checks"]["certificate_verified"]
+        cert = Certificate(rec["search"]["certificate"]["kind"], rec["search"]["certificate"]["evidence"])
         assert verify_certificate(pair, cert)
     for w in all_witnesses(kmax=4):
         text = serialize_pair(w.pair, {"family": w.spec.family})

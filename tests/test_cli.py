@@ -240,6 +240,38 @@ def test_audit_rebuilds_the_witness_an_extra_document_names(tmp_path, capsys):
     assert not records[-1]["passed"]
 
 
+def test_audit_accepts_a_document_with_a_certificate_recipe(tmp_path, capsys):
+    # `krein generate` wrote the family certificate kind into the metadata
+    # before every pair got the trace-form certificate; such a document
+    # still audits clean
+    doc = {
+        "H": [["0", "1"], ["1", "0"]],
+        "N": [["0", "0"], ["0", "1"]],
+        "field": "complex",
+        "metadata": {
+            "certificate_recipe": "neutral_eigenspan",
+            "eigen_params": ["0", "1"],
+            "expected_case": "ComplexB",
+            "expected_n": 2,
+            "expected_signature": [1, 1],
+            "family": "b",
+            "k": 1,
+            "tool_version": "0.1.0",
+        },
+        "n": 2,
+        "schema_version": "1",
+    }
+    rc, _, records = _audit_extra(tmp_path, capsys, doc)
+    assert rc == 0
+    checks = records[-1]["checks"]
+    assert checks["witness_match"] is True
+    assert checks["certificate_verified"] is True
+    assert records[-1]["search"]["certificate"]["kind"] == "selfadjoint_quotient_field"
+    out = tmp_path / "b1.json"
+    assert run(capsys, "generate", "--family", "b", "--k", "1", "--out", str(out))[0] == 0
+    assert "certificate_recipe" not in json.loads(out.read_text())["metadata"]
+
+
 def test_audit_rebuilds_every_family_from_its_metadata(tmp_path, capsys):
     for argv in (["a-lower", "--k", "2", "--lambda", "1+2i"], ["a-upper", "--k", "2", "--r", "3/5,4/5"],
                  ["b", "--k", "3", "--l1", "1/2", "--l2", "i"], ["c-even", "--k", "2", "--alpha", "1/3"],

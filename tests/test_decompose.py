@@ -6,36 +6,34 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_acceptance import GLUED_PAIRS
 
+from krein.classify import joint_eigenspace_real
 from krein.decompose import (
     Certificate,
-    _commutant_of,
-    _evidence_joint_eigenspace_2d,
-    _evidence_jordan_chain,
-    _evidence_neutral_eigenspan,
-    _evidence_projection_scalar,
-    _evidence_selfadjoint_quotient_field,
-    _real_span_solutions,
+    _trace_form,
     certify_family,
-    certify_scalar_commutant,
     commutant_basis,
     search_decomposition,
     selfadjoint_commutant_basis,
     verify_certificate,
 )
-from krein.exceptions import KreinError, ParameterError
-from krein.matrices import COMPLEX, REAL, Matrix, char_poly, hstack, kernel_of_sparse_rows
-from krein.polynomials import poly_gcd, poly_roots
+from krein.exceptions import ParameterError
+from krein.matrices import COMPLEX, REAL, Matrix, hstack, kernel_of_sparse_rows
+from krein.pairdoc import parse_document, serialize_pair
+from krein.polynomials import Polynomial, poly_gcd, poly_roots
 from krein.scalars import I_UNIT, ZERO, GaussianRational, format_scalar, integer_form
 from krein.spaces import (
     MatrixPair,
+    SubspaceBasis,
     direct_sum,
     h_adjoint,
+    is_neutral,
     is_nondegenerate,
 )
 from krein.witnesses import (
     ALL_FAMILIES,
     admissible_ks,
     build_witness,
+    chain_matrix,
     witness_complex_a_lower,
     witness_complex_a_upper,
     witness_complex_b,
@@ -157,8 +155,9 @@ _real_entries = st.sampled_from([0, 0, 1, -2] + _EXTREME)
 
 @st.composite
 def _commutant_inputs(draw):
-    """One or two n x n matrices: zero, scalar or dense, real or Gaussian,
-    with entries 10^40, -10^40/7 and 1/1000003 among small ones."""
+    """A pair whose operator is zero, scalar or dense, real or Gaussian, with
+    entries 10^40, -10^40/7 and 1/1000003 among small ones, and whose Gram
+    matrix is I, diag(1, -1, ...) or the flip; it need not be H-normal."""
     field = draw(st.sampled_from([REAL, COMPLEX]))
     n = draw(st.integers(1, 4))
     entries = (
@@ -166,21 +165,25 @@ def _commutant_inputs(draw):
         if field == REAL
         else st.builds(GaussianRational, _real_entries, _real_entries)
     )
+    kind = draw(st.sampled_from(["zero", "scalar", "dense", "dense"]))
+    if kind == "zero":
+        op = Matrix.zeros(n, n, field)
+    elif kind == "scalar":
+        op = Matrix.identity(n, field) * draw(entries)
+    else:
+        op = Matrix(n, n, [draw(entries) for _ in range(n * n)], field)
+    gram = draw(st.sampled_from([
+        Matrix.identity(n, field),
+        Matrix.diagonal([(-1) ** i for i in range(n)], field),
+        Matrix.from_rows([[int(i + j == n - 1) for j in range(n)] for i in range(n)], field),
+    ]))
+    return MatrixPair.from_matrices(op, gram)
 
-    def matrix():
-        kind = draw(st.sampled_from(["zero", "scalar", "dense", "dense"]))
-        if kind == "zero":
-            return Matrix.zeros(n, n, field)
-        if kind == "scalar":
-            return Matrix.identity(n, field) * draw(entries)
-        return Matrix(n, n, [draw(entries) for _ in range(n * n)], field)
 
-    return [matrix() for _ in range(draw(st.integers(1, 2)))], n, field
-
-
-def _assert_commutant_matches_the_reference(mats, n, field):
-    got = _commutant_of(mats, n, field)
-    assert [repr(x) for x in got] == [repr(x) for x in reference_commutant(mats, n, field)]
+def _assert_commutant_matches_the_reference(pair):
+    mats = [pair.n_op, pair.adjoint]
+    got = commutant_basis(pair)
+    assert [repr(x) for x in got] == [repr(x) for x in reference_commutant(mats, pair.n, pair.field)]
     for x in got:
         for a in mats:
             assert x @ a == a @ x
@@ -188,13 +191,13 @@ def _assert_commutant_matches_the_reference(mats, n, field):
 
 @settings(max_examples=60, deadline=None)
 @given(_commutant_inputs())
-def test_commutant_matches_the_boxed_reference(inputs):
-    _assert_commutant_matches_the_reference(*inputs)
+def test_commutant_matches_the_boxed_reference(pair):
+    _assert_commutant_matches_the_reference(pair)
 
 
 def test_commutant_of_witnesses_and_glued_sums_matches_the_boxed_reference():
     for pair in _reference_pairs():
-        _assert_commutant_matches_the_reference([pair.n_op, pair.adjoint], pair.n, pair.field)
+        _assert_commutant_matches_the_reference(pair)
 
 
 def test_commutant_systems_do_no_scalar_arithmetic(monkeypatch):
@@ -249,9 +252,11 @@ def reference_selfadjoint_basis(pair):
     return reference_real_span_solutions(commutant_basis(pair), lambda x: h @ x - x.conj_transpose() @ h)
 
 
-def _hermitian_commutant_of_n1(pair, k, solve):
-    n1 = pair.n_op.submatrix(k, 2 * k, 3 * k, 4 * k)
-    return solve(_commutant_of([n1], k, pair.field))
+def _n1_pair(pair, k):
+    """(N1, I) for the block N1 = N[k:2k, 3k:4k] of a 4k x 4k pair: a Hermitian X
+    that commutes with N1 commutes with N1* too, so its selfadjoint commutant
+    is the Hermitian commutant of N1."""
+    return MatrixPair.from_matrices(pair.n_op.submatrix(k, 2 * k, 3 * k, 4 * k), Matrix.identity(k, pair.field))
 
 
 def _reference_pairs():
@@ -286,28 +291,24 @@ def _reference_a_upper_layout(pair, k):
 
 
 def test_projection_scalar_evidence_matches_the_reference():
+    # the a-upper argument (witness_complex_a_upper): in the 4k layout N1 is
+    # nonsingular and only real scalars are Hermitian and commute with it
     checked = 0
     layouts = 0
     for pair in _reference_pairs():
         if pair.n % 4:
             continue
         k = pair.n // 4
-        ident = Matrix.identity(k, pair.field)
-        got = _hermitian_commutant_of_n1(pair, k, lambda b: _real_span_solutions(b, ident))
-        ref = _hermitian_commutant_of_n1(
-            pair, k, lambda b: reference_real_span_solutions(b, lambda x: x - x.conj_transpose())
-        )
-        assert [repr(x) for x in got] == [repr(x) for x in ref]
-        n1 = pair.n_op.submatrix(k, 2 * k, 3 * k, 4 * k)
-        assert _evidence_projection_scalar(pair, k) == {
-            "k": k,
-            "layout_ok": _reference_a_upper_layout(pair, k),
-            "n1_nonsingular": n1.rank() == k,
-            "hermitian_commutant_dim": len(ref),
-            "hermitian_commutant_scalar": len(ref) == 1 and ref[0] == ident * ref[0][0, 0],
-        }
+        n1_pair = _n1_pair(pair, k)
+        got = selfadjoint_commutant_basis(n1_pair)
+        assert [repr(x) for x in got] == [repr(x) for x in reference_selfadjoint_basis(n1_pair)]
+        if _reference_a_upper_layout(pair, k):
+            ident = Matrix.identity(k, pair.field)
+            assert n1_pair.n_op.rank() == k
+            assert len(got) == 1 and got[0] == ident * got[0][0, 0]
+            assert verify_certificate(pair, search_decomposition(pair).certificate)
+            layouts += 1
         checked += 1
-        layouts += _reference_a_upper_layout(pair, k)
     assert checked >= 6
     assert layouts == 3  # the a-upper witnesses k = 1, 2, 3
 
@@ -359,41 +360,74 @@ def test_selfadjoint_basis_matches_the_reference_under_congruence(pairs):
     ]
 
 
-# --- scalar-commutant certificate ------------------------------------------------
+# --- certificates ------------------------------------------------------------------
+
+
+_QUOTIENT = "selfadjoint_quotient_field"
+
+# a certificate of each kind that the family rules and the scalar-commutant
+# rule issued, with the evidence they recorded, and the pair they certified
+_REMOVED_KINDS = [
+    (lambda: witness_complex_b(1, 0, 1).pair, Certificate("neutral_eigenspan", {
+        "primary": "0", "secondary": "1", "primary_geometric_dim": 1, "secondary_eigenspace_dim": 1,
+        "secondary_semisimple": True, "eigenspan_dim": 1, "eigenspan_gram_zero": True, "spectrum": ["0", "1"],
+    })),
+    (lambda: witness_complex_a_lower(1, 0).pair, Certificate("jordan_chain_unique", {
+        "k": 1, "eigenvalue": "0", "corner_layout_ok": True, "chain_factor_ok": True, "chain_eigenvector_dim": 1,
+    })),
+    (lambda: witness_complex_a_upper(1, 0).pair, Certificate("projection_scalar", {
+        "k": 1, "layout_ok": True, "n1_nonsingular": True, "hermitian_commutant_dim": 1,
+        "hermitian_commutant_scalar": True,
+    })),
+    (lambda: witness_real_c_odd(1, 0, 1).pair, Certificate("joint_eigenspace_two_dim", {
+        "alpha": "0", "beta": "1", "s0_dim": 2, "p": 0, "q": 1, "s0_neutral": False, "spectrum_ok": True,
+    })),
+    (lambda: MatrixPair.from_matrices(Matrix.diagonal([5], COMPLEX), Matrix.diagonal([1], COMPLEX)),
+     Certificate("scalar_selfadjoint_commutant", {"selfadjoint_commutant_dim": 1, "scalar": True})),
+]
+
+
+def test_certificates_of_removed_kinds_do_not_verify():
+    # an older log's certificate is rejected, not raised, on the very pair it
+    # certified, and that pair's own certificate verifies
+    for make, old in _REMOVED_KINDS:
+        pair = make()
+        assert verify_certificate(pair, old) is False, old.kind
+        own = search_decomposition(pair).certificate
+        assert own.kind == _QUOTIENT and own.evidence["trace_form_inertia"][2] == 1
+        assert verify_certificate(pair, own)
 
 
 def test_scalar_certificate_for_one_dimensional_pair():
     pair = MatrixPair.from_matrices(
         Matrix.diagonal([5], COMPLEX), Matrix.diagonal([1], COMPLEX)
     )
-    cert = certify_scalar_commutant(pair)
-    assert cert is not None and cert.kind == "scalar_selfadjoint_commutant"
+    cert = search_decomposition(pair).certificate
+    assert cert == Certificate(_QUOTIENT, {
+        "selfadjoint_commutant_dim": 1, "trace_form_rank": 1, "trace_form_inertia": [0, 0, 1],
+    })
     assert verify_certificate(pair, cert)
 
 
 def test_scalar_certificate_on_real_witness_either_way():
-    # whichever way the commutant comes out, the family certificate carries
-    # the verdict; a scalar-commutant certificate is a bonus when present
-    pair = witness_real_c_even(2, 0, 1).pair
-    cert = certify_scalar_commutant(pair)
-    if cert is not None:
-        assert verify_certificate(pair, cert)
-    else:
-        assert len(selfadjoint_commutant_basis(pair)) > 1
+    # the selfadjoint commutant is not the scalars, and the trace form on it
+    # still certifies the witness
+    w = witness_real_c_even(2, 0, 1)
+    cert = certify_family(w)
+    assert len(selfadjoint_commutant_basis(w.pair)) == cert.evidence["selfadjoint_commutant_dim"] > 1
+    assert verify_certificate(w.pair, cert)
 
 
 def test_no_scalar_certificate_for_decomposable_pair():
     pair = MatrixPair.from_matrices(
         Matrix.diagonal([1, 2], COMPLEX), Matrix.identity(2, COMPLEX)
     )
-    assert certify_scalar_commutant(pair) is None
-    fake = Certificate(
-        "scalar_selfadjoint_commutant", {"selfadjoint_commutant_dim": 1, "scalar": True}
-    )
-    assert not verify_certificate(pair, fake)
-
-
-# --- family certificates ---------------------------------------------------------
+    assert search_decomposition(pair).certificate is None
+    for fake in (
+        Certificate("scalar_selfadjoint_commutant", {"selfadjoint_commutant_dim": 1, "scalar": True}),
+        Certificate(_QUOTIENT, {"selfadjoint_commutant_dim": 1, "trace_form_rank": 1, "trace_form_inertia": [0, 0, 1]}),
+    ):
+        assert not verify_certificate(pair, fake)
 
 
 def test_family_certificates_verify():
@@ -401,16 +435,20 @@ def test_family_certificates_verify():
         for k in admissible_ks(family, 3):
             w = build_witness(family, k, {})
             cert = certify_family(w)
-            assert cert.kind == w.certificate_recipe
+            assert cert.kind == _QUOTIENT and cert.evidence["trace_form_inertia"][2] == 1
             assert verify_certificate(w.pair, cert), (family, k)
+            verdict = search_decomposition(w.pair)
+            assert verdict.status == "indecomposable" and verdict.certificate == cert
 
 
 def test_certificate_for_an_eigenvalue_with_a_large_denominator():
     # the squarefree factor is 1000003 t^2 - t: its root 1/1000003 has the
     # denominator of the leading coefficient, as the Gauss lemma says
     w = witness_complex_b(2, Fraction(1, 1000003), 0)
+    roots = poly_roots(w.pair.char_poly)
+    assert all(r.is_exact for r in roots)
+    assert sorted(format_scalar(r.value) for r in roots) == ["0", "1/1000003"]
     cert = certify_family(w)
-    assert cert.evidence["spectrum"] == ["0", "1/1000003"]
     assert verify_certificate(w.pair, cert)
 
 
@@ -419,9 +457,9 @@ def test_projection_scalar_system_solved_by_hand():
     # to off-diagonal 0 and equal diagonal: 4q = 3 conj(q) forces q = 0, and
     # the coupling equation forces p = s, so P is scalar
     w = witness_complex_a_upper(2, 0)
-    cert = certify_family(w)
-    assert cert.evidence["hermitian_commutant_dim"] == 1
-    assert cert.evidence["hermitian_commutant_scalar"]
+    hermitian = selfadjoint_commutant_basis(_n1_pair(w.pair, 2))
+    assert hermitian == [Matrix.identity(2, COMPLEX) * hermitian[0][0, 0]]
+    assert verify_certificate(w.pair, certify_family(w))
     n1 = w.pair.n_op.submatrix(2, 4, 6, 8)
     assert n1 == Matrix.from_rows(
         [[0, Fraction(3, 5)], [Fraction(4, 5), 0]], COMPLEX
@@ -432,18 +470,25 @@ def test_projection_scalar_system_solved_by_hand():
 
 
 def test_jordan_chain_certificate_evidence():
+    # the a-lower argument (witness_complex_a_lower): W W*^-1 is the chain,
+    # whose eigenspace is one line
     w = witness_complex_a_lower(3, 1)
-    cert = certify_family(w)
-    assert cert.evidence["chain_eigenvector_dim"] == 1
-    assert cert.evidence["chain_factor_ok"]
+    assert verify_certificate(w.pair, certify_family(w))
+    chain = chain_matrix(3)
+    corner = w.pair.n_op.submatrix(0, 3, 3, 6)
+    assert corner @ corner.conj_transpose().inverse() == chain.matrix.with_field(COMPLEX)
+    assert len((chain.matrix - Matrix.identity(3, REAL) * chain.sign).kernel_basis()) == 1
 
 
 def test_neutral_eigenspan_certificate_for_real_d():
+    # the real-d argument (witness_real_d): the eigenspace of lambda = 5 is the
+    # second block, and it is neutral
     w = witness_real_d(2, 5, 0, 1)
     cert = certify_family(w)
-    assert cert.kind == "neutral_eigenspan"
-    assert cert.evidence["eigenspan_gram_zero"]
-    assert cert.evidence["secondary"] == "5"
+    assert cert.kind == _QUOTIENT
+    assert verify_certificate(w.pair, cert)
+    eigenspan = SubspaceBasis((w.pair.n_op - Matrix.identity(4, REAL) * 5).kernel_basis(), 4, REAL)
+    assert eigenspan.dim == 2 and is_neutral(eigenspan, w.pair.space)
 
 
 def test_neutral_eigenspan_certificates_compute_no_signature(monkeypatch):
@@ -460,42 +505,87 @@ def test_neutral_eigenspan_certificates_compute_no_signature(monkeypatch):
     monkeypatch.setattr(krein.spaces, "signature", counting)
     for w in witnesses:
         cert = certify_family(w)
-        assert cert.kind == "neutral_eigenspan"
+        assert cert.kind == _QUOTIENT
         assert verify_certificate(w.pair, cert)
     assert calls == []
 
 
 def test_joint_eigenspace_certificates_report_dimension_two():
-    for k, builder in ((2, witness_real_c_even), (4, witness_real_c_even)):
-        cert = certify_family(builder(k, 0, 1))
-        assert cert.evidence["s0_dim"] == 2
-    for k in (1, 3):
-        cert = certify_family(witness_real_c_odd(k, 0, 1))
-        assert cert.evidence["s0_dim"] == 2
+    # the real-c argument (witness_real_c_even): the real joint eigenspace is
+    # 2-dimensional
+    for w in (witness_real_c_even(2, 0, 1), witness_real_c_even(4, 0, 1),
+              witness_real_c_odd(1, 0, 1), witness_real_c_odd(3, 0, 1)):
+        assert joint_eigenspace_real(w.pair, 0, 1).s0_basis.dim == 2
+        assert verify_certificate(w.pair, certify_family(w))
 
 
 def test_tampered_evidence_is_rejected():
     w = witness_real_c_even(2, 0, 1)
     cert = certify_family(w)
-    tampered = dict(cert.evidence)
-    tampered["s0_dim"] = 3
+    tampered = dict(cert.evidence, selfadjoint_commutant_dim=3)
     assert not verify_certificate(w.pair, Certificate(cert.kind, tampered))
     w2 = witness_complex_a_lower(2, 0)
     cert2 = certify_family(w2)
-    tampered2 = dict(cert2.evidence)
-    tampered2["chain_eigenvector_dim"] = 2
+    tampered2 = dict(cert2.evidence, trace_form_rank=2)
     assert not verify_certificate(w2.pair, Certificate(cert2.kind, tampered2))
-    # an argument of the wrong type is rejected, not raised
+    # evidence of the wrong type, or no certificate at all, is rejected, not raised
     w3 = witness_complex_b(2, 0, 1)
     cert3 = certify_family(w3)
-    tampered3 = dict(cert3.evidence, primary=0)
-    assert not verify_certificate(w3.pair, Certificate(cert3.kind, tampered3))
+    for bad in (
+        Certificate(cert3.kind, dict(cert3.evidence, trace_form_inertia="1 2 1")),
+        Certificate(cert3.kind, None),
+        Certificate(None, cert3.evidence),
+        cert3.to_json_dict(),
+        None,
+    ):
+        assert verify_certificate(w3.pair, bad) is False, bad
 
 
 def test_certificate_verification_against_wrong_pair():
     cert = certify_family(witness_complex_a_lower(2, 0))
     other = witness_complex_b(2, 0, 1)
     assert not verify_certificate(other.pair, cert)
+
+
+def test_the_trace_form_is_computed_once_per_pair(monkeypatch):
+    import krein.decompose as decompose
+
+    calls = []
+    real = decompose.selfadjoint_commutant_basis
+    monkeypatch.setattr(decompose, "selfadjoint_commutant_basis", lambda pair: calls.append(pair) or real(pair))
+    w = witness_real_c_odd(3, Fraction(1, 2), 1)
+    cert = certify_family(w)
+    assert verify_certificate(w.pair, cert)
+    verdict = search_decomposition(w.pair)
+    assert verdict.certificate == cert
+    assert calls == [w.pair]
+    # a pair parsed back from its document is a new object: computed again
+    again, _ = parse_document(serialize_pair(w.pair))
+    assert again == w.pair and again is not w.pair
+    assert verify_certificate(again, cert)
+    assert len(calls) == 2
+    # forged evidence is still rejected on a pair that keeps its trace form
+    ev = cert.evidence
+    neg, zero, pos = ev["trace_form_inertia"]
+    for forged in (dict(ev, trace_form_rank=ev["trace_form_rank"] + 1),
+                   dict(ev, trace_form_inertia=[neg, zero - 1, pos + 1])):
+        for pair in (w.pair, again):
+            assert not verify_certificate(pair, Certificate(cert.kind, forged)), forged
+    assert len(calls) == 2
+
+
+def test_callers_get_their_own_copy_of_the_evidence():
+    w = witness_complex_b(2, 0, 1)
+    cert = certify_family(w)
+    cert.evidence["trace_form_rank"] = 0
+    cert.evidence["trace_form_inertia"][2] = 2
+    verdict = search_decomposition(w.pair)
+    assert verdict.status == "indecomposable"
+    assert verdict.trace_form == verdict.certificate.evidence
+    assert verdict.trace_form is not verdict.certificate.evidence
+    assert verdict.trace_form["trace_form_inertia"] is not verdict.certificate.evidence["trace_form_inertia"]
+    assert verify_certificate(w.pair, certify_family(w))
+    assert not verify_certificate(w.pair, cert)
 
 
 # --- the searcher ---------------------------------------------------------------
@@ -634,7 +724,8 @@ def test_search_draws_call_no_char_poly_and_pass_squarefree_polynomials(monkeypa
     assert char_polys == []
     assert len(roots_inputs) >= len(GLUED_PAIRS)  # the witnesses make no draw
     for p in roots_inputs:
-        assert poly_gcd(p, p.derivative()).degree == 0, p
+        derivative = Polynomial([k * c for k, c in enumerate(p.coeffs)][1:])
+        assert poly_gcd(p, derivative).degree == 0, p
 
 
 def test_search_golden_verdict_on_b_sum():
@@ -718,72 +809,50 @@ def test_selfadjoint_commutant_golden_basis_real_c_odd():
     ]
 
 
-def test_projection_scalar_golden_evidence_a_upper_k2():
-    assert _evidence_projection_scalar(witness_complex_a_upper(2, 0).pair, 2) == {
-        "k": 2,
-        "layout_ok": True,
-        "n1_nonsingular": True,
-        "hermitian_commutant_dim": 1,
-        "hermitian_commutant_scalar": True,
-    }
-
-
 # --- forged certificates on decomposable pairs ------------------------------------
 
 
 def _forged_certificates(pair):
-    """Every certificate the evidence functions build on ``pair`` for any
-    argument choice: each k <= n/2, each ordered pair of distinct exact
-    eigenvalues (conjugates included), each eigenvalue above the real axis."""
-    exact = {r.value for r in poly_roots(char_poly(pair.n_op)) if r.is_exact}
-    values = sorted(
-        {format_scalar(z) for z in exact} | {format_scalar(z.conjugate()) for z in exact}
-    )
-    ks = range(1, pair.n // 2 + 1)
-    choices = [("jordan_chain_unique", _evidence_jordan_chain, (k,)) for k in ks]
-    choices += [("projection_scalar", _evidence_projection_scalar, (k,)) for k in ks]
-    choices += [("selfadjoint_quotient_field", _evidence_selfadjoint_quotient_field, ())]
-    choices += [
-        ("neutral_eigenspan", _evidence_neutral_eigenspan, (p, s))
-        for p in values
-        for s in values
-        if p != s
-    ]
-    choices += [
-        ("joint_eigenspace_two_dim", _evidence_joint_eigenspace_2d, (str(z.re), str(z.im)))
-        for z in exact
-        if z.im > 0
-    ]
-    for kind, evidence, args in choices:
-        try:
-            ev = evidence(pair, *args)
-        except KreinError:
-            continue  # no evidence for this argument choice, so no certificate
-        yield Certificate(kind, ev)
+    """Certificates presented for a decomposable ``pair``: its own trace-form
+    evidence, that evidence with every inertia of positive index 1 at its
+    rank and dimension, each witness's certificate (k <= 2) and each
+    certificate of a removed kind."""
+    _, ev = _trace_form(pair)
+    m = ev["selfadjoint_commutant_dim"]
+    yield Certificate(_QUOTIENT, ev)
+    for r in range(1, m + 1):
+        yield Certificate(_QUOTIENT, dict(ev, trace_form_rank=r, trace_form_inertia=[r - 1, m - r, 1]))
+    for family in ALL_FAMILIES:
+        for k in admissible_ks(family, 2):
+            yield certify_family(build_witness(family, k, {}))
+    for _, old in _REMOVED_KINDS:
+        yield old
 
 
 def test_no_forged_certificate_verifies_on_a_decomposable_pair():
     built = 0
     for make in GLUED_PAIRS:
         pair = make()
+        assert search_decomposition(pair).status == "decomposable"
         for cert in _forged_certificates(pair):
             built += 1
             assert not verify_certificate(pair, cert), (pair, cert.kind, cert.evidence)
-    assert built == 146
+    assert built == 212
 
 
 def test_projection_scalar_needs_the_a_upper_layout():
     # with its basis permuted by (0, 2, 1, 3) this decomposable sum has
     # N[1, 3] = 1, a nonsingular 1 x 1 block N1 whose Hermitian commutant is
-    # scalar; only the layout check tells it from an a-upper witness
+    # scalar, as in an a-upper witness; the trace form needs no layout
     pair = direct_sum(witness_complex_a_lower(1, 0).pair, witness_complex_a_lower(1, 1).pair)
     p = Matrix.from_rows([[1 if i == j else 0 for j in (0, 2, 1, 3)] for i in range(4)], COMPLEX)
-    permuted = MatrixPair.from_matrices(p.transpose() @ pair.n_op @ p, p.transpose() @ pair.space.h @ p)
-    ev = _evidence_projection_scalar(permuted, 1)
-    assert ev["n1_nonsingular"] and ev["hermitian_commutant_scalar"]
-    assert not ev["layout_ok"]
-    assert not verify_certificate(permuted, Certificate("projection_scalar", ev))
-    assert not verify_certificate(permuted, Certificate("projection_scalar", dict(ev, layout_ok=True)))
+    permuted = MatrixPair.from_matrices(p.conj_transpose() @ pair.n_op @ p, p.conj_transpose() @ pair.space.h @ p)
+    n1_pair = _n1_pair(permuted, 1)
+    assert n1_pair.n_op.rank() == 1 and len(selfadjoint_commutant_basis(n1_pair)) == 1
+    assert _trace_form(permuted)[1]["trace_form_inertia"][2] >= 2
+    _, old = _REMOVED_KINDS[2]
+    assert old.kind == "projection_scalar"
+    assert not verify_certificate(permuted, old)
     assert search_decomposition(permuted).status == "decomposable"
 
 
@@ -899,12 +968,11 @@ def test_a_doubled_b_witness_is_decomposable_under_every_congruence():
 
 
 def test_glued_verdicts_do_not_depend_on_the_trace_form_certificate(monkeypatch):
-    # with the rule made to reject everything the splitter gives the same subspaces
+    # with no certificate issued at all the splitter gives the same subspaces
     import krein.decompose as decompose
 
     verdicts = [search_decomposition(make()).to_json_dict() for make in GLUED_PAIRS]
-    rule = decompose._RULES["selfadjoint_quotient_field"]
-    monkeypatch.setitem(decompose._RULES, "selfadjoint_quotient_field", rule._replace(accept=lambda pair, ev: False))
+    monkeypatch.setattr(decompose, "_certificate", lambda pair: None)
     assert [search_decomposition(make()).to_json_dict() for make in GLUED_PAIRS] == verdicts
     assert all(v["status"] == "decomposable" for v in verdicts)
 
@@ -916,7 +984,7 @@ def test_split_quotient_is_not_certified():
     # eigenvectors of +-sqrt 2 are orthogonal); no rational eigenvalue splits
     # it, so no subspace over Q is attached
     pair = MatrixPair.from_matrices(Matrix.from_rows([[1, 1], [1, -1]], REAL), Matrix.identity(2, REAL))
-    ev = _evidence_selfadjoint_quotient_field(pair)
+    ev = _trace_form(pair)[1]
     assert ev == {"selfadjoint_commutant_dim": 2, "trace_form_rank": 2, "trace_form_inertia": [0, 0, 2]}
     assert not verify_certificate(pair, Certificate("selfadjoint_quotient_field", ev))
     verdict = search_decomposition(pair, budget=200, seed=SEED)
@@ -945,7 +1013,7 @@ def test_forged_trace_form_evidence_is_rejected():
     # a glued sum's evidence with its inertia forged to positive index 1
     for make in GLUED_PAIRS:
         pair = make()
-        ev = _evidence_selfadjoint_quotient_field(pair)
+        ev = _trace_form(pair)[1]
         neg, zero, pos = ev["trace_form_inertia"]
         f = dict(ev, trace_form_inertia=[neg + pos - 1, zero, 1])
         assert not verify_certificate(pair, Certificate("selfadjoint_quotient_field", f)), (pair, f)
