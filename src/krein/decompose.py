@@ -40,22 +40,19 @@ other kind (such as the family kinds of older logs) does not.
 
 The subspace. For a decomposable pair the search tries fixed elements x of
 S, in order: N + N^[*], N N^[*], i (N - N^[*]) over C, then the basis of S.
-For each rational root mu of the characteristic polynomial of x, of
-multiplicity m < n, the generalized eigenspace ker (x - mu)^m is invariant
-and nondegenerate, by the argument above with mu its own class. It is still
-checked exactly before it is reported. The search keeps no budget and no
-seed: the verdict records the ones it is given and does not depend on them.
-A pair on which no such x has a rational root that splits the space, such
-as N = [[1, 1], [1, -1]] with H = I over R (eigenvalues +-sqrt 2), is
+Their spectra come from ``poly_roots(char_poly(x))``, exact in Q(i). Each
+class of the argument above whose roots are exact gives a kernel: first, over
+every x in order, ker (x - mu)^m for a real root mu of multiplicity m < n;
+then, over the same spectra, ker ((x - a)^2 + b^2)^m for a root a + ib with
+b > 0 and 2m < n. The latter is the sum of the generalized eigenspaces of
+lambda and conj(lambda), defined over the base field because
+(t - a)^2 + b^2 has rational coefficients; over C the eigenspace of lambda
+alone is neutral, which is why the pair is taken together. Each kernel is
+still checked exactly before it is reported. The search keeps no budget and
+no seed: the verdict records the ones it is given and does not depend on
+them. A pair on which no such x has an exact class that splits the space,
+such as N = [[1, 1], [1, -1]] with H = I over R (eigenvalues +-sqrt 2), is
 ``decomposable`` with no subspace.
-
-The candidates run on Python ints. For the integer form (d, re, im) of x,
-f = det(tI - d x) comes from the same Samuelson-Berkowitz recurrence as
-:func:`krein.matrices.char_poly`. ``poly_roots`` sees only the primitive
-part of w(d t), for the squarefree part w of f: its roots are the
-eigenvalues mu of x, so its size, and the p-adic precision its roots need,
-do not grow with d. y = d mu is an integer root of f, and its multiplicity
-comes from exact synthetic division.
 
 Every linear solve here (the commutant, its selfadjoint part, the real span
 of complex vectors and the candidate subspaces) is an exact kernel or pivot
@@ -72,7 +69,6 @@ written over its common denominator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exceptions import CertificateCheckFailed
@@ -84,16 +80,12 @@ from .matrices import (
     _hermitian_inertia,
     _integer_gauss_jordan,
     _integer_kernel,
-    _samuelson_berkowitz,
-    char_poly,  # noqa: F401  (re-exported as krein.decompose.char_poly)
+    char_poly,
     hstack,
     mat_power,
 )
-from .polynomials import (
-    _integer_roots_with_mult,
-    poly_roots,  # noqa: F401  (re-exported as krein.decompose.poly_roots)
-)
-from .scalars import I_UNIT, as_scalar, format_scalar
+from .polynomials import poly_roots
+from .scalars import I_UNIT, format_scalar
 from .spaces import MatrixPair, SubspaceBasis, is_nondegenerate
 from .witnesses import WitnessPair
 
@@ -310,10 +302,10 @@ def verify_certificate(pair: MatrixPair, cert: Certificate) -> bool:
 # -- decomposition search ------------------------------------------------------
 
 
-def _try_root_subspace(pair: MatrixPair, x: Matrix, mu: Fraction, mult: int):
+def _try_subspace(pair: MatrixPair, g: Matrix) -> Optional[SubspaceBasis]:
+    """ker g, when it is proper, invariant under N and N^[*], and nondegenerate."""
     n = pair.n
-    shift = x - Matrix.identity(n, pair.field) * as_scalar(mu)
-    kernel = mat_power(shift, mult).kernel_basis()
+    kernel = g.kernel_basis()
     d = len(kernel)
     if not 0 < d < n:
         return None
@@ -328,23 +320,33 @@ def _try_root_subspace(pair: MatrixPair, x: Matrix, mu: Fraction, mult: int):
 
 
 def _splitting_subspace(pair: MatrixPair, basis: Sequence[Matrix]) -> Optional[SubspaceBasis]:
-    """The first generalized eigenspace ker (x - mu)^m, for a rational root mu
-    of multiplicity m < n, that passes the exact checks, with x running over
-    N + N^[*], N N^[*], i (N - N^[*]) over C, then the selfadjoint basis;
-    None if there is none."""
+    """The first kernel that passes the exact checks, with x running over
+    N + N^[*], N N^[*], i (N - N^[*]) over C, then the selfadjoint basis:
+    first ker (x - mu)^m for each exact real root mu of multiplicity m < n,
+    then, over the same spectra, ker ((x - a)^2 + b^2)^m for each exact root
+    a + ib with b > 0 and 2m < n. None if there is none."""
     n, nop, adj = pair.n, pair.n_op, pair.adjoint
     xs = [nop + adj, nop @ adj]
     if pair.field == COMPLEX:
         xs.append((nop - adj) * I_UNIT)
+    one = Matrix.identity(n, pair.field)
+    spectra = []
     for x in xs + list(basis):
-        d = x._d
-        # a root y of det(tI - d x) is d mu for an eigenvalue mu of x
-        for y, mult in _integer_roots_with_mult(_samuelson_berkowitz(n, x._re, x._im), d):
-            if mult == n:  # ker (x - mu)^n is the whole space
-                continue
-            sub = _try_root_subspace(pair, x, Fraction(y, d), mult)
-            if sub is not None:
-                return sub
+        roots = [r for r in poly_roots(char_poly(x)) if r.is_exact]
+        spectra.append((x, roots))
+        for r in roots:
+            if r.value.is_real and r.multiplicity < n:
+                sub = _try_subspace(pair, mat_power(x - one * r.value, r.multiplicity))
+                if sub is not None:
+                    return sub
+    for x, roots in spectra:
+        for r in roots:
+            a, b = r.value.re, r.value.im
+            if b > 0 and 2 * r.multiplicity < n:
+                shift = x - one * a
+                sub = _try_subspace(pair, mat_power(shift @ shift + one * (b * b), r.multiplicity))
+                if sub is not None:
+                    return sub
     return None
 
 

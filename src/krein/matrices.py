@@ -24,11 +24,9 @@ pivot, and no fraction is formed. Rank, kernels, inverses and particular
 solutions are read off the integer pivot rows of d M, and kernels by one
 helper, ``_integer_kernel``, also for the integer commutant systems that
 :mod:`krein.decompose` builds from the (d, re, im) of its matrices.
-:func:`kernel_of_sparse_rows` and :func:`_gauss_jordan` take rows of
-``GaussianRational``s and scale each to integers first; :func:`_gauss_jordan`
-divides each pivot row by its pivot to give the RREF itself. The RREF is
-unique, so these results do not depend on how rows are ordered, scaled or
-stored.
+:func:`kernel_of_sparse_rows` takes rows of ``GaussianRational``s and
+scales each to integers first. The RREF is unique, so these results do not
+depend on how rows are ordered, scaled or stored.
 The one symmetric reduction is the Hermitian congruence of
 ``_hermitian_inertia``, which reads the inertia of a Hermitian
 Gaussian-integer matrix in O(n^3), fraction-free, with the entries kept at
@@ -38,10 +36,9 @@ generators or iterators: those build their argument tuple by resizing, and
 the freed tuple lands on the free list of another size, so between full
 garbage collections such calls grow the interpreter's tuple free lists.
 Characteristic polynomials come from the division-free Samuelson-Berkowitz
-recurrence on the Gaussian-integer matrix d M (``_samuelson_berkowitz``),
-one code path for real and Gaussian entries, which also takes integer lists
-built without a ``Matrix``; the determinant is read off the characteristic
-polynomial.
+recurrence on the Gaussian-integer matrix d M (``_samuelson_berkowitz``,
+whose one caller is :func:`char_poly`), one code path for real and Gaussian
+entries; the determinant is read off the characteristic polynomial.
 """
 
 from __future__ import annotations
@@ -59,7 +56,6 @@ from .exceptions import (
 )
 from .polynomials import Polynomial
 from .scalars import (
-    ONE,
     ZERO,
     GaussianRational,
     ScalarLike,
@@ -548,25 +544,6 @@ def _integer_gauss_jordan(rows: Iterable[IntRow]) -> dict[int, list]:
                 _make_primitive(prow)
         pivot_rows[p] = nrow
     return pivot_rows
-
-
-def _gauss_jordan(
-    rows: Iterable[dict[int, GaussianRational]],
-) -> dict[int, dict[int, GaussianRational]]:
-    """Reduced row echelon form of a sparse row system, as {pivot column: row}.
-
-    Rows are {column: coefficient} dicts. Each is scaled once to Gaussian
-    integers for :func:`_integer_gauss_jordan`, and each pivot row it returns
-    is divided by its pivot: the only division. The result is the unique
-    RREF of the row space, 1 at each pivot.
-    """
-    out = {}
-    for p, (big_p, re, im) in _integer_gauss_jordan(map(_integer_row, rows)).items():
-        orow = {p: ONE}
-        for c in sorted(re.keys() | im.keys()):
-            orow[c] = _box(re.get(c, 0), im.get(c, 0), big_p)
-        out[p] = orow
-    return out
 
 
 def _pivot_row(re: dict[int, int], im: dict[int, int], p: int) -> list:

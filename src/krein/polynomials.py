@@ -281,47 +281,6 @@ def _squarefree_parts(f: ZPoly) -> list[tuple[ZPoly, int]]:
     return out
 
 
-def _integer_roots_with_mult(f: ZPoly, d: int) -> list[tuple[int, int]]:
-    """The rational roots y of a monic f over Z[i] of degree >= 1, ascending,
-    with their multiplicities; f is monic, so each y is an integer.
-
-    :func:`poly_roots` sees only the primitive part of w(d t), for the
-    squarefree part w = f / gcd(f, f') and a positive integer d. Its roots
-    are y / d: with d the denominator of a matrix X and f = det(tI - d X),
-    they are the eigenvalues of X, whose size does not grow with d. The
-    multiplicity of y is the number of exact synthetic divisions of f by
-    t - y over Z[i].
-    """
-    re, im = _exact_quotient(f, _gcd_with_derivative(f))
-    powers = [d**k for k in range(len(re))]
-    w = _primitive([x * s for x, s in zip(re, powers)], [x * s for x, s in zip(im, powers)])
-    out = []
-    for r in poly_roots(_monic(w)):
-        if r.is_exact and r.value.is_real:
-            y = (r.value.re * d).numerator
-            out.append((y, _multiplicity(f, y)))
-    return out
-
-
-def _multiplicity(f: ZPoly, y: int) -> int:
-    """The multiplicity of the root y of f, by synthetic division on re and im."""
-    parts = [c for c in f if c]
-    m = 0
-    while True:
-        quotients = []
-        for c in parts:
-            acc, q = 0, []
-            for x in reversed(c):
-                acc = acc * y + x
-                q.append(acc)
-            if q.pop():
-                return m
-            q.reverse()
-            quotients.append(q)
-        parts = quotients
-        m += 1
-
-
 def _monic(f: ZPoly) -> Polynomial:
     re, im = f
     lead = re[-1] if re else 1

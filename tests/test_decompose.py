@@ -19,7 +19,7 @@ from krein.decompose import (
 from krein.exceptions import ParameterError
 from krein.matrices import COMPLEX, REAL, Matrix, hstack, kernel_of_sparse_rows
 from krein.pairdoc import parse_document, serialize_pair
-from krein.polynomials import Polynomial, poly_gcd, poly_roots
+from krein.polynomials import poly_roots
 from krein.scalars import I_UNIT, ZERO, GaussianRational, format_scalar, integer_form
 from krein.spaces import (
     MatrixPair,
@@ -693,41 +693,6 @@ def test_witnesses_never_build_a_candidate_subspace(monkeypatch):
             assert calls == [], (family, k)
 
 
-def test_search_draws_call_no_char_poly_and_pass_squarefree_polynomials(monkeypatch):
-    # each draw's characteristic polynomial comes from the integer recurrence
-    # on its integer lists, and poly_roots sees only its squarefree part
-    import sys
-
-    import krein.matrices
-    import krein.polynomials
-
-    char_polys, roots_inputs = [], []
-    real_char_poly, real_poly_roots = krein.matrices.char_poly, krein.polynomials.poly_roots
-
-    def counting_char_poly(m):
-        char_polys.append(m)
-        return real_char_poly(m)
-
-    def recording_poly_roots(p):
-        roots_inputs.append(p)
-        return real_poly_roots(p)
-
-    pairs = [build_witness(family, k, {}).pair for family in ALL_FAMILIES for k in admissible_ks(family, 2)]
-    pairs += [make() for make in GLUED_PAIRS]
-    # every module binding of the two (krein.classify is shadowed by the function)
-    for name in ("krein", "krein.matrices", "krein.spaces", "krein.classify", "krein.decompose"):
-        monkeypatch.setattr(sys.modules[name], "char_poly", counting_char_poly)
-    for name in ("krein", "krein.polynomials", "krein.classify", "krein.decompose"):
-        monkeypatch.setattr(sys.modules[name], "poly_roots", recording_poly_roots)
-    for pair in pairs:
-        search_decomposition(pair, budget=60, seed=SEED)
-    assert char_polys == []
-    assert len(roots_inputs) >= len(GLUED_PAIRS)  # the witnesses make no draw
-    for p in roots_inputs:
-        derivative = Polynomial([k * c for k, c in enumerate(p.coeffs)][1:])
-        assert poly_gcd(p, derivative).degree == 0, p
-
-
 def test_search_golden_verdict_on_b_sum():
     g = direct_sum(witness_complex_b(1, 0, 1).pair, witness_complex_b(1, 2, 3).pair)
     assert search_decomposition(g, seed=1729).to_json_dict() == {
@@ -753,6 +718,19 @@ def test_search_golden_verdict_on_d_plus_e_sum():
         "budget": 200,
         "seed": 1729,
         "witness_subspace": units,
+    }
+
+
+def test_search_golden_verdict_on_c_odd_sum():
+    # real roots come first over every candidate: N + N^[*] has only the
+    # conjugate pairs +-2i, +-4i, whose first kernel is the other summand, so
+    # the split is the eigenspace of -4 of the next candidate N N^[*]
+    assert search_decomposition(GLUED_PAIRS[9]()).to_json_dict() == {
+        "status": "decomposable",
+        "trace_form": {"selfadjoint_commutant_dim": 4, "trace_form_rank": 4, "trace_form_inertia": [2, 0, 2]},
+        "budget": 200,
+        "seed": 1729,
+        "witness_subspace": [["0", "0", "1", "0"], ["0", "0", "0", "1"]],
     }
 
 
@@ -862,16 +840,22 @@ def test_projection_scalar_needs_the_a_upper_layout():
 @contextmanager
 def _counted_draws():
     """The sizes n of the draws the search makes: each draw is one
-    ``_samuelson_berkowitz`` call."""
+    ``char_poly`` call through ``krein.decompose``."""
     import krein.decompose as decompose
 
     calls = []
-    real = decompose._samuelson_berkowitz
-    decompose._samuelson_berkowitz = lambda *args: calls.append(args[0]) or real(*args)
+    real = decompose.char_poly
+    decompose.char_poly = lambda m: calls.append(m.rows) or real(m)
     try:
         yield calls
     finally:
-        decompose._samuelson_berkowitz = real
+        decompose.char_poly = real
+
+
+def test_the_draw_counter_counts_the_draws_on_a_glued_sum():
+    with _counted_draws() as draws:
+        assert search_decomposition(GLUED_PAIRS[0]()).status == "decomposable"
+    assert draws and set(draws) == {4}
 
 
 def _assert_certified_without_draws(w, draws):
@@ -946,25 +930,40 @@ def test_trace_form_inertia_and_status_survive_congruence(pairs):
     assert _decider_invariants(hidden) == _decider_invariants(pair)
 
 
-def test_a_doubled_b_witness_is_decomposable_under_every_congruence():
-    # the two summands have the same spectrum, so the fixed candidates need
-    # not split a hidden copy; the decider must still say decomposable
+def _hidden_copies(pair, count):
+    """``count`` copies of the pair, each hidden by 2n unimodular shears drawn
+    from one ``random.Random(SEED)`` stream."""
     rng = random.Random(SEED)
-    pair = direct_sum(witness_complex_b(1, 0, 1).pair, witness_complex_b(1, 0, 1).pair)
     n = pair.n
-    split = 0
-    for _ in range(30):
-        shears = [(i, j + (j >= i), rng.choice(_units(COMPLEX))) for i, j in
+    for _ in range(count):
+        shears = [(i, j + (j >= i), rng.choice(_units(pair.field))) for i, j in
                   ((rng.randrange(n), rng.randrange(n - 1)) for _ in range(2 * n))]
-        hidden = _hidden(pair, shears)
+        yield _hidden(pair, shears)
+
+
+def test_a_doubled_b_witness_is_decomposable_under_every_congruence():
+    # the two summands have the same spectrum, so no candidate need have a
+    # real eigenvalue that splits a hidden copy; a conjugate pair of
+    # eigenvalues in Q(i) splits the rest
+    pair = direct_sum(witness_complex_b(1, 0, 1).pair, witness_complex_b(1, 0, 1).pair)
+    for hidden in _hidden_copies(pair, 30):
         verdict = search_decomposition(hidden)
         assert verdict.status == "decomposable"
         assert verdict.certificate is None
         assert verdict.trace_form["trace_form_inertia"][2] >= 2
-        if verdict.witness_subspace is not None:
-            _assert_sound_witness(hidden, verdict)
-            split += 1
-    assert split > 0, split
+        _assert_sound_witness(hidden, verdict)
+
+
+def test_a_real_pair_split_by_a_conjugate_pair_under_every_congruence():
+    # c-odd(1, 1, 1) + c-odd(1, -1, 1): on some hidden copies no candidate
+    # has a real rational eigenvalue that splits, and the generalized
+    # eigenspaces of a conjugate pair a +- ib, the kernel of
+    # ((x - a)^2 + b^2)^m, do
+    pair = direct_sum(witness_real_c_odd(1, 1, 1).pair, witness_real_c_odd(1, -1, 1).pair)
+    for hidden in _hidden_copies(pair, 40):
+        verdict = search_decomposition(hidden)
+        assert verdict.status == "decomposable"
+        _assert_sound_witness(hidden, verdict)
 
 
 def test_glued_verdicts_do_not_depend_on_the_trace_form_certificate(monkeypatch):

@@ -12,7 +12,9 @@ from krein.matrices import (
     COMPLEX,
     REAL,
     Matrix,
-    _gauss_jordan,
+    _box,
+    _integer_gauss_jordan,
+    _integer_row,
     char_poly,
     hstack,
     kernel_of_sparse_rows,
@@ -472,6 +474,19 @@ def _sympy_rref(rows, ncols):
             for j in range(ncols) if r[k, j] != 0}
         for k, p in enumerate(pivots)
     }
+
+
+def _gauss_jordan(rows):
+    """Reduced row echelon form of a sparse row system, as {pivot column: row}:
+    the integer pivot rows of the elimination core, each divided by its pivot,
+    1 at each pivot."""
+    out = {}
+    for p, (big_p, re, im) in _integer_gauss_jordan(map(_integer_row, rows)).items():
+        orow = {p: ONE}
+        for c in sorted(re.keys() | im.keys()):
+            orow[c] = _box(re.get(c, 0), im.get(c, 0), big_p)
+        out[p] = orow
+    return out
 
 
 @settings(max_examples=150, deadline=None)
