@@ -5,7 +5,11 @@
 attaches the size window f1(k) <= n <= f2(k) for the matched case, and flags
 compliance. Patterns outside the taxonomy are a first-class verdict
 (``OutOfTheoremScope``), not an error: for such spectra an H-normal operator
-is necessarily decomposable, and the report says so in a note.
+is necessarily decomposable, and the report says so in a note. The
+eigenvalues are the pair's exact spectrum (``MatrixPair.spectrum``): a
+spectrum of one class, the case of ComplexA, RealA and RealC, is certified
+by a nilpotency, and only the other spectra take the characteristic
+polynomial.
 
 The reductions bring a pair to the block-triangular corner form
 
@@ -20,13 +24,15 @@ exact biorthogonalization: solve for a dual family W0 with U*H W0 = I, make
 it neutral by the half-Gram correction W = W0 - U (G0/2), and take the
 H-orthogonal complement of span(U, W) as the middle space. Pivot choices in
 the underlying elimination are lowest-index, so output is deterministic.
+Each reduction first checks that the spectrum is the one class it is given,
+against ``MatrixPair.certified_spectrum``, so it computes no characteristic
+polynomial and finds no root.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import Optional, Sequence
 
 from .exceptions import (
@@ -40,9 +46,12 @@ from .exceptions import (
     WrongSpectrum,
 )
 from .matrices import COMPLEX, REAL, Matrix, _integer_gauss_jordan, hstack, vstack
-from .matrices import char_poly  # noqa: F401  (re-exported as krein.classify.char_poly)
-from .polynomials import Polynomial, Root, poly_roots
-from .scalars import ONE, GaussianRational, as_scalar, format_scalar
+# char_poly and poly_roots are not called here (MatrixPair.spectrum calls
+# them); perfbench/tests/test_tracer.py binds them as krein.classify names
+from .matrices import char_poly  # noqa: F401
+from .polynomials import Root
+from .polynomials import poly_roots  # noqa: F401
+from .scalars import GaussianRational, as_scalar, format_scalar
 from .spaces import (
     MatrixPair,
     SubspaceBasis,
@@ -122,7 +131,7 @@ def classify(pair: MatrixPair) -> ClassificationReport:
         raise NotHNormal("classification requires an H-normal pair")
     n = pair.n
     k = pair.space.rank_v
-    roots = tuple(poly_roots(pair.char_poly))
+    roots = pair.spectrum
     exact = all(r.is_exact for r in roots)
     notes: list[str] = []
     if not exact:
@@ -325,19 +334,11 @@ def _check_corner_n(rn: Matrix, d: int, n: int, top: Matrix, bottom: Matrix) -> 
         raise KreinError("reduced operator misses the corner shape (construction bug)")
 
 
-def _linear_power(lam: GaussianRational, n: int) -> Polynomial:
-    """(t - lam)^n, from its binomial coefficients C(n, k) (-lam)^(n-k)."""
-    powers = [ONE]
-    for _ in range(n):
-        powers.append(powers[-1] * -lam)
-    return Polynomial(comb(n, k) * powers[n - k] for k in range(n + 1))
-
-
 def reduce_single_eigenvalue(pair: MatrixPair, lam) -> CanonicalReduction:
     """Corner reduction of a single-eigenvalue H-normal pair with neutral S0."""
     lam = as_scalar(lam)
     n = pair.n
-    if pair.char_poly != _linear_power(lam, n):
+    if pair.certified_spectrum != (Root(lam, n, True),):
         raise NotSingleEigenvalue(f"operator spectrum is not {{{lam!r}}} alone")
     js = joint_eigenspace(pair, lam)
     if not js.is_neutral_s0:
@@ -350,19 +351,14 @@ def reduce_single_eigenvalue(pair: MatrixPair, lam) -> CanonicalReduction:
     return CanonicalReduction(t, rn, rh, (d, n - 2 * d, d))
 
 
-def _is_conjugate_pair_spectrum(pair: MatrixPair, alpha: Fraction, beta: Fraction) -> bool:
-    """char_poly(N) is a power of (t - alpha)^2 + beta^2."""
-    quad = Polynomial([alpha * alpha + beta * beta, -2 * alpha, 1])
-    return pair.n % 2 == 0 and pair.char_poly == quad ** (pair.n // 2)
-
-
 def reduce_conjugate_pair(pair: MatrixPair, alpha, beta) -> CanonicalReduction:
     """Corner reduction of a real pair whose spectrum is alpha +- i*beta."""
     if pair.field != REAL:
         raise FieldMismatch("the conjugate-pair reduction expects a real pair")
     a_f, b_f = Fraction(alpha), _check_beta(beta)
     n = pair.n
-    if not _is_conjugate_pair_spectrum(pair, a_f, b_f):
+    conj_pair = (GaussianRational(a_f, -b_f), GaussianRational(a_f, b_f))
+    if pair.certified_spectrum != tuple(Root(z, n // 2, True) for z in conj_pair):
         raise WrongSpectrum(f"operator spectrum is not {{{alpha} +- {beta}i}} alone")
     js = joint_eigenspace_real(pair, a_f, b_f)
     if not js.is_neutral_s0:

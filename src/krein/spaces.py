@@ -14,10 +14,20 @@ Inertia is read off a fraction-free Hermitian congruence reduction of the
 Gaussian-integer form of H (``matrices._hermitian_inertia``), the one
 symmetric reduction in the package: by Sylvester's law of inertia a
 congruence keeps it, and no eigenvalue is computed, so signatures are exact.
+
+The spectrum of a pair is exact and computed once. A spectrum of one class
+(one eigenvalue, or over R one conjugate pair) is certified by a nilpotency
+(:func:`one_class_spectrum`), with O(n^2) trace sums and a few squarings;
+only the other spectra take the O(n^4) characteristic polynomial and
+:func:`~krein.polynomials.poly_roots`. Both routes give the same tuple of
+roots.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import isqrt
+from operator import mul
 from typing import Sequence
 
 from .exceptions import (
@@ -26,8 +36,9 @@ from .exceptions import (
     ParameterError,
     SingularH,
 )
-from .matrices import COMPLEX, Matrix, _hermitian_inertia, char_poly, hstack
-from .polynomials import Polynomial
+from .matrices import COMPLEX, REAL, Matrix, _box, _hermitian_inertia, char_poly, hstack
+from .polynomials import Polynomial, Root, poly_roots
+from .scalars import GaussianRational
 
 
 def signature(h: Matrix) -> tuple[int, int]:
@@ -40,6 +51,93 @@ def signature(h: Matrix) -> tuple[int, int]:
     if v_zero:
         raise SingularH("Gram matrix is singular")
     return v_minus, v_plus
+
+
+def _square_trace(n: int, re: list[int], im: list[int]) -> tuple[int, int]:
+    """tr A^2 = sum_ij A_ij A_ji of the n x n Gaussian-integer matrix re + i im,
+    as (real part, imaginary part), in O(n^2) with no matrix product."""
+    rows = range(0, n * n, n)
+    tr_re = sum(sum(map(mul, re[r : r + n], re[i::n])) for i, r in enumerate(rows))
+    if not im:
+        return tr_re, 0
+    tr_re -= sum(sum(map(mul, im[r : r + n], im[i::n])) for i, r in enumerate(rows))
+    return tr_re, 2 * sum(sum(map(mul, re[r : r + n], im[i::n])) for i, r in enumerate(rows))
+
+
+def _is_nilpotent(m: Matrix) -> bool:
+    """M^n = 0 for the n x n matrix M, by squaring: M^p for p = 1, 2, 4, ...
+    until it is zero (nilpotent) or p >= n with M^p nonzero (not). Before
+    each product, tr (M^p)^2 must vanish, as it does for a nilpotent M; that
+    O(n^2) sum rejects most other matrices before any product."""
+    power = 1
+    while not m.is_zero:
+        if power >= m.rows or _square_trace(m.rows, m._re, m._im) != (0, 0):
+            return False
+        m = m @ m
+        power *= 2
+    return True
+
+
+def one_class_spectrum(m: Matrix) -> tuple[Root, ...]:
+    """The exact spectrum of M when it is one class, else ().
+
+    One class is one eigenvalue, or, for a real M, one conjugate pair; the
+    result is then ``tuple(poly_roots(char_poly(M)))`` root for root, order
+    included, and no characteristic polynomial is computed. Let
+    lam = tr M / n and C = M - lam I.
+
+    - One eigenvalue: the result is ((lam, n),) iff C is nilpotent. If M
+      has the one eigenvalue mu, then tr M = n mu forces lam = mu, and C is
+      nilpotent. Conversely, if C is nilpotent, lam is the only eigenvalue.
+      :func:`_is_nilpotent` first checks tr C^2 = 0, an O(n^2) sum.
+    - One conjugate pair (real M, even n): with
+      beta^2 = -tr C^2 / n = lam^2 - tr M^2 / n, the result is
+      ((lam - i beta, n/2), (lam + i beta, n/2)) iff beta^2 is the square of
+      a positive rational beta and Q = C^2 + beta^2 I is nilpotent. If the
+      spectrum of M is a +- ib with b > 0, a real M gives both the same
+      multiplicity n/2. Then tr M = n a and tr M^2 = n (a^2 - b^2) force
+      lam = a and beta^2 = b^2. Q = (M - a - ib)(M - a + ib), whose
+      commuting factors are nilpotent on the generalized eigenspaces of
+      a + ib and a - ib, so Q is nilpotent; :func:`poly_roots` gives exact
+      roots iff b is rational. Conversely, if Q is nilpotent, every
+      eigenvalue mu has (mu - lam)^2 + beta^2 = 0, so mu = lam +- i beta,
+      two distinct values as beta > 0, with equal multiplicities since M is
+      real.
+
+    Any other spectrum fails both tests, so () means that the spectrum is
+    not one class, or is a conjugate pair outside Q(i), which
+    :func:`poly_roots` gives as approximate roots. The roots come in its
+    ascending (re, im) order.
+
+    The tests run on Gaussian integers: with A = d M the integer form and
+    s = tr A, the matrix n A - s I = n d C has denominator 1, and
+    D = -tr (n d C)^2 / n = (n d beta)^2 must be the square of an integer.
+    """
+    n, d = m.rows, m._d
+    if not n:
+        return ()
+    diag = range(0, n * n, n + 1)
+    c_re, c_im = [n * x for x in m._re], [n * y for y in m._im]
+    s_re = sum(m._re[i] for i in diag)
+    s_im = sum(m._im[i] for i in diag) if c_im else 0
+    for i in diag:
+        c_re[i] -= s_re
+        if c_im:
+            c_im[i] -= s_im
+    c = Matrix._from_ints(n, n, 1, c_re, c_im, m.field)
+    if _is_nilpotent(c):
+        return (Root(_box(s_re, s_im, n * d), n, True),)
+    if m.field != REAL or n % 2:
+        return ()
+    disc = -_square_trace(n, c._re, c._im)[0] // n
+    b = isqrt(disc) if disc > 0 else 0
+    if not b or b * b != disc or not _is_nilpotent(c @ c + Matrix.identity(n, REAL) * disc):
+        return ()
+    alpha, beta = Fraction(s_re, n * d), Fraction(b, n * d)
+    return (
+        Root(GaussianRational(alpha, -beta), n // 2, True),
+        Root(GaussianRational(alpha, beta), n // 2, True),
+    )
 
 
 class IndefiniteSpace:
@@ -94,7 +192,7 @@ class IndefiniteSpace:
 class MatrixPair:
     """An operator together with the space it acts on (the central object here)."""
 
-    __slots__ = ("n_op", "space", "_adjoint", "_char_poly", "_normal", "_trace_form")
+    __slots__ = ("n_op", "space", "_adjoint", "_char_poly", "_normal", "_spectrum", "_trace_form")
 
     def __init__(self, n_op: Matrix, space: IndefiniteSpace):
         if not n_op.is_square or n_op.rows != space.dim:
@@ -106,6 +204,7 @@ class MatrixPair:
         self._adjoint = None
         self._char_poly = None
         self._normal = None
+        self._spectrum = None
         self._trace_form = None  # set once by krein.decompose._trace_form
 
     @classmethod
@@ -133,6 +232,28 @@ class MatrixPair:
         if self._char_poly is None:
             self._char_poly = char_poly(self.n_op)
         return self._char_poly
+
+    @property
+    def spectrum(self) -> tuple[Root, ...]:
+        """The exact spectrum of the operator, computed once: the certificate
+        of :func:`one_class_spectrum` when the spectrum is one class, else
+        ``tuple(poly_roots(self.char_poly))``. The two routes agree root for
+        root, so the result does not depend on which one ran."""
+        spec = self.certified_spectrum
+        if not spec:
+            spec = self._spectrum = tuple(poly_roots(self.char_poly))
+        return spec
+
+    @property
+    def certified_spectrum(self) -> tuple[Root, ...]:
+        """The spectrum as far as it is known without a characteristic
+        polynomial: :attr:`spectrum` once that is computed, else the result of
+        :func:`one_class_spectrum`, kept on the pair, which is () when the
+        spectrum is not one class. A one-class spectrum is always certified,
+        so comparing this with a one-class target decides the spectrum."""
+        if self._spectrum is None:
+            self._spectrum = one_class_spectrum(self.n_op)
+        return self._spectrum
 
     def __eq__(self, other) -> bool:
         return (

@@ -1,11 +1,11 @@
 import importlib
+import re
 from fractions import Fraction
 
 import pytest
 
 from krein.classify import (
     OUT_OF_SCOPE,
-    _linear_power,
     bound_window,
     classify,
     joint_eigenspace,
@@ -22,7 +22,6 @@ from krein.exceptions import (
     WrongSpectrum,
 )
 from krein.matrices import COMPLEX, REAL, Matrix, hstack
-from krein.polynomials import Polynomial
 from krein.scalars import GaussianRational, parse_scalar
 from krein.spaces import MatrixPair, direct_sum
 from krein.witnesses import (
@@ -51,9 +50,26 @@ from krein.witnesses import (
         GaussianRational(10**20, Fraction(1, 1000003)),
     ],
 )
-def test_binomial_target_equals_the_power(lam):
-    for n in range(1, 9):
-        assert _linear_power(lam, n) == Polynomial([-lam, 1]) ** n
+def test_reductions_accept_exactly_their_eigenvalue(lam):
+    # the spectrum check of reduce_single_eigenvalue passes for lam on every
+    # single-eigenvalue pair, and for no other value, also 10^-30 away
+    others = [lam + 1, lam + GaussianRational(0, 1), lam + GaussianRational(Fraction(1, 10**30))]
+    pairs = [(witness_complex_a_lower(k, lam).pair, (k, 0, k)) for k in (1, 2, 3, 4)]
+    pairs.append((witness_complex_a_upper(1, lam).pair, (1, 2, 1)))
+    for pair, dims in pairs:
+        assert reduce_single_eigenvalue(pair, lam).block_dims == dims
+        for mu in others:
+            with pytest.raises(NotSingleEigenvalue, match=re.escape(f"{{{mu!r}}} alone")):
+                reduce_single_eigenvalue(pair, mu)
+    # a 1 x 1 definite pair passes the spectrum check and stops at S0
+    one = MatrixPair.from_matrices(Matrix.diagonal([lam], COMPLEX), Matrix.identity(1, COMPLEX))
+    with pytest.raises(S0NotNeutral):
+        reduce_single_eigenvalue(one, lam)
+    # two eigenvalues: neither is accepted
+    two = witness_complex_b(2, lam, lam + 1).pair
+    for mu in (lam, lam + 1):
+        with pytest.raises(NotSingleEigenvalue):
+            reduce_single_eigenvalue(two, mu)
 
 
 # --- bound windows ------------------------------------------------------------

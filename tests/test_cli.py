@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +11,7 @@ from krein.pairdoc import parse_document, serialize_pair
 from krein.spaces import direct_sum
 from krein.witnesses import witness_complex_b
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 def run(capsys, *argv):
     rc = main(list(argv))
@@ -166,6 +171,31 @@ def test_reduce_hypothesis_failure_is_exit_one(tmp_path, capsys):
     rc, out, _ = run(capsys, "reduce", str(path), "--lambda", "0")
     assert rc == 1
     assert "spectrum" in json.loads(out)["error"]
+
+
+def test_reduce_on_a_spectrum_beyond_the_float_range_reports_the_wrong_spectrum(tmp_path, capsys):
+    # N is H-selfadjoint with eigenvalues +-sqrt(2) 10^400: the reduction
+    # rejects the spectrum without finding a root, whose display value has no float
+    doc = {"schema_version": "1", "field": "real", "n": 2,
+           "N": [["0", "2"], [str(10**800), "0"]], "H": [["0", "1"], ["1", "0"]]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "reduce", str(path), "--alpha", "0", "--beta", "1")
+    assert rc == 1
+    assert json.loads(out) == {"path": str(path), "error": "operator spectrum is not {0 +- 1i} alone"}
+    assert err == ""
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    log = tmp_path / "audit.jsonl"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "krein", "audit", "--kmax", "1", "--log", str(log)],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "audit: 4/4 cases passed" in proc.stdout
+    assert len(log.read_text().splitlines()) == 4
 
 
 def test_missing_file_is_exit_two(capsys):

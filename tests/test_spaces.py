@@ -1,15 +1,21 @@
 import random
+import sys
 from fractions import Fraction
 from operator import ne
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_acceptance import GLUED_PAIRS
+from test_decompose import _hidden, _unimodular_congruences, _units
 
-from krein.exceptions import NotHermitian, SingularH
+from krein.classify import reduce_conjugate_pair, reduce_single_eigenvalue
+from krein.exceptions import NotHermitian, NotSingleEigenvalue, SingularH, WrongSpectrum
 import krein.matrices
 from krein.matrices import COMPLEX, REAL, Matrix, _hermitian_inertia, char_poly, hstack
-from krein.scalars import ONE, ZERO, GaussianRational, parse_scalar
+from krein.polynomials import poly_roots
+from krein.scalars import I_UNIT, ONE, ZERO, GaussianRational, parse_scalar
+import krein.spaces
 from krein.spaces import (
     IndefiniteSpace,
     MatrixPair,
@@ -20,6 +26,7 @@ from krein.spaces import (
     is_h_normal,
     is_neutral,
     is_nondegenerate,
+    one_class_spectrum,
     signature,
 )
 from krein.witnesses import (
@@ -28,6 +35,10 @@ from krein.witnesses import (
     build_witness,
     witness_complex_a_lower,
     witness_complex_a_upper,
+    witness_complex_b,
+    witness_real_c_even,
+    witness_real_c_odd,
+    witness_real_d,
 )
 
 
@@ -477,3 +488,122 @@ def test_direct_sum_shapes():
     assert g.n == 4
     assert g.space.signature == (2, 2)
     assert is_h_normal(g)
+
+
+# --- the exact spectrum ---------------------------------------------------------
+
+
+def _one_class(spec, field):
+    """One eigenvalue, or over R one exact conjugate pair."""
+    return len(spec) == 1 or (
+        field == REAL and len(spec) == 2 and all(r.is_exact for r in spec)
+        and spec[0].value == spec[1].value.conjugate()
+    )
+
+
+def _assert_spectrum_is_the_roots(pair):
+    # the spectrum of a fresh pair, then the poly_roots route on another one
+    fresh = MatrixPair(pair.n_op, pair.space)
+    spec = fresh.spectrum
+    roots = tuple(poly_roots(pair.char_poly))
+    assert spec == roots
+    assert [repr(r.value) for r in spec] == [repr(r.value) for r in roots]
+    assert bool(one_class_spectrum(pair.n_op)) == _one_class(roots, pair.field)
+
+
+def _spectrum_pairs():
+    witnesses = [build_witness(f, k, {}).pair for f in ALL_FAMILIES for k in admissible_ks(f, 5)]
+    return witnesses + [make() for make in GLUED_PAIRS]
+
+
+def test_spectrum_equals_the_roots_of_the_characteristic_polynomial():
+    rng = random.Random(20261019)
+    for pair in _spectrum_pairs():
+        _assert_spectrum_is_the_roots(pair)
+        for _ in range(5):
+            n = pair.n
+            shears = [
+                (i, j + (j >= i), rng.choice(_units(pair.field)))
+                for i, j in ((rng.randrange(n), rng.randrange(n - 1)) for _ in range(2 * n))
+            ]
+            _assert_spectrum_is_the_roots(_hidden(pair, shears))
+
+
+def _pair_of(rows, field):
+    n_op = Matrix.from_rows(rows, field)
+    return MatrixPair.from_matrices(n_op, Matrix.identity(n_op.rows, field))
+
+
+_BIG = GaussianRational(10**400, Fraction(1, 3))
+
+
+@pytest.mark.parametrize(
+    "rows,field,certified",
+    [
+        # tr M^2 = 0 for M = N - 0 I, yet M is not nilpotent
+        ([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, I_UNIT, 0], [0, 0, 0, -I_UNIT]], COMPLEX, False),
+        # eigenvalues +-i sqrt 2, each twice: beta^2 = 2 is no rational square
+        ([[0, -2, 0, 0], [1, 0, 0, 0], [0, 0, 0, -2], [0, 0, 1, 0]], REAL, False),
+        # two real eigenvalues, 1 and 3 (with a Jordan block at 1)
+        ([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 3, 0], [0, 0, 0, 3]], REAL, False),
+        # eigenvalues 1 +- 2i of multiplicity 2, with a Jordan chain
+        ([[1, -2, 1, 0], [2, 1, 0, 1], [0, 0, 1, -2], [0, 0, 2, 1]], REAL, True),
+        # one Jordan block at 10^400 + i/3, and the same with a last entry moved by 1
+        ([[_BIG, 1, 0], [0, _BIG, 1], [0, 0, _BIG]], COMPLEX, True),
+        ([[_BIG, 1, 0], [0, _BIG, 1], [0, 0, _BIG + 1]], COMPLEX, False),
+    ],
+)
+def test_near_misses_take_the_characteristic_polynomial(rows, field, certified):
+    pair = _pair_of(rows, field)
+    assert bool(one_class_spectrum(pair.n_op)) == certified
+    _assert_spectrum_is_the_roots(pair)
+
+
+def test_two_class_spectra_are_rejected_by_trace_sums(monkeypatch):
+    # tr C^2 = 0 fails before any product; real-d's beta^2 = 1/4 is a square,
+    # so it pays the one product C^2 before tr Q^2 fails
+    pairs = [
+        (build_witness(family, k, {}).pair, products)
+        for family, products in (("complex-b", 0), ("real-e", 0), ("real-d", 1))
+        for k in admissible_ks(family, 5)
+    ]
+    calls = []
+    matmul = Matrix.__matmul__
+    monkeypatch.setattr(Matrix, "__matmul__", lambda a, b: calls.append(a.rows) or matmul(a, b))
+    for pair, products in pairs:
+        calls.clear()
+        assert one_class_spectrum(pair.n_op) == ()
+        assert len(calls) == products
+
+
+def test_reductions_never_compute_a_characteristic_polynomial(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("characteristic polynomial or root finding in a reduction")
+
+    # krein.classify is also the name of the function that krein re-exports
+    for module in (krein.spaces, sys.modules["krein.classify"]):
+        monkeypatch.setattr(module, "char_poly", forbidden)
+        monkeypatch.setattr(module, "poly_roots", forbidden)
+    for k in (1, 2, 3):
+        reduce_single_eigenvalue(witness_complex_a_lower(k, GaussianRational(1, 2)).pair, GaussianRational(1, 2))
+        reduce_single_eigenvalue(witness_complex_a_upper(k, 0).pair, 0)
+    reduce_conjugate_pair(witness_real_c_even(2, 0, 1).pair, 0, 1)
+    reduce_conjugate_pair(witness_real_c_odd(3, Fraction(1, 2), 2).pair, Fraction(1, 2), 2)
+    # the rejections, including spectra that are not one class
+    with pytest.raises(NotSingleEigenvalue):
+        reduce_single_eigenvalue(witness_complex_b(2, 0, 1).pair, 0)
+    with pytest.raises(WrongSpectrum):
+        reduce_conjugate_pair(witness_real_d(2, 5, 0, 1).pair, 0, 1)
+    with pytest.raises(WrongSpectrum):
+        reduce_conjugate_pair(witness_real_c_even(2, 0, 1).pair, 0, 2)
+    with pytest.raises(WrongSpectrum):
+        reduce_conjugate_pair(_pair_of([[0, 2], [10**800, 0]], REAL), 0, 1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_unimodular_congruences())
+def test_spectrum_survives_a_unimodular_congruence(pairs):
+    pair, hidden = pairs
+    assert hidden.spectrum == pair.spectrum
+    assert bool(one_class_spectrum(hidden.n_op)) == bool(one_class_spectrum(pair.n_op))
+    _assert_spectrum_is_the_roots(hidden)
