@@ -17,7 +17,6 @@ from .exceptions import (
     NotHNormal,
     NotSingleEigenvalue,
     ParameterError,
-    RootFindingError,
     S0NotNeutral,
     SchemaError,
     SingularH,

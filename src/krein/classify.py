@@ -106,7 +106,9 @@ class ClassificationReport:
     def to_json_dict(self) -> dict:
         eigs = [
             {
-                "value": format_scalar(r.value) if r.is_exact else [r.value.real, r.value.imag],
+                "value": (
+                    None if r.value is None else format_scalar(r.value) if r.is_exact else [r.value.real, r.value.imag]
+                ),
                 "multiplicity": r.multiplicity,
                 "exact": r.is_exact,
             }
@@ -148,11 +150,8 @@ def classify(pair: MatrixPair) -> ClassificationReport:
         elif len(roots) == 2:
             case = COMPLEX_B
     else:
-        n_real = sum(1 for r in roots if (r.value.is_real if r.is_exact else not r.value.imag))
-        n_conj_pairs, rem = divmod(len(roots) - n_real, 2)
-        if rem:
-            notes.append("nonreal eigenvalues do not pair up; spectrum looks inconsistent")
-        pattern = (n_real, n_conj_pairs)
+        n_real = sum(r.is_real for r in roots)
+        pattern = (n_real, (len(roots) - n_real) // 2)
         if pattern == (1, 0):
             case = REAL_A
         elif pattern == (2, 0):
@@ -338,7 +337,7 @@ def reduce_single_eigenvalue(pair: MatrixPair, lam) -> CanonicalReduction:
     """Corner reduction of a single-eigenvalue H-normal pair with neutral S0."""
     lam = as_scalar(lam)
     n = pair.n
-    if pair.certified_spectrum != (Root(lam, n, True),):
+    if pair.certified_spectrum != (Root(lam, n, True, lam.is_real),):
         raise NotSingleEigenvalue(f"operator spectrum is not {{{lam!r}}} alone")
     js = joint_eigenspace(pair, lam)
     if not js.is_neutral_s0:
@@ -358,7 +357,7 @@ def reduce_conjugate_pair(pair: MatrixPair, alpha, beta) -> CanonicalReduction:
     a_f, b_f = Fraction(alpha), _check_beta(beta)
     n = pair.n
     conj_pair = (GaussianRational(a_f, -b_f), GaussianRational(a_f, b_f))
-    if pair.certified_spectrum != tuple(Root(z, n // 2, True) for z in conj_pair):
+    if pair.certified_spectrum != tuple(Root(z, n // 2, True, False) for z in conj_pair):
         raise WrongSpectrum(f"operator spectrum is not {{{alpha} +- {beta}i}} alone")
     js = joint_eigenspace_real(pair, a_f, b_f)
     if not js.is_neutral_s0:

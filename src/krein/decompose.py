@@ -335,7 +335,7 @@ def _splitting_subspace(pair: MatrixPair, basis: Sequence[Matrix]) -> Optional[S
         roots = [r for r in poly_roots(char_poly(x)) if r.is_exact]
         spectra.append((x, roots))
         for r in roots:
-            if r.value.is_real and r.multiplicity < n:
+            if r.is_real and r.multiplicity < n:
                 sub = _try_subspace(pair, mat_power(x - one * r.value, r.multiplicity))
                 if sub is not None:
                     return sub

@@ -49,11 +49,5 @@ class CertificateCheckFailed(KreinError):
     """A certified property failed to hold when recomputed."""
 
 
-class RootFindingError(KreinError):
-    """An irrational root has no float display value: a coefficient of its
-    factor, or the root itself, is past the float range. Never silently
-    ignored."""
-
-
 class SchemaError(KreinError):
     """A serialized document does not conform to the interchange schema."""

@@ -83,7 +83,7 @@ def doc_to_pair(doc: dict) -> tuple[MatrixPair, dict]:
     if field not in (REAL, COMPLEX):
         raise SchemaError(f"field must be 'real' or 'complex', got {field!r}")
     n = doc.get("n")
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise SchemaError(f"n must be a positive integer, got {n!r}")
     n_mat = _parse_matrix(doc.get("N"), n, field, "N")
     h_mat = _parse_matrix(doc.get("H"), n, field, "H")

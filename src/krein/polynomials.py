@@ -8,9 +8,9 @@ integer leading coefficient) through a pseudo-remainder sequence, so no step
 divides ``Fraction``s. :func:`poly_roots` finds every root in Q(i) exactly
 and p-adically: the roots of each squarefree factor modulo a prime
 p = 1 (mod 4) are Hensel-lifted, each candidate is read back off a reduced
-2-D lattice, and exact evaluation over Z[i] accepts it. Floating point enters
-only after that, for display values of the roots outside Q(i) (an
-Aberth-Ehrlich iteration); Sturm sequences count the real ones exactly.
+2-D lattice, and exact evaluation over Z[i] accepts it; Sturm sequences count
+the real roots outside Q(i), so ``Root.is_real`` is exact. Floats give only
+display values of those roots (Aberth-Ehrlich), none past the float range.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from fractions import Fraction
 from itertools import chain, count, islice
 from math import gcd, isqrt
 from operator import ne
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
-from .exceptions import ParameterError, RootFindingError
+from .exceptions import ParameterError
 from .scalars import ZERO, GaussianRational, as_scalar, integer_form
 
 
@@ -306,11 +306,13 @@ Scalarish = Union[GaussianRational, complex]
 
 @dataclass(frozen=True)
 class Root:
-    """One root of a polynomial: exact when possible, else approximate."""
+    """One root of a polynomial: exact when possible, else approximate (value
+    None past the float range). ``is_real`` is exact either way."""
 
-    value: Scalarish
+    value: Optional[Scalarish]
     multiplicity: int
     is_exact: bool
+    is_real: bool
 
 
 # -- roots in Q(i), p-adically -----------------------------------------------------
@@ -477,12 +479,12 @@ def _round_div(x: int, m: int) -> int:
 # -- display values for the other roots --------------------------------------------
 
 
-def _approximate_roots(g: ZPoly) -> list[complex]:
+def _approximate_roots(g: ZPoly) -> Optional[list[complex]]:
     """Display values for the roots of a squarefree g over Z[i] of degree >= 1,
     by the Aberth-Ehrlich iteration on its monic float coefficients. The
     Newton ratio g/g' at z is taken from g at z when |z| <= 1 and from the
-    reversed polynomial at 1/z otherwise, so no power of z overflows. A
-    coefficient or root past the float range raises RootFindingError."""
+    reversed polynomial at 1/z otherwise, so no power of z overflows. None
+    when a coefficient or a root is past the float range."""
     re, im = g
     im = im or [0] * len(re)
     lead = re[-1]
@@ -490,7 +492,7 @@ def _approximate_roots(g: ZPoly) -> list[complex]:
         cs = [complex(x / lead, y / lead) for x, y in zip(re, im)]
         zs = _aberth_start(re, im)
     except OverflowError:
-        raise RootFindingError("coefficient too large for a float") from None
+        return None
     n = len(cs) - 1
     for _ in range(100):
         moved = overflowed = False
@@ -514,9 +516,7 @@ def _approximate_roots(g: ZPoly) -> list[complex]:
                 overflowed = True
         if not moved:
             break
-    if overflowed:
-        raise RootFindingError("a root is too large for a float")
-    return zs
+    return None if overflowed else zs
 
 
 def _aberth_start(re: list[int], im: list[int]) -> list[complex]:
@@ -543,10 +543,14 @@ def _aberth_start(re: list[int], im: list[int]) -> list[complex]:
 
 
 def _real_root_count(f: ZPoly) -> int:
-    """Distinct real roots of a real squarefree f, by its Sturm sequence. Each
-    remainder's sign is kept: _pseudo_divmod scales by a positive factor when
-    the divisor's lead is positive, and contents are divided out as positive."""
-    re = f[0]
+    """Distinct real roots of a squarefree f over Z[i]. They are the real
+    roots of g = gcd(Re f, Im f), which is f itself for a real f, and the
+    Sturm sequence of g counts them. Each remainder's sign is kept:
+    _pseudo_divmod scales by a positive factor when the divisor's lead is
+    positive, and contents are divided out as positive."""
+    re = _gcd((f[0], []), _trim(f[1], []))[0]
+    if len(re) < 2:
+        return 0
     seq = [re, [k * x for k, x in enumerate(re)][1:]]
     while len(seq[-1]) > 1:
         b = seq[-1] if seq[-1][-1] > 0 else [-x for x in seq[-1]]
@@ -566,11 +570,10 @@ def poly_roots(p: Polynomial) -> list[Root]:
     exactly, found p-adically (:func:`_exact_roots`) and each checked by exact
     evaluation over Z[i]; no float enters. They are divided out exactly, and
     only the cofactor, which has no root in Q(i), gets approximate display
-    values (:func:`_approximate_roots`), in (re, im) order. In a real cofactor
-    as many of them as its Sturm sequence counts real roots
-    (:func:`_real_root_count`), those of smallest |imag|, get imag 0.0 and the
-    others a nonzero one (the least subnormal, signed, for a 0.0), so
-    ``imag == 0`` is exactly realness.
+    values (:func:`_approximate_roots`), in (re, im) order. Its Sturm count
+    (:func:`_real_root_count`) says how many of them are real: those of
+    smallest |imag| get ``is_real`` and imag 0.0. When the cofactor has no
+    display values, its roots get value None, the real ones first.
     """
     if p.degree < 1:
         raise ParameterError("root finding needs degree >= 1")
@@ -579,17 +582,18 @@ def poly_roots(p: Polynomial) -> list[Root]:
     for factor, mult in _squarefree_parts(_integer_poly(p)):
         lead = factor[0][-1]
         found = _exact_roots(factor)
-        exact.extend(Root(GaussianRational(Fraction(x, lead), Fraction(y, lead)), mult, True) for x, y in found)
+        exact.extend(Root(GaussianRational(Fraction(x, lead), Fraction(y, lead)), mult, True, not y) for x, y in found)
         if len(found) == len(factor[0]) - 1:
             continue
         for x, y in found:
             factor = _exact_quotient(factor, _primitive([-x, lead], [-y, 0] if y else []))
-        leftovers = sorted(_approximate_roots(factor), key=lambda v: (v.real, v.imag))
-        if not factor[1]:
-            n_real = _real_root_count(factor)
-            for rank, j in enumerate(sorted(range(len(leftovers)), key=lambda j: abs(leftovers[j].imag))):
-                z = leftovers[j]
-                leftovers[j] = complex(z.real, 0.0 if rank < n_real else z.imag or (-1) ** rank * 5e-324)
-        approx.extend(Root(z, mult, False) for z in leftovers)
+        n_real = _real_root_count(factor)
+        zs = _approximate_roots(factor)
+        if zs is None:
+            approx.extend(Root(None, mult, False, j < n_real) for j in range(len(factor[0]) - 1))
+            continue
+        zs.sort(key=lambda v: (v.real, v.imag))
+        real = set(sorted(range(len(zs)), key=lambda j: abs(zs[j].imag))[:n_real])
+        approx.extend(Root(complex(z.real, 0.0) if j in real else z, mult, False, j in real) for j, z in enumerate(zs))
     exact.sort(key=lambda r: r.value.sort_key())
     return exact + approx

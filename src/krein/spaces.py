@@ -126,7 +126,7 @@ def one_class_spectrum(m: Matrix) -> tuple[Root, ...]:
             c_im[i] -= s_im
     c = Matrix._from_ints(n, n, 1, c_re, c_im, m.field)
     if _is_nilpotent(c):
-        return (Root(_box(s_re, s_im, n * d), n, True),)
+        return (Root(_box(s_re, s_im, n * d), n, True, not s_im),)
     if m.field != REAL or n % 2:
         return ()
     disc = -_square_trace(n, c._re, c._im)[0] // n
@@ -135,8 +135,8 @@ def one_class_spectrum(m: Matrix) -> tuple[Root, ...]:
         return ()
     alpha, beta = Fraction(s_re, n * d), Fraction(b, n * d)
     return (
-        Root(GaussianRational(alpha, -beta), n // 2, True),
-        Root(GaussianRational(alpha, beta), n // 2, True),
+        Root(GaussianRational(alpha, -beta), n // 2, True, False),
+        Root(GaussianRational(alpha, beta), n // 2, True, False),
     )
 
 

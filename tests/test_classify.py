@@ -1,8 +1,11 @@
 import importlib
 import re
 from fractions import Fraction
+from math import isqrt
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from krein.classify import (
     OUT_OF_SCOPE,
@@ -22,6 +25,7 @@ from krein.exceptions import (
     WrongSpectrum,
 )
 from krein.matrices import COMPLEX, REAL, Matrix, hstack
+from krein.polynomials import Polynomial, poly_roots
 from krein.scalars import GaussianRational, parse_scalar
 from krein.spaces import MatrixPair, direct_sum
 from krein.witnesses import (
@@ -229,6 +233,28 @@ def test_classify_counts_close_real_eigenvalues_exactly():
     assert report.case_label == OUT_OF_SCOPE and report.k == 2
     assert len(report.eigenvalues) == 4 and not report.exact
     assert all(r.value.imag == 0.0 and r.multiplicity == 1 for r in report.eigenvalues)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(2, 10**1000).filter(lambda m: isqrt(m) ** 2 != m),
+    st.sampled_from([1, -1]),
+    st.fractions(max_denominator=10**6).filter(lambda q: abs(q) < 10**6),
+)
+@example(2 * 10**800, 1, Fraction(0))
+@example(2, -1, Fraction(1, 3))
+def test_real_eigenvalue_counts_need_no_float(m, sign, q):
+    # N = [[0, 1], [c, 0]] is H-selfadjoint for H = [[0, 1], [1, 0]], with
+    # eigenvalues +-sqrt(c): two irrational real ones for c > 0, one
+    # irrational conjugate pair for c < 0, far past the float range for most m
+    c = sign * m
+    n_op = Matrix.from_rows([[0, 1], [c, 0]], REAL)
+    report = classify(MatrixPair.from_matrices(n_op, Matrix.from_rows([[0, 1], [1, 0]], REAL)))
+    assert (report.n, report.k) == (2, 1)
+    assert report.case_label == ("RealB" if c > 0 else "RealC") and report.bound_ok
+    roots = poly_roots(Polynomial([-q, 1]) * Polynomial([-c, 0, 1]))
+    assert sum(r.is_real for r in roots) == 1 + 2 * (c > 0)
+    assert all(r.value is None or r.value.imag == 0.0 for r in roots if r.is_real and not r.is_exact)
 
 
 def test_classify_odd_k_conjugate_patterns_are_out_of_scope():

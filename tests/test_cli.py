@@ -186,6 +186,42 @@ def test_reduce_on_a_spectrum_beyond_the_float_range_reports_the_wrong_spectrum(
     assert err == ""
 
 
+# N = [[0, 2], [10^800, 0]] is H-selfadjoint with eigenvalues +-sqrt(2) 10^400,
+# which have no float display value
+HUGE_DOC = {"schema_version": "1", "field": "real", "n": 2,
+            "N": [["0", "2"], [str(10**800), "0"]], "H": [["0", "1"], ["1", "0"]]}
+
+
+def test_classify_counts_real_eigenvalues_beyond_the_float_range(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(HUGE_DOC))
+    rc, out, err = run(capsys, "classify", str(path))
+    assert rc == 0 and err == ""
+    report = json.loads(out)
+    assert (report["case"], report["bound_ok"], report["exact"]) == ("RealB", True, False)
+    assert report["eigenvalues"] == [{"value": None, "multiplicity": 1, "exact": False}] * 2
+
+
+def test_decompose_beyond_the_float_range(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(HUGE_DOC))
+    rc, out, err = run(capsys, "decompose", str(path))
+    assert rc == 0 and err == ""
+    verdict = json.loads(out)
+    assert verdict["status"] == "decomposable"
+    assert verdict["trace_form"]["trace_form_inertia"] == [0, 0, 2]
+
+
+def test_a_boolean_n_is_an_input_error(tmp_path, capsys):
+    # True is an int to isinstance, and must not pass as n = 1
+    doc = {"schema_version": "1", "field": "real", "n": True, "N": [["1"]], "H": [["1"]]}
+    path = tmp_path / "bool-n.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "verify", str(path))
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "n must be a positive integer" in err
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     log = tmp_path / "audit.jsonl"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
@@ -374,13 +410,13 @@ def test_audit_unwritable_log_is_an_input_error(tmp_path, capsys):
 
 def test_audit_records_a_failing_case_and_goes_on(tmp_path, capsys, monkeypatch):
     import krein.cli
-    from krein.exceptions import RootFindingError
+    from krein.exceptions import CertificateCheckFailed
 
     real_search = krein.cli.search_decomposition
 
     def failing_on_k2(pair, **kw):
         if pair.n == 4:
-            raise RootFindingError("no convergence")
+            raise CertificateCheckFailed("no convergence")
         return real_search(pair, **kw)
 
     monkeypatch.setattr(krein.cli, "search_decomposition", failing_on_k2)
@@ -390,6 +426,6 @@ def test_audit_records_a_failing_case_and_goes_on(tmp_path, capsys, monkeypatch)
     records = [json.loads(line) for line in log.read_text().splitlines()]
     assert [rec["input"] for rec in records] == [{"family": "b", "k": k} for k in (1, 2, 3)]
     assert [rec["passed"] for rec in records] == [True, False, True]
-    assert records[1]["error"] == {"type": "RootFindingError", "message": "no convergence"}
+    assert records[1]["error"] == {"type": "CertificateCheckFailed", "message": "no convergence"}
     assert "FAIL family=b k=2" in out
     assert "first failing case" in err

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from krein.decompose import certify_family, verify_certificate
-from krein.exceptions import ParameterError, RootFindingError
+from krein.exceptions import ParameterError
 from krein.matrices import char_poly
 from krein.polynomials import (
     _PRIMES,
@@ -151,12 +151,13 @@ def test_degree_zero_rejected():
 
 def test_irrational_root_past_the_float_range_is_reported():
     # t^2 - 2 10^800 has no root in Q(i), and its coefficients have no float
-    # for the display values: the one error left in root finding. In
-    # t^2 - 1.7 10^308 t + 2 the coefficients are floats but the large root's
-    # Newton steps overflow, which must not pass as a display value
+    # for the display values. In t^2 - 1.7 10^308 t + 2 the coefficients are
+    # floats but the large root's Newton steps overflow, which must not pass
+    # as a display value. Either way the roots have no value, and their
+    # realness is still exact
     for p in (Polynomial([-2 * 10**800, 0, 1]), Polynomial([2, -17 * 10**307, 1])):
-        with pytest.raises(RootFindingError):
-            poly_roots(p)
+        roots = poly_roots(p)
+        assert [(r.value, r.multiplicity, r.is_exact, r.is_real) for r in roots] == [(None, 1, False, True)] * 2
 
 
 def test_display_values_of_far_apart_irrational_roots():
@@ -452,7 +453,8 @@ def test_root_counts_match_sympy(p):
     roots = poly_roots(p)
     distinct, real = _sympy_distinct_and_real(p)
     assert len(roots) == distinct
-    assert sum(1 for r in roots if (r.value.is_real if r.is_exact else r.value.imag == 0)) == real
+    assert sum(r.is_real for r in roots) == real
+    assert all(r.is_real == (r.value.is_real if r.is_exact else r.value.imag == 0.0) for r in roots)
     assert sum(r.multiplicity for r in roots) == p.degree
 
 
