@@ -17,8 +17,6 @@ from pathlib import Path
 from . import __version__
 from .classify import classify, reduce_conjugate_pair, reduce_single_eigenvalue
 from .decompose import (
-    DEFAULT_BUDGET,
-    DEFAULT_SEED,
     STATUS_DECOMPOSABLE,
     certify_family,
     search_decomposition,
@@ -64,8 +62,6 @@ _FAMILY_TO_CLI = {v: k for k, v in _CLI_FAMILIES.items()}
 
 # the errors reported as input errors (exit code 2)
 _INPUT_ERRORS = (SchemaError, NotHermitian, SingularH, ParameterError, ValueError)
-# the decider is deterministic; the two flags stay for the callers that pass them
-_RECORDED_ONLY = "recorded in the verdict; changes nothing else"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -101,8 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("decompose", help="decide decomposability and give a splitting subspace")
     d.add_argument("paths", nargs="+")
-    d.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=_RECORDED_ONLY)
-    d.add_argument("--seed", type=int, default=DEFAULT_SEED, help=_RECORDED_ONLY)
 
     r = sub.add_parser("reduce", help="canonical corner reduction")
     r.add_argument("path")
@@ -118,8 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=",".join(sorted(_CLI_FAMILIES)),
     )
     a.add_argument("--log", default="krein-audit.jsonl")
-    a.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=_RECORDED_ONLY)
-    a.add_argument("--seed", type=int, default=DEFAULT_SEED, help=_RECORDED_ONLY)
     a.add_argument("--extra", action="append", default=[], help="extra pair document to audit")
     return p
 
@@ -270,7 +262,7 @@ def _cmd_decompose(args) -> int:
             print(json.dumps({"path": path, "error": "pair is not H-normal"}))
             rc = 1
             continue
-        verdict = search_decomposition(pair, budget=args.budget, seed=args.seed)
+        verdict = search_decomposition(pair)
         doc = verdict.to_json_dict()
         doc["path"] = path
         print(json.dumps(doc, sort_keys=True))
@@ -302,7 +294,7 @@ def _cmd_reduce(args) -> int:
     return 0
 
 
-def _audit_witness_case(family: str, k: int, budget: int, seed: int) -> dict:
+def _audit_witness_case(family: str, k: int) -> dict:
     t0 = time.perf_counter()
     w = build_witness(family, k, {})
     pair = w.pair
@@ -313,7 +305,7 @@ def _audit_witness_case(family: str, k: int, budget: int, seed: int) -> dict:
     checks["case_ok"] = report.case_label == w.expected_case
     checks["bound_ok"] = bool(report.bound_ok)
     checks["n_ok"] = report.n == w.expected_n
-    verdict = search_decomposition(pair, budget=budget, seed=seed)
+    verdict = search_decomposition(pair)
     checks["certificate_verified"] = verify_certificate(pair, verdict.certificate)
     checks["never_decomposable"] = verdict.status != STATUS_DECOMPOSABLE
     passed = all(checks.values())
@@ -330,7 +322,7 @@ def _audit_witness_case(family: str, k: int, budget: int, seed: int) -> dict:
     }
 
 
-def _audit_extra_case(path: str, budget: int, seed: int) -> dict:
+def _audit_extra_case(path: str) -> dict:
     t0 = time.perf_counter()
     pair, meta = _load(path)
     witness = _metadata_witness(meta, pair.n)
@@ -351,7 +343,7 @@ def _audit_extra_case(path: str, budget: int, seed: int) -> dict:
         record["classification"] = report.to_json_dict()
         if "expected_case" in meta:
             checks["case_ok"] = report.case_label == meta["expected_case"]
-        verdict = search_decomposition(pair, budget=budget, seed=seed)
+        verdict = search_decomposition(pair)
         record["search"] = verdict.to_json_dict()
     record["checks"] = checks
     record["passed"] = all(checks.values())
@@ -391,13 +383,13 @@ def _audit_records(families: list[str], args):
             )
         for k in ks:
             inp = {"family": _FAMILY_TO_CLI[family], "k": k}
-            rec = _guarded_case(inp, _audit_witness_case, family, k, args.budget, args.seed)
+            rec = _guarded_case(inp, _audit_witness_case, family, k)
             label = f"family={inp['family']} k={k}"
             if "classification" in rec:
                 label += f" n={rec['classification']['n']} case={rec['classification']['case']}"
             yield rec, label
     for path in args.extra:
-        yield _guarded_case({"path": path}, _audit_extra_case, path, args.budget, args.seed), f"extra={path}"
+        yield _guarded_case({"path": path}, _audit_extra_case, path), f"extra={path}"
 
 
 def _cmd_audit(args) -> int:

@@ -48,11 +48,10 @@ b > 0 and 2m < n. The latter is the sum of the generalized eigenspaces of
 lambda and conj(lambda), defined over the base field because
 (t - a)^2 + b^2 has rational coefficients; over C the eigenspace of lambda
 alone is neutral, which is why the pair is taken together. Each kernel is
-still checked exactly before it is reported. The search keeps no budget and
-no seed: the verdict records the ones it is given and does not depend on
-them. A pair on which no such x has an exact class that splits the space,
-such as N = [[1, 1], [1, -1]] with H = I over R (eigenvalues +-sqrt 2), is
-``decomposable`` with no subspace.
+still checked exactly before it is reported. The search is deterministic: it
+has no budget and no seed. A pair on which no such x has an exact class that
+splits the space, such as N = [[1, 1], [1, -1]] with H = I over R
+(eigenvalues +-sqrt 2), is ``decomposable`` with no subspace.
 
 Every linear solve here (the commutant, its selfadjoint part, the real span
 of complex vectors and the candidate subspaces) is an exact kernel or pivot
@@ -94,9 +93,6 @@ CERT_QUOTIENT_FIELD = "selfadjoint_quotient_field"
 STATUS_INDECOMPOSABLE = "indecomposable"
 STATUS_DECOMPOSABLE = "decomposable"
 
-DEFAULT_BUDGET = 200
-DEFAULT_SEED = 1729
-
 
 @dataclass(frozen=True)
 class Certificate:
@@ -113,22 +109,15 @@ class Certificate:
 class DecompositionVerdict:
     """The decider's verdict and its trace-form evidence, with the certificate
     of an indecomposable pair or a splitting subspace of a decomposable one,
-    when the search finds one. ``budget`` and ``seed`` are only recorded."""
+    when the search finds one."""
 
     status: str
     trace_form: dict
     certificate: Optional[Certificate]
     witness_subspace: Optional[SubspaceBasis]
-    budget: int
-    seed: Optional[int]
 
     def to_json_dict(self) -> dict:
-        d: dict = {
-            "status": self.status,
-            "trace_form": dict(self.trace_form),
-            "budget": self.budget,
-            "seed": self.seed,
-        }
+        d: dict = {"status": self.status, "trace_form": dict(self.trace_form)}
         if self.certificate is not None:
             d["certificate"] = self.certificate.to_json_dict()
         if self.witness_subspace is not None:
@@ -350,9 +339,7 @@ def _splitting_subspace(pair: MatrixPair, basis: Sequence[Matrix]) -> Optional[S
     return None
 
 
-def search_decomposition(
-    pair: MatrixPair, budget: int = DEFAULT_BUDGET, seed: int = DEFAULT_SEED
-) -> DecompositionVerdict:
+def search_decomposition(pair: MatrixPair, *, budget=None, seed=None) -> DecompositionVerdict:
     """Decide decomposability exactly, and give a splitting subspace if one is found.
 
     The trace form on the selfadjoint commutant decides (module docstring).
@@ -360,10 +347,11 @@ def search_decomposition(
     ``selfadjoint_quotient_field`` certificate; otherwise it is
     ``decomposable``, with the subspace of :func:`_splitting_subspace` or
     none. Every verdict records the trace-form evidence. ``budget`` and
-    ``seed`` are recorded in the verdict and change nothing else.
+    ``seed`` are ignored: ``perfbench/cases.py`` and
+    ``perfbench/tests/test_tracer.py`` still pass them.
     """
     basis, ev = _trace_form(pair)
     cert = _certificate(pair)
     if cert is not None:
-        return DecompositionVerdict(STATUS_INDECOMPOSABLE, ev, cert, None, budget, seed)
-    return DecompositionVerdict(STATUS_DECOMPOSABLE, ev, None, _splitting_subspace(pair, basis), budget, seed)
+        return DecompositionVerdict(STATUS_INDECOMPOSABLE, ev, cert, None)
+    return DecompositionVerdict(STATUS_DECOMPOSABLE, ev, None, _splitting_subspace(pair, basis))

@@ -36,9 +36,9 @@ generators or iterators: those build their argument tuple by resizing, and
 the freed tuple lands on the free list of another size, so between full
 garbage collections such calls grow the interpreter's tuple free lists.
 Characteristic polynomials come from the division-free Samuelson-Berkowitz
-recurrence on the Gaussian-integer matrix d M (``_samuelson_berkowitz``,
-whose one caller is :func:`char_poly`), one code path for real and Gaussian
-entries; the determinant is read off the characteristic polynomial.
+recurrence on d M (``_samuelson_berkowitz``, called by :func:`char_poly`
+alone), for real and Gaussian entries alike, straight into a
+``Polynomial``'s integer form; the determinant is read off its constant term.
 """
 
 from __future__ import annotations
@@ -407,8 +407,8 @@ class Matrix:
         """det(M) = (-1)^n char_poly(M)(0)."""
         if not self.is_square:
             raise DimensionMismatch("determinant of a non-square matrix")
-        c0 = char_poly(self).coeffs[0]
-        return -c0 if self.rows % 2 else c0
+        p, sign = char_poly(self), (-1) ** self.rows
+        return _box(sign * p._re[0], sign * p._im[0] if p._im else 0, p._d)
 
     def rank(self) -> int:
         return len(_integer_gauss_jordan(self._sparse_rows()))
@@ -800,17 +800,15 @@ def char_poly(m: Matrix) -> Polynomial:
 
     Coefficient k is coefficient k of det(tI - d M), the Gaussian-integer
     matrix of :func:`_samuelson_berkowitz` for the common denominator d of
-    M, divided by d^(n-k), the only division.
+    M, divided by d^(n-k): the polynomial's integer form is that coefficient
+    times d^k over d^n, made canonical by one gcd pass.
     """
     if not m.is_square:
         raise DimensionMismatch("characteristic polynomial of a non-square matrix")
     n, d = m.rows, m._d
     re, im = _samuelson_berkowitz(n, m._re, m._im)
-    im = im or [0] * (n + 1)
-    return Polynomial(
-        GaussianRational(Fraction(x, d ** (n - k)), Fraction(y, d ** (n - k)))
-        for k, (x, y) in enumerate(zip(re, im))
-    )
+    powers = [d**k for k in range(n + 1)]
+    return Polynomial._from_ints(powers[n], [x * q for x, q in zip(re, powers)], [y * q for y, q in zip(im, powers)])
 
 
 

@@ -59,7 +59,7 @@ def _parse_matrix(rows, n: int, field: str, name: str) -> Matrix:
                 raise SchemaError(f"{name}[{i}][{j}] must be a scalar string")
             try:
                 (p, q), (r, s) = scalar_parts(cell)
-            except SchemaError as exc:
+            except (SchemaError, ValueError) as exc:  # ValueError: past int's digit limit
                 raise SchemaError(f"{name}[{i}][{j}]: {exc}") from None
             if field == REAL and r:
                 raise SchemaError(
@@ -113,8 +113,10 @@ def parse_document(data) -> tuple[MatrixPair, dict]:
     if isinstance(data, (bytes, str)):
         try:
             doc = json.loads(data)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or a number past int's digit limit
             raise SchemaError(f"invalid JSON: {exc}") from None
+        except RecursionError:
+            raise SchemaError("document nests too deeply") from None
     else:
         doc = data
     return doc_to_pair(doc)

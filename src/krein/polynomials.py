@@ -1,15 +1,18 @@
 """Exact univariate polynomials over the Gaussian rationals, plus root finding.
 
-All polynomial arithmetic is exact. The gcd, Yun's squarefree decomposition
-and root finding run on integers: a polynomial is written once over the lcm
-of its coefficient denominators as integer lists (re, im), im empty for a
-real polynomial, and kept primitive (coprime integer parts, a positive
-integer leading coefficient) through a pseudo-remainder sequence, so no step
-divides ``Fraction``s. :func:`poly_roots` finds every root in Q(i) exactly
-and p-adically: the roots of each squarefree factor modulo a prime
-p = 1 (mod 4) are Hensel-lifted, each candidate is read back off a reduced
-2-D lattice, and exact evaluation over Z[i] accepts it; Sturm sequences count
-the real roots outside Q(i), so ``Root.is_real`` is exact. Floats give only
+A :class:`Polynomial` is kept, like a ``Matrix``, in one canonical integer
+form (d, re, im): sum_k (re[k] + i*im[k]) t^k / d with ascending, trimmed int
+lists, d > 0 coprime to every part, im empty when real. Equality and hashing
+read the form; ``coeffs`` boxes it on first use.
+:func:`krein.matrices.char_poly` builds it straight from the integer
+recurrence, and the gcd, Yun's squarefree decomposition and root finding read
+(re, im) back, kept primitive (coprime parts, a positive integer lead) through
+a pseudo-remainder sequence: no step divides ``Fraction``s, and polynomials
+have no arithmetic of their own. :func:`poly_roots` finds every root in Q(i)
+exactly and p-adically: the roots of each squarefree factor modulo a prime p =
+1 (mod 4) are Hensel-lifted, each candidate is read back off a reduced 2-D
+lattice, and exact evaluation over Z[i] accepts it; Sturm sequences count the
+real roots outside Q(i), so ``Root.is_real`` is exact. Floats give only
 display values of those roots (Aberth-Ehrlich), none past the float range.
 """
 
@@ -19,7 +22,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, count, islice
+from itertools import chain, count, islice, repeat
 from math import gcd, isqrt
 from operator import ne
 from typing import Iterable, Optional, Union
@@ -29,86 +32,49 @@ from .scalars import ZERO, GaussianRational, as_scalar, integer_form
 
 
 class Polynomial:
-    """Polynomial with GaussianRational coefficients, ascending degree."""
+    """Polynomial over Q(i) in its integer form (module docstring)."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_d", "_re", "_im", "_coeffs")
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [as_scalar(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        self._set(*integer_form([as_scalar(c) for c in coeffs]))
+
+    @classmethod
+    def _from_ints(cls, d: int, re: list[int], im: list[int]) -> "Polynomial":
+        """sum_k (re[k] + i*im[k]) t^k / d for d > 0 and int lists not yet
+        canonical (im empty or as long as re): every internal result's constructor."""
+        p = object.__new__(cls)
+        p._set(d, re, im)
+        return p
+
+    def _set(self, d: int, re: list[int], im: list[int]) -> None:
+        re, im = _trim(re, im)
+        g = gcd(d, *re, *im)
+        if g != 1:
+            d, re, im = d // g, [x // g for x in re], [y // g for y in im]
+        self._d, self._re, self._im, self._coeffs = d, re, im, None
+
+    @property
+    def coeffs(self) -> tuple[GaussianRational, ...]:
+        if self._coeffs is None:
+            d, im = self._d, self._im or repeat(0)
+            self._coeffs = tuple(GaussianRational(Fraction(x, d), Fraction(y, d)) for x, y in zip(self._re, im))
+        return self._coeffs
 
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self._re) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def leading(self) -> GaussianRational:
-        if self.is_zero:
-            raise ParameterError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return not self._re
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
+        return isinstance(other, Polynomial) and (self._d, self._re, self._im) == (other._d, other._re, other._im)
 
     def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Polynomial(out)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            if self.is_zero or other.is_zero:
-                return Polynomial()
-            out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] = out[i + j] + a * b
-            return Polynomial(out)
-        c = as_scalar(other)
-        return Polynomial([c * a for a in self.coeffs])
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Polynomial":
-        if n < 0:
-            raise ParameterError("negative polynomial power")
-        r = Polynomial([1])
-        base = self
-        while n:
-            if n & 1:
-                r = r * base
-            n >>= 1
-            if n:
-                base = base * base
-        return r
-
-    def monic(self) -> "Polynomial":
-        if self.is_zero:
-            return self
-        lead = self.leading()
-        return Polynomial([c / lead for c in self.coeffs])
+        return hash((self._d, tuple(self._re), tuple(self._im)))
 
     def evaluate(self, x) -> GaussianRational:
         """Exact evaluation by Horner's rule."""
@@ -119,25 +85,22 @@ class Polynomial:
         return acc
 
     def __repr__(self) -> str:
-        if self.is_zero:
-            return "Polynomial(0)"
-        terms = []
-        for k, c in enumerate(self.coeffs):
-            if c:
-                terms.append(f"({c})*t^{k}" if k else f"({c})")
-        return "Polynomial(" + " + ".join(terms) + ")"
+        terms = [f"({c})*t^{k}" if k else f"({c})" for k, c in enumerate(self.coeffs) if c]
+        return "Polynomial(" + (" + ".join(terms) or "0") + ")"
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic gcd, by a primitive pseudo-remainder sequence over Z[i]."""
-    return _monic(_gcd(_integer_poly(a), _integer_poly(b)))
+    re, im = _gcd((a._re, a._im), (b._re, b._im))
+    return Polynomial._from_ints(re[-1] if re else 1, re, im)
 
 
 def poly_lcm(a: Polynomial, b: Polynomial) -> Polynomial:
     if a.is_zero or b.is_zero:
         return Polynomial()
-    g = _gcd(_integer_poly(a), _integer_poly(b))
-    return _monic(_exact_quotient(_integer_poly(a * b), g))
+    za, zb = (a._re, a._im), (b._re, b._im)
+    re, im = _exact_quotient(_mul(za, zb), _gcd(za, zb))
+    return Polynomial._from_ints(re[-1], re, im)
 
 
 def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
@@ -148,27 +111,21 @@ def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
     and returned monic.
     """
     if p.degree < 1:
-        return [(p.monic(), 1)]
-    return [(_monic(f), k) for f, k in _squarefree_parts(_integer_poly(p))]
+        return [(p if p.is_zero else Polynomial._from_ints(1, [1], []), 1)]
+    parts = _squarefree_parts(_primitive(p._re, p._im))
+    return [(Polynomial._from_ints(re[-1], re, im), k) for (re, im), k in parts]
 
 
 # -- the integer core ------------------------------------------------------------
 #
-# A polynomial over Q(i) is held as (re, im): Python int coefficient lists in
-# ascending degree, im empty when every coefficient is real, no trailing zero
-# coefficient (the zero polynomial is ([], [])). Only the polynomial up to a
-# nonzero scalar matters here, so there is no denominator: every result is
-# brought to the primitive form of _primitive, which is unique among the
-# scalar multiples of a polynomial and has a positive integer leading
+# The core works on (re, im), a polynomial's form without d, as only the
+# polynomial up to a nonzero scalar matters here (zero is ([], [])). Every
+# result is brought to the primitive form of _primitive, which is unique among
+# the scalar multiples of a polynomial and has a positive integer leading
 # coefficient (so x / lead is the float of a monic coefficient, signed zeros
 # included).
 
 ZPoly = tuple[list[int], list[int]]
-
-
-def _integer_poly(p: Polynomial) -> ZPoly:
-    _, re, im = integer_form(p.coeffs)
-    return _primitive(re, im) if re else (re, im)
 
 
 def _primitive(re: list[int], im: list[int]) -> ZPoly:
@@ -238,6 +195,17 @@ def _pseudo_divmod(a: ZPoly, b: ZPoly) -> tuple[ZPoly, ZPoly]:
     return _trim(qr, qi), _trim(rr, ri)
 
 
+def _mul(a: ZPoly, b: ZPoly) -> ZPoly:
+    """The product over Z[i] of two nonzero polynomials."""
+    (ar, ai), (br, bi) = a, b
+    re, im = [0] * (len(ar) + len(br) - 1), [0] * (len(ar) + len(br) - 1)
+    for j, (x, y) in enumerate(zip(ar, ai or repeat(0))):
+        for k, (u, v) in enumerate(zip(br, bi or repeat(0))):
+            re[j + k] += x * u - y * v
+            im[j + k] += x * v + y * u
+    return _trim(re, im)
+
+
 def _exact_quotient(a: ZPoly, b: ZPoly) -> ZPoly:
     return _primitive(*_pseudo_divmod(a, b)[0])
 
@@ -279,14 +247,6 @@ def _squarefree_parts(f: ZPoly) -> list[tuple[ZPoly, int]]:
         g = _exact_quotient(g, y)
         k += 1
     return out
-
-
-def _monic(f: ZPoly) -> Polynomial:
-    re, im = f
-    lead = re[-1] if re else 1
-    return Polynomial(
-        [GaussianRational(Fraction(x, lead), Fraction(y, lead)) for x, y in zip(re, im or [0] * len(re))]
-    )
 
 
 def _vanishes_at(f: ZPoly, a: int, b: int, q: int) -> bool:
@@ -579,7 +539,7 @@ def poly_roots(p: Polynomial) -> list[Root]:
         raise ParameterError("root finding needs degree >= 1")
     exact: list[Root] = []
     approx: list[Root] = []
-    for factor, mult in _squarefree_parts(_integer_poly(p)):
+    for factor, mult in _squarefree_parts(_primitive(p._re, p._im)):
         lead = factor[0][-1]
         found = _exact_roots(factor)
         exact.extend(Root(GaussianRational(Fraction(x, lead), Fraction(y, lead)), mult, True, not y) for x, y in found)

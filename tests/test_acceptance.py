@@ -149,7 +149,7 @@ def test_criterion_06_decomposition_soundness():
     for make in GLUED_PAIRS:
         pair = make()
         assert pair.n <= 12
-        verdict = search_decomposition(pair, budget=200, seed=SEED)
+        verdict = search_decomposition(pair)
         assert verdict.status == "decomposable"
         sub = verdict.witness_subspace
         assert 0 < sub.dim < pair.n
@@ -159,7 +159,7 @@ def test_criterion_06_decomposition_soundness():
         assert hstack([v, adj @ v]).rank() == sub.dim
         assert is_nondegenerate(sub, pair.space)
     for w in all_witnesses(kmax=3):
-        verdict = search_decomposition(w.pair, budget=200, seed=SEED)
+        verdict = search_decomposition(w.pair)
         assert verdict.status != "decomposable", (w.spec.family, w.spec.k)
     _report(6, "10 glued sums decomposed with verified witnesses; no witness pair ever is")
 
@@ -291,7 +291,7 @@ def _apply_poly(p, m):
 
 def test_criterion_10_cli_contract(tmp_path, capsys):
     log = tmp_path / "audit.jsonl"
-    rc = cli_main(["audit", "--kmax", "4", "--log", str(log), "--seed", str(SEED)])
+    rc = cli_main(["audit", "--kmax", "4", "--log", str(log)])
     capsys.readouterr()
     assert rc == 0
     records = [json.loads(line) for line in log.read_text().splitlines()]

@@ -25,7 +25,7 @@ from krein.exceptions import (
     WrongSpectrum,
 )
 from krein.matrices import COMPLEX, REAL, Matrix, hstack
-from krein.polynomials import Polynomial, poly_roots
+from krein.polynomials import poly_roots
 from krein.scalars import GaussianRational, parse_scalar
 from krein.spaces import MatrixPair, direct_sum
 from krein.witnesses import (
@@ -39,6 +39,7 @@ from krein.witnesses import (
     witness_real_c_even,
     witness_real_c_odd,
 )
+from test_polynomials import T, sym, sympy_poly
 
 
 # --- the single-eigenvalue target -----------------------------------------------
@@ -252,7 +253,7 @@ def test_real_eigenvalue_counts_need_no_float(m, sign, q):
     report = classify(MatrixPair.from_matrices(n_op, Matrix.from_rows([[0, 1], [1, 0]], REAL)))
     assert (report.n, report.k) == (2, 1)
     assert report.case_label == ("RealB" if c > 0 else "RealC") and report.bound_ok
-    roots = poly_roots(Polynomial([-q, 1]) * Polynomial([-c, 0, 1]))
+    roots = poly_roots(sympy_poly((T - sym(q)) * (T**2 - c)))
     assert sum(r.is_real for r in roots) == 1 + 2 * (c > 0)
     assert all(r.value is None or r.value.imag == 0.0 for r in roots if r.is_real and not r.is_exact)
 

@@ -147,11 +147,16 @@ def test_decompose_glued_pair(tmp_path, capsys):
     g = direct_sum(witness_complex_b(1, 0, 1).pair, witness_complex_b(1, 2, 3).pair)
     path = tmp_path / "glued.json"
     path.write_text(serialize_pair(g))
-    rc, out, _ = run(capsys, "decompose", str(path), "--budget", "200", "--seed", "7")
+    rc, out, _ = run(capsys, "decompose", str(path))
     assert rc == 0
     verdict = json.loads(out.splitlines()[0])
     assert verdict["status"] == "decomposable"
     assert verdict["witness_subspace"]
+    assert "budget" not in verdict and "seed" not in verdict
+    # the search has no budget and no seed, so neither flag exists
+    for flag in ("--budget", "--seed"):
+        rc, out, err = run(capsys, "decompose", str(path), flag, "7")
+        assert rc == 2 and out == "" and "unrecognized arguments" in err
 
 
 def test_reduce_single_eigenvalue(tmp_path, capsys):
@@ -212,6 +217,33 @@ def test_decompose_beyond_the_float_range(tmp_path, capsys):
     assert verdict["trace_form"]["trace_form_inertia"] == [0, 0, 2]
 
 
+# a document nested past the parser's recursion limit, and a cell with more
+# digits than int() converts
+_ADVERSARIAL_DOCS = {
+    "nested": ("[" * 100000 + "]" * 100000, "error: document nests too deeply"),
+    "long-cell": (
+        json.dumps({"schema_version": "1", "field": "real", "n": 1, "N": [["1" * 5000]], "H": [["1"]]}),
+        "error: N[0][0]: ",
+    ),
+}
+
+
+@pytest.mark.parametrize("verb", ["classify", "audit"])
+@pytest.mark.parametrize("name", sorted(_ADVERSARIAL_DOCS))
+def test_an_adversarial_document_is_one_input_error_line(tmp_path, verb, name):
+    text, message = _ADVERSARIAL_DOCS[name]
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    argv = [str(path)] if verb == "classify" else ["--kmax", "1", "--families", "b", "--log", "log.jsonl", "--extra", str(path)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "krein", verb, *argv], capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [proc.stderr.strip()] and proc.stderr.startswith(message)
+
+
 def test_a_boolean_n_is_an_input_error(tmp_path, capsys):
     # True is an int to isinstance, and must not pass as n = 1
     doc = {"schema_version": "1", "field": "real", "n": True, "N": [["1"]], "H": [["1"]]}
@@ -241,8 +273,7 @@ def test_missing_file_is_exit_two(capsys):
 
 def test_audit_small_run(tmp_path, capsys):
     log = tmp_path / "audit.jsonl"
-    rc, out, err = run(capsys, "audit", "--kmax", "2", "--families", "b,e",
-                       "--budget", "40", "--log", str(log))
+    rc, out, err = run(capsys, "audit", "--kmax", "2", "--families", "b,e", "--log", str(log))
     assert rc == 0
     lines = [json.loads(line) for line in log.read_text().splitlines()]
     assert len(lines) == 3  # b: k=1,2; e: k=2
@@ -269,8 +300,7 @@ def test_audit_tampered_extra_fails(tmp_path, capsys):
     extra = tmp_path / "tampered.json"
     extra.write_text(json.dumps(doc))
     log = tmp_path / "audit.jsonl"
-    rc, out, err = run(capsys, "audit", "--kmax", "1", "--families", "b",
-                       "--budget", "20", "--log", str(log), "--extra", str(extra))
+    rc, out, err = run(capsys, "audit", "--kmax", "1", "--families", "b", "--log", str(log), "--extra", str(extra))
     assert rc == 1
     records = [json.loads(line) for line in log.read_text().splitlines()]
     assert any(not rec["passed"] for rec in records)
@@ -389,8 +419,7 @@ def test_audit_streams_records_before_a_bad_extra_document(tmp_path, capsys):
     extra = tmp_path / "bad.json"
     extra.write_text(json.dumps(doc))
     log = tmp_path / "audit.jsonl"
-    rc, _, err = run(capsys, "audit", "--kmax", "2", "--families", "b",
-                     "--budget", "20", "--log", str(log), "--extra", str(extra))
+    rc, _, err = run(capsys, "audit", "--kmax", "2", "--families", "b", "--log", str(log), "--extra", str(extra))
     assert rc == 2
     assert err.startswith("error:")
     records = [json.loads(line) for line in log.read_text().splitlines()]

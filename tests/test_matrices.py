@@ -23,6 +23,7 @@ from krein.matrices import (
 from krein.polynomials import Polynomial
 from krein.scalars import ONE, ZERO, GaussianRational
 from krein.witnesses import chain_witness
+from test_polynomials import T, sym, sympy_poly
 
 
 def faddeev_leverrier(m):
@@ -549,20 +550,20 @@ def test_solve_right_golden():
 
 def test_char_poly_swap():
     m = Matrix.from_rows([[0, 1], [1, 0]], REAL)
-    assert char_poly(m) == Polynomial([-1, 0, 1])  # t^2 - 1
+    assert char_poly(m) == sympy_poly(T**2 - 1)
 
 
 def test_char_poly_jordan():
     lam = GaussianRational(Fraction(2), Fraction(1))
     j = Matrix.from_rows([[lam, 1], [0, lam]], COMPLEX)
-    assert char_poly(j) == Polynomial([-lam, 1]) ** 2
+    assert char_poly(j) == sympy_poly((T - sym(lam)) ** 2)
 
 
 def test_char_poly_rotation_block():
     # det(tI - [[a, b], [-b, a]]) = t^2 - 2at + (a^2 + b^2), roots a +- ib
     a, b = Fraction(1), Fraction(2)
     m = Matrix.from_rows([[a, b], [-b, a]], REAL)
-    expected = Polynomial([a * a + b * b, -2 * a, 1])
+    expected = sympy_poly((T - sym(a)) ** 2 + sym(b) ** 2)
     assert char_poly(m) == expected
     assert expected.evaluate(GaussianRational(a, b)) == 0
     assert expected.evaluate(GaussianRational(a, -b)) == 0

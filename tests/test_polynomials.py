@@ -6,61 +6,63 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import krein.polynomials
 from krein.decompose import certify_family, verify_certificate
 from krein.exceptions import ParameterError
 from krein.matrices import char_poly
 from krein.polynomials import (
     _PRIMES,
     Polynomial,
-    _integer_poly,
+    _primitive,
     _pseudo_divmod,
     poly_gcd,
     poly_lcm,
     poly_roots,
     squarefree_decomposition,
 )
-from krein.scalars import GaussianRational, as_scalar
-from krein.witnesses import witness_complex_b, witness_real_e
+from krein.scalars import ZERO, GaussianRational, as_scalar
+from krein.witnesses import ALL_FAMILIES, admissible_ks, build_witness, witness_complex_b, witness_real_e
+from test_acceptance import GLUED_PAIRS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-
-def test_basic_arithmetic():
-    p = Polynomial([1, 2])        # 1 + 2t
-    q = Polynomial([0, 0, 1])     # t^2
-    assert p + q == Polynomial([1, 2, 1])
-    assert p * q == Polynomial([0, 0, 1, 2])
-    assert (p - p).is_zero
-    assert p ** 3 == p * p * p
+# Expected polynomials are built in sympy, t the variable, and read back
+# through the public constructor: krein has no polynomial arithmetic.
+T = sympy.Symbol("t")
+I = sympy.I
 
 
-def test_power_squares_only_while_bits_remain(monkeypatch):
-    p = Polynomial([GaussianRational(1, 2), Fraction(-1, 3), 1])
-    products = [Polynomial([1])]
-    for _ in range(9):
-        products.append(products[-1] * p)
-    calls = []
-    mul = Polynomial.__mul__
-
-    def counting_mul(self, other):
-        calls.append(other)
-        return mul(self, other)
-
-    monkeypatch.setattr(Polynomial, "__mul__", counting_mul)
-    for n in range(10):
-        calls.clear()
-        assert p ** n == products[n]
-        if n:
-            # one product per set bit and one square per further bit
-            assert len(calls) == bin(n).count("1") + n.bit_length() - 1
+def sym(c) -> sympy.Expr:
+    """A scalar (GaussianRational, Fraction or int) as a sympy number."""
+    c = as_scalar(c)
+    return sympy.Rational(c.re.numerator, c.re.denominator) + I * sympy.Rational(c.im.numerator, c.im.denominator)
 
 
-def _from_zpoly(f):
+def _fraction(x) -> Fraction:
+    """A rational of sympy's ground domain as a Fraction."""
+    return Fraction(int(x.numerator), int(x.denominator))
+
+
+def sympy_poly(expr) -> Polynomial:
+    """The Polynomial of a sympy expression or Poly in t with Gaussian-rational coefficients."""
+    coeffs = sympy.Poly(expr, T, domain="QQ_I").rep.to_list()
+    return Polynomial(GaussianRational(_fraction(c.x), _fraction(c.y)) for c in reversed(coeffs))
+
+
+def _poly(coeffs) -> sympy.Poly:
+    """The sympy Poly over Q(i) of ascending scalar coefficients; products of
+    Polys run on sympy's dense arithmetic, far faster than expanding."""
+    return sympy.Poly([sym(c) for c in reversed(coeffs)], T, domain="QQ_I")
+
+
+def _zexpr(f) -> sympy.Expr:
+    """The sympy expression of an integer (re, im) pair of coefficient lists."""
     re, im = f
-    return Polynomial([GaussianRational(x, y) for x, y in zip(re, im or [0] * len(re))])
+    return sum((x + I * y) * T**k for k, (x, y) in enumerate(zip(re, im or [0] * len(re))))
 
 
 def test_divmod_is_exact():
@@ -73,30 +75,42 @@ def test_divmod_is_exact():
         b = Polynomial([GaussianRational(rng.randint(-5, 5), im()) for _ in range(3)])
         if a.is_zero or b.is_zero:
             continue
-        za, zb = _integer_poly(a), _integer_poly(b)  # primitive
+        za, zb = _primitive(a._re, a._im), _primitive(b._re, b._im)
         q, r = _pseudo_divmod(za, zb)
-        back = _from_zpoly(q) * _from_zpoly(zb) + _from_zpoly(r)
-        s = back.leading() / _from_zpoly(za).leading()
-        assert s.im == 0 and s.re.denominator == 1 and s.re > 0
-        assert back == _from_zpoly(za) * Polynomial([s])
+        back = sympy.Poly(_zexpr(q) * _zexpr(zb) + _zexpr(r), T, domain="QQ_I")
+        s = back.LC() / sympy.Poly(_zexpr(za), T, domain="QQ_I").LC()
+        assert s.is_integer and s > 0
+        assert back == sympy.Poly(s * _zexpr(za), T, domain="QQ_I")
         assert len(r[0]) < len(zb[0])
 
 
 def test_gcd_and_lcm():
-    t = Polynomial([0, 1])
-    a = (t - Polynomial([1])) * (t - Polynomial([2]))
-    b = (t - Polynomial([2])) * (t - Polynomial([3]))
-    g = poly_gcd(a, b)
-    assert g == t - Polynomial([2])
-    assert poly_lcm(a, b).degree == 3
+    a = sympy_poly((T - 1) * (T - 2))
+    b = sympy_poly((T - 2) * (T - 3))
+    assert poly_gcd(a, b) == sympy_poly(T - 2)
+    assert poly_lcm(a, b) == sympy_poly((T - 1) * (T - 2) * (T - 3))
 
 
 def test_squarefree_decomposition():
-    t = Polynomial([0, 1])
-    p = (t - Polynomial([1])) ** 3 * (t + Polynomial([2])) ** 1
+    p = sympy_poly((T - 1) ** 3 * (T + 2))
     parts = dict((m, f) for f, m in squarefree_decomposition(p))
-    assert parts[1] == t + Polynomial([2])
-    assert parts[3] == t - Polynomial([1])
+    assert parts[1] == sympy_poly(T + 2)
+    assert parts[3] == sympy_poly(T - 1)
+
+
+def test_char_poly_and_poly_roots_box_no_coefficient(monkeypatch):
+    # char_poly builds its integer form from the recurrence, and poly_roots
+    # reads it back: neither goes through the coefficients, so a broken
+    # boxing route changes no root
+    ns = [make().n_op for make in GLUED_PAIRS]
+    ns += [build_witness(f, k, {}).pair.n_op for f in ALL_FAMILIES for k in admissible_ks(f, 4)]
+    expected = [repr(poly_roots(char_poly(n))) for n in ns]
+
+    def no_integer_form(values):
+        raise AssertionError("a coefficient was boxed")
+
+    monkeypatch.setattr(krein.polynomials, "integer_form", no_integer_form)
+    assert [repr(poly_roots(char_poly(n))) for n in ns] == expected
 
 
 def test_roots_of_t_squared_minus_one():
@@ -109,7 +123,7 @@ def test_roots_of_t_squared_minus_one():
 def test_roots_of_power_keep_multiplicity():
     lam = GaussianRational(Fraction(1, 2), Fraction(-2, 3))
     for k in (1, 2, 5, 12):
-        p = Polynomial([-lam, 1]) ** k
+        p = sympy_poly((T - sym(lam)) ** k)
         roots = poly_roots(p)
         assert len(roots) == 1
         assert roots[0].is_exact and roots[0].value == lam and roots[0].multiplicity == k
@@ -136,8 +150,7 @@ def test_irrational_roots_are_reported_approximately():
 
 
 def test_mixed_exact_and_approximate():
-    t = Polynomial([0, 1])
-    p = (t - Polynomial([Fraction(3, 7)])) * (t * t - Polynomial([2]))
+    p = sympy_poly((T - sympy.Rational(3, 7)) * (T**2 - 2))
     roots = poly_roots(p)
     exact = [r for r in roots if r.is_exact]
     assert len(exact) == 1 and exact[0].value == Fraction(3, 7)
@@ -163,7 +176,7 @@ def test_irrational_root_past_the_float_range_is_reported():
 def test_display_values_of_far_apart_irrational_roots():
     # +-sqrt(2) 10^100 and +-sqrt(3) i: the fourth power of the large roots
     # has no float, and they are 10^100 times the small ones
-    roots = poly_roots(Polynomial([-2 * 10**200, 0, 1]) * Polynomial([3, 0, 1]))
+    roots = poly_roots(sympy_poly((T**2 - 2 * 10**200) * (T**2 + 3)))
     assert not any(r.is_exact for r in roots)
     expected = [-math.sqrt(2) * 1e100, -math.sqrt(3) * 1j, math.sqrt(3) * 1j, math.sqrt(2) * 1e100]
     assert all(abs(r.value - z) <= 1e-12 * abs(z) for r, z in zip(roots, expected))
@@ -171,11 +184,7 @@ def test_display_values_of_far_apart_irrational_roots():
 
 
 def test_poly_from_roots_round_trip():
-    vals = [Fraction(1, 2), Fraction(-3), Fraction(1, 2)]
-    p = Polynomial([1])
-    for v in vals:
-        p = p * Polynomial([-v, 1])
-    roots = poly_roots(p)
+    roots = poly_roots(sympy_poly((T - sympy.Rational(1, 2)) * (T + 3) * (T - sympy.Rational(1, 2))))
     assert {(r.value, r.multiplicity) for r in roots} == {
         (GaussianRational(Fraction(1, 2)), 2),
         (GaussianRational(Fraction(-3)), 1),
@@ -211,9 +220,8 @@ def test_snap_on_real_e_neighbouring_conjugate_pairs():
 def test_huge_root_is_found_exactly():
     # no float enters the search for roots in Q(i), so a root past the float
     # range is found with its multiplicity
-    t = Polynomial([0, 1])
-    p = (t - Polynomial([10**400])) ** 2 * (t - Polynomial([1]))
-    assert squarefree_decomposition(p)[1] == (t - Polynomial([10**400]), 2)
+    p = sympy_poly((T - 10**400) ** 2 * (T - 1))
+    assert squarefree_decomposition(p)[1] == (sympy_poly(T - 10**400), 2)
     roots = poly_roots(p)
     assert [(r.value, r.multiplicity, r.is_exact) for r in roots] == [
         (GaussianRational(1), 1, True),
@@ -227,8 +235,7 @@ def test_rational_root_next_to_a_huge_leading_coefficient(r, c):
     # the primitive form of (t - r)(t^3 + c t + c + 2) has a leading
     # coefficient L >= 10^17, so L z is past what a double resolves and the
     # candidate comes from exact Newton steps
-    t = Polynomial([0, 1])
-    roots = poly_roots((t - Polynomial([r])) * Polynomial([c + 2, c, 0, 1]))
+    roots = poly_roots(sympy_poly((T - sym(r)) * (T**3 + sym(c) * T + sym(c + 2))))
     assert [(x.value, x.multiplicity) for x in roots if x.is_exact] == [(r, 1)]
     assert len(roots) == 4
 
@@ -236,41 +243,52 @@ def test_rational_root_next_to_a_huge_leading_coefficient(r, c):
 # -- property tests against a Fraction-Euclid reference ---------------------------
 
 
+# The reference works on ascending coefficient lists of GaussianRationals,
+# trimmed (the zero polynomial is []).
+
+
+def _trimmed(cs):
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _ref_monic(cs):
+    return [c / cs[-1] for c in cs]
+
+
 def _ref_divmod(a, b):
     """Long division over Q(i)."""
-    rem = list(a.coeffs)
-    dq = len(rem) - len(b.coeffs)
-    if dq < 0:
-        return Polynomial(), a
-    quo = [0] * (dq + 1)
-    for k in range(dq, -1, -1):
-        f = rem[k + b.degree] / b.leading()
-        quo[k] = f
-        for j, c in enumerate(b.coeffs):
+    rem = list(a)
+    quo = [ZERO] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        f = quo[k] = rem[k + len(b) - 1] / b[-1]
+        for j, c in enumerate(b):
             rem[k + j] = rem[k + j] - f * c
-    return Polynomial(quo), Polynomial(rem)
+    return _trimmed(quo), _trimmed(rem)
 
 
 def _ref_gcd(a, b):
-    while not b.is_zero:
-        a, b = b, _ref_divmod(a, b)[1].monic()
-    return a.monic()
+    a, b = list(a), list(b)
+    while b:
+        a, b = b, _ref_monic(_ref_divmod(a, b)[1])
+    return Polynomial(_ref_monic(a))
 
 
 def _ref_squarefree(p):
     """Yun's algorithm with Euclid's gcd and long division over Q(i)."""
-    p = p.monic()
-    g = _ref_gcd(p, Polynomial([k * c for k, c in enumerate(p.coeffs)][1:]))
-    if g.degree <= 0:
-        return [(p, 1)]
+    p = _ref_monic(list(p.coeffs))
+    g = list(_ref_gcd(p, [k * c for k, c in enumerate(p)][1:]).coeffs)
+    if len(g) <= 1:
+        return [(Polynomial(p), 1)]
     w = _ref_divmod(p, g)[0]
     out = []
     k = 1
-    while w.degree > 0:
-        y = _ref_gcd(w, g)
+    while len(w) > 1:
+        y = list(_ref_gcd(w, g).coeffs)
         factor = _ref_divmod(w, y)[0]
-        if factor.degree > 0:
-            out.append((factor.monic(), k))
+        if len(factor) > 1:
+            out.append((Polynomial(_ref_monic(factor)), k))
         w = y
         g = _ref_divmod(g, y)[0]
         k += 1
@@ -289,13 +307,13 @@ def _scalars(gaussian):
 @st.composite
 def _factored(draw, gaussian, max_degree):
     """A nonzero scalar times a product of degree-1 and degree-2 factors with
-    multiplicities 1 to 6 (the factors may share roots)."""
-    p = Polynomial([draw(_scalars(gaussian).filter(bool))])
+    multiplicities 1 to 6 (the factors may share roots), as a sympy Poly."""
+    p, degree = _poly([draw(_scalars(gaussian).filter(bool))]), 0
     for _ in range(draw(st.integers(1, 3))):
-        factor = Polynomial(draw(st.lists(_scalars(gaussian), min_size=1, max_size=2)) + [1])
+        factor = draw(st.lists(_scalars(gaussian), min_size=1, max_size=2)) + [1]
         mult = draw(st.integers(1, 6))
-        if p.degree + factor.degree * mult <= max_degree:
-            p = p * factor**mult
+        if degree + (len(factor) - 1) * mult <= max_degree:
+            p, degree = p * _poly(factor) ** mult, degree + (len(factor) - 1) * mult
     return p
 
 
@@ -306,39 +324,33 @@ def _any_factored(max_degree):
 @st.composite
 def _gcd_pairs(draw):
     common = draw(_any_factored(6))
-    return common * draw(_any_factored(6)), common * draw(_any_factored(6))
+    return sympy_poly(common * draw(_any_factored(6))), sympy_poly(common * draw(_any_factored(6)))
 
 
 # Gaussian content 1 + 2i, a double root 1 + i and a simple root 3i
-_GAUSSIAN_EXAMPLE = (
-    Polynomial([GaussianRational(1, 2)])
-    * Polynomial([GaussianRational(-1, -1), 1]) ** 2
-    * Polynomial([GaussianRational(0, -3), 1])
-)
+_GAUSSIAN_EXAMPLE = (1 + 2 * I) * (T - 1 - I) ** 2 * (T - 3 * I)
 
 
 @settings(max_examples=80, deadline=None)
-@given(_any_factored(12))
-@example(_GAUSSIAN_EXAMPLE)
+@given(_any_factored(12).map(sympy_poly))
+@example(sympy_poly(_GAUSSIAN_EXAMPLE))
 def test_squarefree_decomposition_matches_fraction_euclid(p):
     parts = squarefree_decomposition(p)
     assert parts == _ref_squarefree(p)
-    product = Polynomial([1])
-    for factor, mult in parts:
-        assert factor.leading() == 1
-        product = product * factor**mult
-    assert product == p.monic()
+    assert all(factor.coeffs[-1] == 1 for factor, _ in parts)
+    product = math.prod((_poly(f.coeffs) ** m for f, m in parts), start=_poly([1]))
+    assert sympy_poly(product) == Polynomial(_ref_monic(list(p.coeffs)))
 
 
 @settings(max_examples=80, deadline=None)
 @given(_gcd_pairs())
-@example((_GAUSSIAN_EXAMPLE, Polynomial([GaussianRational(-1, -1), 1]) * Polynomial([1, 1])))
+@example((sympy_poly(_GAUSSIAN_EXAMPLE), sympy_poly((T - 1 - I) * (T + 1))))
 def test_gcd_matches_fraction_euclid(pair):
     a, b = pair
-    assert poly_gcd(a, b) == _ref_gcd(a, b)
-    assert poly_gcd(b, a) == _ref_gcd(a, b)
-    assert poly_gcd(a, Polynomial()) == a.monic()
-    assert poly_gcd(Polynomial(), b) == b.monic()
+    assert poly_gcd(a, b) == _ref_gcd(a.coeffs, b.coeffs)
+    assert poly_gcd(b, a) == _ref_gcd(a.coeffs, b.coeffs)
+    assert poly_gcd(a, Polynomial()) == Polynomial(_ref_monic(list(a.coeffs)))
+    assert poly_gcd(Polynomial(), b) == Polynomial(_ref_monic(list(b.coeffs)))
 
 
 def test_gcd_of_zeros_is_zero():
@@ -355,16 +367,15 @@ def _roots_times_quadratic(draw):
     values = st.builds(GaussianRational, _small_rationals, _small_rationals if gaussian else st.just(0))
     roots = draw(st.lists(values, min_size=1, max_size=3, unique=True))
     mults = [draw(st.integers(1, 6)) for _ in roots]
-    scale = draw(_scalars(gaussian).filter(bool))
-    p = Polynomial([scale]) * Polynomial(draw(st.sampled_from(_IRREDUCIBLE_QUADRATICS)))
+    p = _poly([draw(_scalars(gaussian).filter(bool))]) * _poly(draw(st.sampled_from(_IRREDUCIBLE_QUADRATICS)))
     for r, m in zip(roots, mults):
-        p = p * Polynomial([-r, 1]) ** m
-    return p, set(zip(roots, mults))
+        p *= _poly([-r, 1]) ** m
+    return sympy_poly(p), set(zip(roots, mults))
 
 
 @settings(max_examples=80, deadline=None)
 @given(_roots_times_quadratic())
-@example((_GAUSSIAN_EXAMPLE * Polynomial([1, 1, 1]), {(GaussianRational(1, 1), 2), (GaussianRational(0, 3), 1)}))
+@example((sympy_poly(_GAUSSIAN_EXAMPLE * (T**2 + T + 1)), {(GaussianRational(1, 1), 2), (GaussianRational(0, 3), 1)}))
 def test_roots_of_a_product_are_found_exactly(case):
     p, expected = case
     roots = poly_roots(p)
@@ -384,18 +395,17 @@ def _huge_roots_times_quadratic(draw):
     values = st.builds(GaussianRational, _huge_rationals, _huge_rationals if gaussian else st.just(0))
     roots = draw(st.lists(values, min_size=1, max_size=3, unique=True))
     mults = [draw(st.integers(1, 3)) for _ in roots]
-    p = Polynomial(draw(st.sampled_from(_IRREDUCIBLE_QUADRATICS)))
+    p = _poly(draw(st.sampled_from(_IRREDUCIBLE_QUADRATICS)))
     for r, m in zip(roots, mults):
-        p = p * Polynomial([-r, 1]) ** m
-    return p, set(zip(roots, mults))
+        p *= _poly([-r, 1]) ** m
+    return sympy_poly(p), set(zip(roots, mults))
 
 
 @settings(max_examples=40, deadline=None)
 @given(_huge_roots_times_quadratic())
 @example(
     (
-        Polynomial([1, 1, 1])
-        * Polynomial([-GaussianRational(Fraction(10**400 - 1, 10**30 - 1), Fraction(-(10**400), 7)), 1]) ** 3,
+        sympy_poly(_poly([1, 1, 1]) * _poly([-GaussianRational(Fraction(10**400 - 1, 10**30 - 1), Fraction(-(10**400), 7)), 1]) ** 3),
         {(GaussianRational(Fraction(10**400 - 1, 10**30 - 1), Fraction(-(10**400), 7)), 3)},
     )
 )
@@ -412,14 +422,13 @@ def test_bad_primes_are_skipped():
     # coincide; every prime is skipped and the roots come from a later one
     assert all(p % 4 == 1 and (iota * iota + 1) % p == 0 for p, iota in _PRIMES)
     q = math.prod(p for p, _ in _PRIMES)
-    t = Polynomial([0, 1])
     i = GaussianRational(0, 1)
     for p, expected in (
-        (Polynomial([-1, q]) * Polynomial([3, 0, 1]), [Fraction(1, q)]),
-        (t * (t - Polynomial([q])) * Polynomial([1, 1, 1]), [0, q]),
-        ((t - Polynomial([i])) * (t - Polynomial([q + i])) * Polynomial([-2, 0, 1]), [i, q + i]),
+        ((q * T - 1) * (T**2 + 3), [Fraction(1, q)]),
+        (T * (T - q) * (T**2 + T + 1), [0, q]),
+        ((T - I) * (T - q - I) * (T**2 - 2), [i, q + i]),
     ):
-        roots = poly_roots(p)
+        roots = poly_roots(sympy_poly(p))
         assert [(r.value, r.multiplicity) for r in roots if r.is_exact] == [(as_scalar(r), 1) for r in expected]
         assert sum(1 for r in roots if not r.is_exact) == 2
 
@@ -431,24 +440,21 @@ _real_coeffs = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6))
 def _real_with_repeated_roots(draw):
     """A rational polynomial of degree >= 1 times up to three linear factors
     with multiplicities 1 to 3."""
-    p = Polynomial(draw(st.lists(_real_coeffs, min_size=1, max_size=6)) + [draw(_real_coeffs.filter(bool))])
+    p = _poly(draw(st.lists(_real_coeffs, min_size=1, max_size=6)) + [draw(_real_coeffs.filter(bool))])
     for r in draw(st.lists(_real_coeffs, max_size=3)):
-        p = p * Polynomial([-r, 1]) ** draw(st.integers(1, 3))
-    return p
+        p *= _poly([-r, 1]) ** draw(st.integers(1, 3))
+    return sympy_poly(p)
 
 
 def _sympy_distinct_and_real(p):
-    import sympy
-
-    t = sympy.Symbol("t")
-    f = sympy.Poly([sympy.Rational(c.re.numerator, c.re.denominator) for c in reversed(p.coeffs)], t).sqf_part()
+    f = sympy.Poly([sympy.Rational(c.re.numerator, c.re.denominator) for c in reversed(p.coeffs)], T).sqf_part()
     return f.degree(), f.count_roots()
 
 
 @settings(max_examples=80, deadline=None)
 @given(_real_with_repeated_roots())
-@example(Polynomial([-2, 0, 1]) * Polynomial([-2 - Fraction(1, 10**20), Fraction(1, 10**20), 1]))
-@example(Polynomial([9 + Fraction(1, 10**20), -6, 1]))  # 3 +- 10^-10 i, solved on the real axis
+@example(sympy_poly((T**2 - 2) * (T**2 + sympy.Rational(1, 10**20) * T - 2 - sympy.Rational(1, 10**20))))
+@example(sympy_poly(T**2 - 6 * T + 9 + sympy.Rational(1, 10**20)))  # 3 +- 10^-10 i, solved on the real axis
 def test_root_counts_match_sympy(p):
     roots = poly_roots(p)
     distinct, real = _sympy_distinct_and_real(p)

@@ -4,7 +4,6 @@ import pytest
 
 from krein.exceptions import ParameterError
 from krein.matrices import COMPLEX, REAL, Matrix, char_poly
-from krein.polynomials import Polynomial
 from krein.scalars import GaussianRational, parse_scalar
 from krein.spaces import SubspaceBasis, is_h_normal, is_neutral
 from krein.witnesses import (
@@ -22,12 +21,12 @@ from krein.witnesses import (
     witness_real_d,
     witness_real_e,
 )
+from test_polynomials import T, sym, sympy_poly
 
 
 def conj_poly(alpha, beta):
-    """(t - a)^2 + b^2 expanded, the real quadratic with roots a +- ib."""
-    a, b = Fraction(alpha), Fraction(beta)
-    return Polynomial([a * a + b * b, -2 * a, 1])
+    """(t - a)^2 + b^2, the real quadratic with roots a +- ib, in sympy."""
+    return (T - sym(alpha)) ** 2 + sym(beta) ** 2
 
 
 # --- the chain and its witness --------------------------------------------------
@@ -92,27 +91,21 @@ def test_family_spectra_match_declared_multisets():
     lam = parse_scalar("1i")
     for k in (1, 2, 3):
         w = build_witness("complex-a-lower", k, {"lambda": lam})
-        assert char_poly(w.pair.n_op) == Polynomial([-lam, 1]) ** (2 * k)
+        assert char_poly(w.pair.n_op) == sympy_poly((T - sym(lam)) ** (2 * k))
         w = build_witness("complex-a-upper", k, {"lambda": lam})
-        assert char_poly(w.pair.n_op) == Polynomial([-lam, 1]) ** (4 * k)
+        assert char_poly(w.pair.n_op) == sympy_poly((T - sym(lam)) ** (4 * k))
         w = build_witness("complex-b", k, {"l1": parse_scalar("0"), "l2": parse_scalar("1")})
-        assert char_poly(w.pair.n_op) == (
-            Polynomial([0, 1]) ** k * (Polynomial([-1, 1]) ** k)
-        )
+        assert char_poly(w.pair.n_op) == sympy_poly(T**k * (T - 1) ** k)
     for k in (2, 4):
         w = witness_real_c_even(k, 0, 1)
-        assert char_poly(w.pair.n_op) == conj_poly(0, 1) ** k
+        assert char_poly(w.pair.n_op) == sympy_poly(conj_poly(0, 1) ** k)
         w = witness_real_d(k, 5, 0, 1)
-        assert char_poly(w.pair.n_op) == conj_poly(0, 1) ** (k // 2) * (
-            Polynomial([-5, 1]) ** k
-        )
+        assert char_poly(w.pair.n_op) == sympy_poly(conj_poly(0, 1) ** (k // 2) * (T - 5) ** k)
         w = witness_real_e(k, 0, 1, 1, 1)
-        assert char_poly(w.pair.n_op) == conj_poly(0, 1) ** (k // 2) * conj_poly(1, 1) ** (
-            k // 2
-        )
+        assert char_poly(w.pair.n_op) == sympy_poly(conj_poly(0, 1) ** (k // 2) * conj_poly(1, 1) ** (k // 2))
     for k in (1, 3, 5):
         w = witness_real_c_odd(k, 2, 3)
-        assert char_poly(w.pair.n_op) == conj_poly(2, 3) ** k
+        assert char_poly(w.pair.n_op) == sympy_poly(conj_poly(2, 3) ** k)
 
 
 # --- upper-bound family ------------------------------------------------------------
