@@ -276,37 +276,41 @@ class CanonicalReduction:
 def _corner_transform(pair: MatrixPair, u_basis: SubspaceBasis) -> tuple[Matrix, Matrix, Matrix, int]:
     """(T, T^-1 N T, T* H T, d) for T = [U | V | W]: U the neutral core of
     dimension d, W a neutral dual with U*H W = I, V the H-orthogonal
-    complement of span(U, W). The reduced Gram matrix is checked to have the
-    corner shape."""
-    h = pair.space.h
-    n = pair.n
-    d = u_basis.dim
+    complement of span(U, W), of dimension s = n - 2d.
+
+    The rows of K = T* H are at hand (W*H = W0*H - (G0/2) U*H), so R_H = K T,
+    checked to have the corner shape [[0, 0, I], [0, G, 0], [I, 0, 0]], and by
+    the Gram identity T^-1 = R_H^-1 K, T^-1 N T = R_H^-1 (K (N T)), where
+    R_H^-1 = [[0, 0, I], [0, G^-1, 0], [I, 0, 0]] inverts only G = V*H V.
+    As det R_H = |det T|^2 det H with det H != 0, T is singular exactly when
+    rank R_H < n: a corner-shaped R_H with invertible G proves T invertible."""
+    h, n, d = pair.space.h, pair.n, u_basis.dim
     u = u_basis.matrix
     uh = u.conj_transpose() @ h
     w0 = uh.solve_right(Matrix.identity(d, pair.field))
-    g0 = w0.conj_transpose() @ h @ w0
-    w = w0 - u @ (g0 * Fraction(1, 2))
-    rows = vstack([uh, w.conj_transpose() @ h])
-    v_vecs = rows.kernel_basis()
-    v = SubspaceBasis(v_vecs, n, pair.field).matrix if v_vecs else Matrix.zeros(n, 0, pair.field)
-    mats = [u] + ([v] if v.cols else []) + [w]
-    t = hstack(mats)
-    failure = "corner transform failed to span the space (construction bug)"
-    if t.cols != n:
-        raise KreinError(failure)
-    try:
-        t_inv = t.inverse()
-    except SingularMatrix:
-        raise KreinError(failure) from None
-    rh = t.conj_transpose() @ h @ t
-    _check_corner_h(rh, d, n)
-    return t, t_inv @ pair.n_op @ t, rh, d
+    w0h = w0.conj_transpose() @ h
+    half_g0 = (w0h @ w0) * Fraction(1, 2)
+    w = w0 - u @ half_g0
+    wh = w0h - half_g0 @ uh
+    v_vecs = vstack([uh, wh]).kernel_basis()
+    v = Matrix.from_blocks([v_vecs]) if v_vecs else Matrix.zeros(n, 0, pair.field)
+    t = hstack([u, v, w])
+    k = vstack([uh, v.conj_transpose() @ h, wh])
+    rh = k @ t
+    g_inv = _corner_h_middle_inverse(rh, d, n)
+    knt = k @ (pair.n_op @ t)
+    rows = [knt.submatrix(n - d, n, 0, n), g_inv @ knt.submatrix(d, n - d, 0, n), knt.submatrix(0, d, 0, n)]
+    return t, vstack(rows), rh, d
 
 
-def _check_corner_h(rh: Matrix, d: int, n: int) -> None:
+def _corner_h_middle_inverse(rh: Matrix, d: int, n: int) -> Matrix:
+    """G^-1 for the middle block G of a reduced Gram matrix R_H that has the
+    corner shape; R_H of rank below n, or a T without n columns, means that T
+    failed to span the space."""
     s = n - 2 * d
     ident = Matrix.identity(d, rh.field)
     checks = [
+        rh.rows == rh.cols == n,
         rh.submatrix(0, d, 0, d).is_zero,
         rh.submatrix(0, d, d, d + s).is_zero,
         rh.submatrix(0, d, d + s, n) == ident,
@@ -316,8 +320,14 @@ def _check_corner_h(rh: Matrix, d: int, n: int) -> None:
         rh.submatrix(d + s, n, d, d + s).is_zero,
         rh.submatrix(d + s, n, d + s, n).is_zero,
     ]
-    if not all(checks):
+    if all(checks):
+        try:
+            return rh.submatrix(d, d + s, d, d + s).inverse()
+        except SingularMatrix:
+            pass
+    elif rh.cols == n and rh.rank() == n:
         raise KreinError("reduced Gram matrix misses the corner shape (construction bug)")
+    raise KreinError("corner transform failed to span the space (construction bug)")
 
 
 def _check_corner_n(rn: Matrix, d: int, n: int, top: Matrix, bottom: Matrix) -> None:

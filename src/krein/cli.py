@@ -23,6 +23,7 @@ from .decompose import (
     verify_certificate,
 )
 from .exceptions import (
+    FieldMismatch,
     KreinError,
     NotHermitian,
     NotHNormal,
@@ -40,7 +41,7 @@ from .pairdoc import (
     pretty_format,
     serialize_pair,
 )
-from .scalars import format_scalar, parse_scalar
+from .scalars import GaussianRational, format_scalar, parse_scalar
 from .spaces import is_h_normal
 from .witnesses import (
     FAMILY_PARAMS,
@@ -129,13 +130,13 @@ def _collect_params(args) -> dict:
     ):
         val = getattr(args, flag, None)
         if val is not None:
-            params[key] = _rational(val) if real else parse_scalar(val)
+            params[key] = _scalar(f"--{key}", val, real)
     for flag in ("alpha", "beta", "alpha1", "beta1", "alpha2", "beta2"):
         val = getattr(args, flag, None)
         if val is not None:
-            params[flag] = _rational(val)
+            params[flag] = _scalar(f"--{flag}", val, True)
     if getattr(args, "r", None):
-        params["r"] = [_rational(tok) for tok in args.r.split(",") if tok]
+        params["r"] = [_scalar("--r", tok, True) for tok in args.r.split(",") if tok]
     return params
 
 
@@ -154,13 +155,17 @@ def _witness_metadata(w: WitnessPair) -> dict:
     return meta
 
 
-def _rational(text: str) -> Fraction:
-    """A real parameter in the scalar grammar of :func:`parse_scalar`; a
-    malformed or nonreal value is an input error."""
-    z = parse_scalar(text)
-    if z.im:
-        raise SchemaError(f"parameter {text!r} is not real")
-    return z.re
+def _scalar(name: str, text: str, real: bool = False) -> GaussianRational | Fraction:
+    """The parameter ``name`` in the scalar grammar of :func:`parse_scalar`,
+    as a Fraction when ``real``; a malformed, nonreal or overlong value is an
+    input error that names the parameter."""
+    try:
+        z = parse_scalar(text)
+    except (SchemaError, ValueError) as exc:  # ValueError: past int's digit limit
+        raise SchemaError(f"{name}: {exc}") from None
+    if real and z.im:
+        raise SchemaError(f"{name}: parameter {text!r} is not real")
+    return z.re if real else z
 
 
 def _metadata_witness(meta: dict, n: int) -> WitnessPair | None:
@@ -187,9 +192,9 @@ def _metadata_witness(meta: dict, n: int) -> WitnessPair | None:
             f"metadata must name a known family, an integer k from 1 to {n} and its eigen_params as strings"
         )
     cplx = family.startswith("complex")
-    params = {name: parse_scalar(t) if cplx else _rational(t) for name, t in zip(names, values)}
+    params = {name: _scalar(f"eigen_params[{i}]", t, not cplx) for i, (name, t) in enumerate(zip(names, values))}
     if r:
-        params["r"] = [_rational(t) for t in r]
+        params["r"] = [_scalar(f"r[{i}]", t, True) for i, t in enumerate(r)]
     return build_witness(family, k, params)
 
 
@@ -277,10 +282,10 @@ def _cmd_reduce(args) -> int:
         raise ParameterError("pass either --lambda or both --alpha and --beta")
     try:
         if has_lam:
-            red = reduce_single_eigenvalue(pair, parse_scalar(args.lam))
+            red = reduce_single_eigenvalue(pair, _scalar("--lambda", args.lam))
         else:
-            red = reduce_conjugate_pair(pair, _rational(args.alpha), _rational(args.beta))
-    except (NotSingleEigenvalue, WrongSpectrum, S0NotNeutral) as exc:
+            red = reduce_conjugate_pair(pair, _scalar("--alpha", args.alpha, True), _scalar("--beta", args.beta, True))
+    except (NotSingleEigenvalue, WrongSpectrum, S0NotNeutral, FieldMismatch) as exc:
         print(json.dumps({"path": args.path, "error": str(exc)}))
         return 1
     doc = {

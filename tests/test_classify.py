@@ -1,7 +1,7 @@
 import importlib
 import re
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -39,6 +39,7 @@ from krein.witnesses import (
     witness_real_c_even,
     witness_real_c_odd,
 )
+from test_decompose import _hidden_copies
 from test_polynomials import T, sym, sympy_poly
 
 
@@ -454,3 +455,121 @@ def test_a_singular_corner_transform_is_reported_as_a_construction_bug(monkeypat
     monkeypatch.setattr(classify_module, "hstack", singular_hstack)
     with pytest.raises(KreinError, match=r"^corner transform failed to span the space \(construction bug\)$"):
         reduce_single_eigenvalue(witness_complex_a_lower(2, 1).pair, 1)
+
+
+def test_a_corner_transform_with_an_extra_column_is_reported_as_a_construction_bug(monkeypatch):
+    classify_module = importlib.import_module("krein.classify")
+
+    def widened_hstack(mats):
+        t = hstack(mats)
+        return hstack([t, t.submatrix(0, t.rows, 0, 1)])
+
+    monkeypatch.setattr(classify_module, "hstack", widened_hstack)
+    with pytest.raises(KreinError, match=r"^corner transform failed to span the space \(construction bug\)$"):
+        reduce_single_eigenvalue(witness_complex_a_upper(1, 0).pair, 0)
+
+
+def test_a_misordered_corner_transform_is_reported_as_a_construction_bug(monkeypatch):
+    classify_module = importlib.import_module("krein.classify")
+
+    # the transform with its first two columns swapped: still nonsingular,
+    # but its reduced Gram matrix no longer has the corner shape
+    def swapped_hstack(mats):
+        t = hstack(mats)
+        cols = [t.submatrix(0, t.rows, j, j + 1) for j in range(t.cols)]
+        cols[0], cols[1] = cols[1], cols[0]
+        return hstack(cols)
+
+    monkeypatch.setattr(classify_module, "hstack", swapped_hstack)
+    with pytest.raises(KreinError, match=r"^reduced Gram matrix misses the corner shape \(construction bug\)$"):
+        reduce_single_eigenvalue(witness_complex_a_lower(2, 1).pair, 1)
+
+
+# --- the corner reductions against the explicit inverse ---------------------------
+
+CORNER_FAMILIES = ("complex-a-lower", "complex-a-upper", "real-c-even", "real-c-odd")
+
+
+def _corner_witnesses(kmax):
+    # c-odd k = 1 is left out: its joint eigenspace is the whole plane, not neutral
+    ks = {f: [k for k in admissible_ks(f, kmax) if (f, k) != ("real-c-odd", 1)] for f in CORNER_FAMILIES}
+    return [build_witness(f, k, {}) for f in CORNER_FAMILIES for k in ks[f]]
+
+
+def _reduce_witness_pair(w, pair):
+    """The corner reduction of ``pair``, a pair congruent to the witness ``w``."""
+    params = w.spec.eigen_params
+    if pair.field == COMPLEX:
+        return reduce_single_eigenvalue(pair, params[0])
+    return reduce_conjugate_pair(pair, params[0].re, params[1].re)
+
+
+def test_corner_reductions_match_the_explicit_inverse():
+    # T^-1 N T read off the Gram identity is the product with the inverse of T
+    for w in _corner_witnesses(4):
+        for pair in [w.pair, *_hidden_copies(w.pair, 3)]:
+            red = _reduce_witness_pair(w, pair)
+            t = red.transform
+            assert red.reduced_n == t.inverse() @ pair.n_op @ t
+            assert red.reduced_h == t.conj_transpose() @ pair.space.h @ t
+
+
+def test_corner_reductions_invert_no_n_by_n_matrix(monkeypatch):
+    cases = [(w, pair) for w in _corner_witnesses(4) for pair in [w.pair, *_hidden_copies(w.pair, 1)]]
+    for _, pair in cases:
+        pair.adjoint  # H^-1 is n x n; the adjoint is computed once, before any reduction
+    sizes = []
+    real_inverse = Matrix.inverse
+
+    def recording_inverse(m):
+        sizes.append(m.rows)
+        return real_inverse(m)
+
+    monkeypatch.setattr(Matrix, "inverse", recording_inverse)
+    for w, pair in cases:
+        sizes.clear()
+        red = _reduce_witness_pair(w, pair)
+        assert pair.n not in sizes
+        assert sizes == [red.block_dims[1]]  # the middle block G alone
+
+
+# --- corner reductions under congruences that are not unimodular ------------------
+
+
+@st.composite
+def _rational_congruences(draw):
+    """A corner witness of rank k <= 3 and an invertible rational S, the
+    product of a diagonal scaling with no unit determinant and of shears
+    I + c e_i e_j^T with small rational c."""
+    w = draw(st.sampled_from(_corner_witnesses(3)))
+    n, field = w.pair.n, w.pair.field
+    small = st.fractions(-3, 3, max_denominator=4).filter(bool)
+    scale = draw(st.lists(small, min_size=n, max_size=n).filter(lambda d: abs(prod(d)) != 1))
+    s = Matrix.diagonal(scale, field)
+    for _ in range(draw(st.integers(1, n))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 2))
+        j += j >= i
+        ents = [1 if a == b else (draw(small) if (a, b) == (i, j) else 0) for a in range(n) for b in range(n)]
+        s = s @ Matrix(n, n, ents, field)
+    return w, s
+
+
+@settings(max_examples=20, deadline=None)
+@given(_rational_congruences())
+def test_corner_reductions_survive_rational_congruence(case):
+    w, s = case
+    plain = w.pair
+    pair = MatrixPair.from_matrices(s.inverse() @ plain.n_op @ s, s.conj_transpose() @ plain.space.h @ s)
+    report, expected = classify(pair), classify(plain)
+    assert (report.case_label, report.bound_window, report.bound_ok) == (
+        expected.case_label, expected.bound_window, expected.bound_ok,
+    )
+    red, ref = _reduce_witness_pair(w, pair), _reduce_witness_pair(w, plain)
+    assert red.block_dims == ref.block_dims
+    n, d = pair.n, red.block_dims[0]
+    for r0, r1 in ((0, d), (n - d, n)):
+        assert red.reduced_n.submatrix(r0, r1, r0, r1) == ref.reduced_n.submatrix(r0, r1, r0, r1)
+    t = red.transform
+    assert t.rank() == n
+    assert t @ red.reduced_n == pair.n_op @ t
+    assert t.conj_transpose() @ pair.space.h @ t == red.reduced_h

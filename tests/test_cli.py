@@ -458,3 +458,47 @@ def test_audit_records_a_failing_case_and_goes_on(tmp_path, capsys, monkeypatch)
     assert records[1]["error"] == {"type": "CertificateCheckFailed", "message": "no convergence"}
     assert "FAIL family=b k=2" in out
     assert "first failing case" in err
+
+
+def test_reduce_conjugate_pair_on_a_complex_pair_is_a_failed_hypothesis(tmp_path, capsys):
+    # like every failed reduction hypothesis: a JSON record on stdout, exit 1
+    path = tmp_path / "al.json"
+    assert run(capsys, "generate", "--family", "a-lower", "--k", "2", "--lambda", "1i", "--out", str(path))[0] == 0
+    rc, out, err = run(capsys, "reduce", str(path), "--alpha", "0", "--beta", "1")
+    assert rc == 1 and err == ""
+    assert json.loads(out) == {"path": str(path), "error": "the conjugate-pair reduction expects a real pair"}
+
+
+_LONG = "1" * 5000  # more digits than int() converts
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["generate", "--family", "a-lower", "--k", "1", "--lambda", _LONG], "--lambda"),
+        (["generate", "--family", "c-even", "--k", "2", "--beta", _LONG], "--beta"),
+        (["generate", "--family", "a-upper", "--k", "1", "--r", _LONG], "--r"),
+        (["reduce", "PAIR", "--alpha", _LONG, "--beta", "1"], "--alpha"),
+        (["audit", "--kmax", "1", "--families", "b", "--log", "log.jsonl", "--extra", "EIGEN"], "eigen_params[0]"),
+        (["audit", "--kmax", "1", "--families", "b", "--log", "log.jsonl", "--extra", "R"], "r[1]"),
+    ],
+)
+def test_a_parameter_past_the_int_digit_limit_is_an_input_error_that_names_it(tmp_path, capsys, argv, flag):
+    pair = tmp_path / "c.json"
+    assert run(capsys, "generate", "--family", "c-odd", "--k", "3", "--out", str(pair))[0] == 0
+    upper = tmp_path / "u.json"
+    assert run(capsys, "generate", "--family", "a-upper", "--k", "2", "--out", str(upper))[0] == 0
+    eigen, r = json.loads(pair.read_text()), json.loads(upper.read_text())
+    eigen["metadata"]["eigen_params"][0] = _LONG
+    r["metadata"]["r"][1] = _LONG
+    (tmp_path / "eigen.json").write_text(json.dumps(eigen))
+    (tmp_path / "r.json").write_text(json.dumps(r))
+    names = {"PAIR": str(pair), "EIGEN": str(tmp_path / "eigen.json"), "R": str(tmp_path / "r.json")}
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "krein", *(names.get(a, a) for a in argv)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [proc.stderr.strip()] and proc.stderr.startswith(f"error: {flag}: ")
