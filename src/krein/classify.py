@@ -26,7 +26,16 @@ H-orthogonal complement of span(U, W) as the middle space. Pivot choices in
 the underlying elimination are lowest-index, so output is deterministic.
 Each reduction first checks that the spectrum is the one class it is given,
 against ``MatrixPair.certified_spectrum``, so it computes no characteristic
-polynomial and finds no root.
+polynomial and finds no root; then that the pair is H-normal
+(``is_h_normal``, kept on the pair), raising ``NotHNormal`` if not.
+
+The reduced Gram matrix R_H = T* H T gets its inertia without a second
+congruence reduction. ``_corner_transform`` sets it only after R_H has
+passed the corner check and its middle block G has been inverted. Then
+det R_H = +-det G != 0, and det R_H = |det T|^2 det H, so det T != 0: T is
+invertible, and R_H is congruent to H. By Sylvester's law of inertia R_H
+has the inertia (v_minus, 0, v_plus) of H, which is the value set in its
+memo slot; ``spaces.signature`` reads it after its own Hermitian check.
 """
 
 from __future__ import annotations
@@ -298,6 +307,7 @@ def _corner_transform(pair: MatrixPair, u_basis: SubspaceBasis) -> tuple[Matrix,
     k = vstack([uh, v.conj_transpose() @ h, wh])
     rh = k @ t
     g_inv = _corner_h_middle_inverse(rh, d, n)
+    rh._inertia = (pair.space.v_minus, 0, pair.space.v_plus)  # Sylvester's law (module docstring)
     knt = k @ (pair.n_op @ t)
     rows = [knt.submatrix(n - d, n, 0, n), g_inv @ knt.submatrix(d, n - d, 0, n), knt.submatrix(0, d, 0, n)]
     return t, vstack(rows), rh, d
@@ -349,6 +359,8 @@ def reduce_single_eigenvalue(pair: MatrixPair, lam) -> CanonicalReduction:
     n = pair.n
     if pair.certified_spectrum != (Root(lam, n, True, lam.is_real),):
         raise NotSingleEigenvalue(f"operator spectrum is not {{{lam!r}}} alone")
+    if not is_h_normal(pair):
+        raise NotHNormal("corner reduction requires an H-normal pair")
     js = joint_eigenspace(pair, lam)
     if not js.is_neutral_s0:
         raise S0NotNeutral(
@@ -369,6 +381,8 @@ def reduce_conjugate_pair(pair: MatrixPair, alpha, beta) -> CanonicalReduction:
     conj_pair = (GaussianRational(a_f, -b_f), GaussianRational(a_f, b_f))
     if pair.certified_spectrum != tuple(Root(z, n // 2, True, False) for z in conj_pair):
         raise WrongSpectrum(f"operator spectrum is not {{{alpha} +- {beta}i}} alone")
+    if not is_h_normal(pair):
+        raise NotHNormal("corner reduction requires an H-normal pair")
     js = joint_eigenspace_real(pair, a_f, b_f)
     if not js.is_neutral_s0:
         raise S0NotNeutral(

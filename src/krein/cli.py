@@ -285,7 +285,7 @@ def _cmd_reduce(args) -> int:
             red = reduce_single_eigenvalue(pair, _scalar("--lambda", args.lam))
         else:
             red = reduce_conjugate_pair(pair, _scalar("--alpha", args.alpha, True), _scalar("--beta", args.beta, True))
-    except (NotSingleEigenvalue, WrongSpectrum, S0NotNeutral, FieldMismatch) as exc:
+    except (NotHNormal, NotSingleEigenvalue, WrongSpectrum, S0NotNeutral, FieldMismatch) as exc:
         print(json.dumps({"path": args.path, "error": str(exc)}))
         return 1
     doc = {

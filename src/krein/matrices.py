@@ -80,7 +80,7 @@ def _box(x: int, y: int, d: int) -> GaussianRational:
 class Matrix:
     """Immutable dense matrix over Q(i), stored as (re + i*im) / d (module docstring)."""
 
-    __slots__ = ("rows", "cols", "field", "_d", "_re", "_im", "_entries")
+    __slots__ = ("rows", "cols", "field", "_d", "_re", "_im", "_entries", "_inertia")
 
     def __init__(self, rows: int, cols: int, entries: Sequence, field: str = COMPLEX):
         d, re, im = integer_form([as_scalar(e) for e in entries])
@@ -121,6 +121,7 @@ class Matrix:
         self._re = re
         self._im = im
         self._entries = None
+        self._inertia = None  # (v_minus, v_zero, v_plus) of a Hermitian matrix; see spaces.signature
 
     # -- constructors ---------------------------------------------------------
 

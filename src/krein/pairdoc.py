@@ -5,13 +5,16 @@ exact scalar strings ("p/q" or "p/q+r/si"), never floats, so serialization
 round trips are bit-exact. Parsing validates shape, field purity, Hermitian
 symmetry (naming the offending entry) and nonsingularity of H. Cells are
 read straight into the integer form of a ``Matrix`` and written from it, so
-no cell is boxed into a scalar on the way in or out.
+no cell is boxed into a scalar on the way in or out. Each distinct cell is
+handled once per matrix: parsing keeps a dict from cell string to its
+checked integer parts, and writing a dict from integer parts to text, both
+local to one matrix. A string enters the parse dict only after it has
+passed every check, so an error still names the first cell that fails.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import repeat
 from math import lcm
 from typing import Optional
 
@@ -24,9 +27,16 @@ SCHEMA_VERSION = "1"
 
 
 def matrix_to_rows(m: Matrix) -> list[list[str]]:
-    """The cells of ``m`` as scalar strings, formatted from its integer form."""
-    d, c = m._d, m.cols
-    cells = [format_integer_parts(x, y, d) for x, y in zip(m._re, m._im or repeat(0))]
+    """The cells of ``m`` as scalar strings, formatted from its integer form,
+    each distinct (x, y) once."""
+    d, c, im = m._d, m.cols, m._im
+    text = {}  # x, or (x, y) when some y is nonzero -> its cell
+    cells = []
+    for key in zip(m._re, im) if im else m._re:
+        cell = text.get(key)
+        if cell is None:
+            cell = text[key] = format_integer_parts(*key, d) if im else format_integer_parts(key, 0, d)
+        cells.append(cell)
     return [cells[i * c : (i + 1) * c] for i in range(m.rows)]
 
 
@@ -47,29 +57,41 @@ def serialize_pair(pair: MatrixPair, metadata: Optional[dict] = None) -> str:
     return json.dumps(pair_to_doc(pair, metadata), indent=2, sort_keys=True)
 
 
+def _cell_parts(cell, field: str, name: str, i: int, j: int) -> tuple[int, int, int, int]:
+    """The integer parts (p, q, r, s), the value p/q + (r/s)i, of the checked
+    cell ``name[i][j]``."""
+    if not isinstance(cell, str):
+        raise SchemaError(f"{name}[{i}][{j}] must be a scalar string")
+    try:
+        (p, q), (r, s) = scalar_parts(cell)
+    except (SchemaError, ValueError) as exc:  # ValueError: past int's digit limit
+        raise SchemaError(f"{name}[{i}][{j}]: {exc}") from None
+    if field == REAL and r:
+        raise SchemaError(f"{name}[{i}][{j}] = {cell!r} is complex but the document declares a real field")
+    return p, q, r, s
+
+
 def _parse_matrix(rows, n: int, field: str, name: str) -> Matrix:
     if not isinstance(rows, list) or len(rows) != n:
         raise SchemaError(f"{name} must be a list of {n} rows")
-    parts = []
+    # each distinct cell string -> its integer parts; a string enters only once
+    # it has passed every check, so a bad cell fails again at its first place
+    known: dict[str, tuple[int, int, int, int]] = {}
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:
             raise SchemaError(f"{name}[{i}] must be a list of {n} scalar strings")
         for j, cell in enumerate(row):
-            if not isinstance(cell, str):
-                raise SchemaError(f"{name}[{i}][{j}] must be a scalar string")
-            try:
-                (p, q), (r, s) = scalar_parts(cell)
-            except (SchemaError, ValueError) as exc:  # ValueError: past int's digit limit
-                raise SchemaError(f"{name}[{i}][{j}]: {exc}") from None
-            if field == REAL and r:
-                raise SchemaError(
-                    f"{name}[{i}][{j}] = {cell!r} is complex but the document declares a real field"
-                )
-            parts.append((p, q, r, s))
+            if not isinstance(cell, str) or cell not in known:
+                known[cell] = _cell_parts(cell, field, name, i, j)
     # the cells over the lcm of their denominators; _from_ints makes the form canonical
+    parts = known.values()
     d = lcm(*{q for _, q, _, _ in parts}, *{s for _, _, _, s in parts})
-    re = [p * (d // q) for p, q, _, _ in parts]
-    im = [r * (d // s) for _, _, r, s in parts] if any(r for _, _, r, _ in parts) else []
+    re_of = {cell: p * (d // q) for cell, (p, q, _, _) in known.items()}
+    re = [re_of[cell] for row in rows for cell in row]
+    im = []
+    if any(r for _, _, r, _ in parts):
+        im_of = {cell: r * (d // s) for cell, (_, _, r, s) in known.items()}
+        im = [im_of[cell] for row in rows for cell in row]
     return Matrix._from_ints(n, n, d, re, im, field)
 
 

@@ -14,6 +14,13 @@ Inertia is read off a fraction-free Hermitian congruence reduction of the
 Gaussian-integer form of H (``matrices._hermitian_inertia``), the one
 symmetric reduction in the package: by Sylvester's law of inertia a
 congruence keeps it, and no eigenvalue is computed, so signatures are exact.
+A ``Matrix`` is immutable, so :func:`signature` keeps the inertia
+(v_minus, v_zero, v_plus) in the matrix's one memo slot, ``_inertia``, and
+reads it back on the next call; it reads the slot only after the
+``is_hermitian`` check, so a memo never vouches for a matrix that is not
+Hermitian. The only other writer is ``krein.classify._corner_transform``,
+which sets the slot of a reduced Gram matrix T* H T to the inertia of H,
+as Sylvester's law gives it once T is proved invertible.
 
 The spectrum of a pair is exact and computed once. A spectrum of one class
 (one eigenvalue, or over R one conjugate pair) is certified by a nilpotency
@@ -43,11 +50,14 @@ from .scalars import GaussianRational
 
 def signature(h: Matrix) -> tuple[int, int]:
     """Exact inertia (v_minus, v_plus) of a nonsingular Hermitian matrix, by
-    the congruence reduction of its integer form d H (d > 0 keeps the inertia).
+    the congruence reduction of its integer form d H (d > 0 keeps the inertia),
+    run once per matrix: the inertia is kept on ``h`` (module docstring).
     """
     if not h.is_hermitian():
         raise NotHermitian("signature needs a Hermitian matrix")
-    v_minus, v_zero, v_plus = _hermitian_inertia(h.rows, h._re, h._im)
+    if h._inertia is None:
+        h._inertia = _hermitian_inertia(h.rows, h._re, h._im)
+    v_minus, v_zero, v_plus = h._inertia
     if v_zero:
         raise SingularH("Gram matrix is singular")
     return v_minus, v_plus

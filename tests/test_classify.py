@@ -24,9 +24,10 @@ from krein.exceptions import (
     S0NotNeutral,
     WrongSpectrum,
 )
-from krein.matrices import COMPLEX, REAL, Matrix, hstack
+from krein.matrices import COMPLEX, REAL, Matrix, _hermitian_inertia, hstack
 from krein.polynomials import poly_roots
 from krein.scalars import GaussianRational, parse_scalar
+import krein.spaces
 from krein.spaces import MatrixPair, direct_sum
 from krein.witnesses import (
     ALL_FAMILIES,
@@ -373,6 +374,17 @@ def test_reduce_rejects_multi_eigenvalue():
         reduce_single_eigenvalue(w.pair, 0)
 
 
+def test_reductions_reject_a_pair_that_is_not_h_normal():
+    # each spectrum is the one the reduction expects; only H-normality fails
+    identity = Matrix.identity(2, REAL)
+    nilpotent = MatrixPair.from_matrices(Matrix.from_rows([[0, 1], [0, 0]], REAL), identity)
+    with pytest.raises(NotHNormal):
+        reduce_single_eigenvalue(nilpotent, 0)
+    rotation = MatrixPair.from_matrices(Matrix.from_rows([[1, -2], [1, -1]], REAL), identity)
+    with pytest.raises(NotHNormal):
+        reduce_conjugate_pair(rotation, 0, 1)
+
+
 def test_reduce_rejects_non_neutral_core():
     pair = MatrixPair.from_matrices(
         Matrix.diagonal([3, 3], COMPLEX), Matrix.diagonal([1, -1], COMPLEX)
@@ -531,6 +543,34 @@ def test_corner_reductions_invert_no_n_by_n_matrix(monkeypatch):
         red = _reduce_witness_pair(w, pair)
         assert pair.n not in sizes
         assert sizes == [red.block_dims[1]]  # the middle block G alone
+
+
+def test_reduced_gram_matrices_carry_the_inertia_of_h():
+    # Sylvester's law: the inertia set on R_H = T* H T is the one its own
+    # congruence reduction gives
+    for w in _corner_witnesses(4):
+        for pair in [w.pair, *_hidden_copies(w.pair, 3)]:
+            rh = _reduce_witness_pair(w, pair).reduced_h
+            assert rh._inertia == _hermitian_inertia(rh.rows, rh._re, rh._im)
+            assert rh._inertia == (pair.space.v_minus, 0, pair.space.v_plus)
+
+
+def test_the_reduced_pair_runs_no_second_congruence_reduction(monkeypatch):
+    calls = []
+    real_inertia = krein.spaces._hermitian_inertia
+
+    def counting_inertia(*args):
+        calls.append(args[0])
+        return real_inertia(*args)
+
+    monkeypatch.setattr(krein.spaces, "_hermitian_inertia", counting_inertia)
+    for w in _corner_witnesses(4):
+        for pair in [w.pair, *_hidden_copies(w.pair, 1)]:
+            red = _reduce_witness_pair(w, pair)
+            calls.clear()
+            reduced = MatrixPair.from_matrices(red.reduced_n, red.reduced_h)
+            assert calls == []
+            assert reduced.space.signature == pair.space.signature
 
 
 # --- corner reductions under congruences that are not unimodular ------------------

@@ -469,6 +469,24 @@ def test_reduce_conjugate_pair_on_a_complex_pair_is_a_failed_hypothesis(tmp_path
     assert json.loads(out) == {"path": str(path), "error": "the conjugate-pair reduction expects a real pair"}
 
 
+@pytest.mark.parametrize(
+    "field, n_rows, flags",
+    [
+        # nilpotent, so its spectrum is {0}; ker N meets ker N^[*] = ker N^T in 0 alone
+        ("real", [["0", "1"], ["0", "0"]], ["--lambda", "0"]),
+        # spectrum +-i, but N does not commute with N^T
+        ("real", [["1", "-2"], ["1", "-1"]], ["--alpha", "0", "--beta", "1"]),
+    ],
+)
+def test_reduce_rejects_a_pair_that_is_not_h_normal(tmp_path, capsys, field, n_rows, flags):
+    path = tmp_path / "pair.json"
+    doc = {"schema_version": "1", "field": field, "n": 2, "N": n_rows, "H": [["1", "0"], ["0", "1"]]}
+    path.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "reduce", str(path), *flags)
+    assert rc == 1 and err == ""
+    assert json.loads(out) == {"path": str(path), "error": "corner reduction requires an H-normal pair"}
+
+
 _LONG = "1" * 5000  # more digits than int() converts
 
 

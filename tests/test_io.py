@@ -17,7 +17,14 @@ from krein.pairdoc import (
     pretty_format,
     serialize_pair,
 )
-from krein.scalars import ONE, GaussianRational, format_scalar, parse_scalar
+from krein.scalars import (
+    ONE,
+    GaussianRational,
+    format_integer_parts,
+    format_scalar,
+    parse_scalar,
+    scalar_parts,
+)
 from krein.spaces import MatrixPair
 from krein.witnesses import ALL_FAMILIES, admissible_ks, build_witness
 
@@ -200,3 +207,80 @@ def test_cell_errors_name_the_cell(cell, field, message):
     with pytest.raises(SchemaError) as err:
         parse_document(json.dumps(doc))
     assert str(err.value) == message
+
+
+# --- each distinct cell parsed and formatted once per matrix ------------------------
+
+# several spellings of one value ("1", "+1", " 1"; "1/2", "2/4"), so equal values
+# do not mean equal strings; the long cells are past a machine word
+_REAL_CELLS = ["0", "-0", "0/7", "1", "+1", " 1", "-1", "1/2", "2/4", "-3/6", "7", str(10**40), f"-1/{10**40}"]
+_COMPLEX_CELLS = _REAL_CELLS + ["i", "-i", "+i", "2i", "0+1i", "1/2-3/4i", "2/4-6/8i", f"1+{10**40}i", "-1-1i"]
+
+
+def _reference_matrix(rows, field):
+    """The matrix of ``rows`` with ``scalar_parts`` called on every cell."""
+    parts = [scalar_parts(cell) for row in rows for cell in row]
+    entries = [GaussianRational(Fraction(p, q), Fraction(r, s)) for (p, q), (r, s) in parts]
+    return Matrix(len(rows), len(rows), entries, field)
+
+
+def _reference_rows(m):
+    """The cells of ``m`` with ``format_integer_parts`` called on every cell."""
+    im = m._im or [0] * len(m._re)
+    cells = [format_integer_parts(x, y, m._d) for x, y in zip(m._re, im)]
+    return [cells[i * m.cols : (i + 1) * m.cols] for i in range(m.rows)]
+
+
+@st.composite
+def _repetitive_documents(draw):
+    n = draw(st.integers(1, 6))
+    field = draw(st.sampled_from([REAL, COMPLEX]))
+    cells = _REAL_CELLS if field == REAL else _COMPLEX_CELLS
+    palette = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=4))
+    n_rows = [[draw(st.sampled_from(palette)) for _ in range(n)] for _ in range(n)]
+    # a diagonal H: nonzero reals on the diagonal, zeros spelled several ways off it
+    units = ["1", "-1", "+1", "2/4", "-3/6", str(10**40)]
+    diag = draw(st.lists(st.sampled_from(units), min_size=n, max_size=n))
+    zeros = draw(st.lists(st.sampled_from(["0", "-0", "0/7"]), min_size=1, max_size=3))
+    h_rows = [[diag[i] if i == j else draw(st.sampled_from(zeros)) for j in range(n)] for i in range(n)]
+    return {"schema_version": SCHEMA_VERSION, "field": field, "n": n, "N": n_rows, "H": h_rows}
+
+
+@settings(max_examples=80, deadline=None)
+@given(_repetitive_documents())
+def test_parse_and_serialize_of_repeated_cells_match_a_cell_by_cell_reference(doc):
+    field = doc["field"]
+    pair, _ = parse_document(json.dumps(doc))
+    n_ref, h_ref = _reference_matrix(doc["N"], field), _reference_matrix(doc["H"], field)
+    assert pair.n_op == n_ref and pair.space.h == h_ref
+    reference = {"schema_version": SCHEMA_VERSION, "field": field, "n": doc["n"],
+                 "N": _reference_rows(n_ref), "H": _reference_rows(h_ref)}
+    assert serialize_pair(pair) == json.dumps(reference, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "cell, field, message",
+    [
+        ("zebra", COMPLEX, "N[0][1]: cannot parse scalar string 'zebra'"),
+        ("1/0", COMPLEX, "N[0][1]: zero denominator in scalar string '1/0'"),
+        ("1/2i", REAL, "N[0][1] = '1/2i' is complex but the document declares a real field"),
+    ],
+)
+def test_a_repeated_bad_cell_is_reported_at_its_first_place(cell, field, message):
+    # the good cell "1" repeats before, between and after the bad one
+    n_rows = [["1", cell, "1"], [cell, "1", cell], ["1", "1", cell]]
+    h_rows = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+    doc = {"schema_version": SCHEMA_VERSION, "field": field, "n": 3, "N": n_rows, "H": h_rows}
+    with pytest.raises(SchemaError) as err:
+        parse_document(json.dumps(doc))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("cell", [1, 1.0, True, None, ["1"]])
+def test_a_cell_that_is_not_a_string_fails_after_the_same_value_as_a_string(cell):
+    # "1" is known by the time the cell is reached; the cell must still be a string
+    n_rows, h_rows = [["1", "1"], [cell, "1"]], [["1", "0"], ["0", "1"]]
+    doc = {"schema_version": SCHEMA_VERSION, "field": REAL, "n": 2, "N": n_rows, "H": h_rows}
+    with pytest.raises(SchemaError) as err:
+        parse_document(doc)
+    assert str(err.value) == "N[1][0] must be a scalar string"
