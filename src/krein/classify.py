@@ -222,13 +222,18 @@ def _joint_kernel(mats: Sequence[Matrix]) -> list[Matrix]:
 
 
 def joint_eigenspace(pair: MatrixPair, lam) -> JointEigenstructure:
-    """Exact basis of ker(N - lam I) intersected with ker(N^[*] - conj(lam) I)."""
-    lam = as_scalar(lam)
-    n = pair.n
-    ident = Matrix.identity(n, pair.field)
-    a = pair.n_op - ident * lam
-    b = pair.adjoint - ident * lam.conjugate()
-    basis = SubspaceBasis(_joint_kernel([a, b]), n, pair.field)
+    """Exact basis of ker(N - lam I) intersected with ker(N^[*] - conj(lam) I).
+
+    The kernel is taken on the pair's centred operator: with
+    delta = n d lam - s (``MatrixPair.centre``), it is the kernel of
+    [C - delta I ; C^[*] - conj(delta) I], whose two blocks are n d times
+    those of the uncentred system. The two systems have one row space, so
+    they have one RREF and the same kernel basis."""
+    delta = pair.centre(lam)
+    ident = Matrix.identity(pair.n, pair.field)
+    a = pair.centred - ident * delta
+    b = pair.centred_adjoint - ident * delta.conjugate()
+    basis = SubspaceBasis(_joint_kernel([a, b]), pair.n, pair.field)
     return JointEigenstructure(
         s0_basis=basis,
         s0_prime_dim=basis.dim,
@@ -254,17 +259,21 @@ def joint_eigenspace_real(pair: MatrixPair, alpha, beta) -> JointEigenstructure:
     Complexifies, computes joint eigenvectors z with N z = lam z and
     N^[*] z = conj(lam) z (the p family) or N^[*] z = lam z (the q family),
     and returns the real span of their real and imaginary parts, ordered as
-    (x_1, y_1, x_2, y_2, ...) with the p family first.
+    (x_1, y_1, x_2, y_2, ...) with the p family first. As for
+    :func:`joint_eigenspace`, the kernels are those of the centred systems
+    [C - delta I ; C^[*] - conj(delta) I] and [C - delta I ; C^[*] - delta I],
+    with delta = n d lam - s; s is real for a real pair, so
+    C^[*] - delta I = n d (N^[*] - lam I).
     """
     if pair.field != REAL:
         raise FieldMismatch("joint_eigenspace_real expects a real pair")
-    lam = GaussianRational(Fraction(alpha), _check_beta(beta))
+    delta = pair.centre(GaussianRational(Fraction(alpha), _check_beta(beta)))
     n = pair.n
     ident = Matrix.identity(n, COMPLEX)
-    a_mat = pair.n_op.complexified() - ident * lam
-    adj = pair.adjoint.complexified()
-    prime = _joint_kernel([a_mat, adj - ident * lam.conjugate()])
-    dprime = _joint_kernel([a_mat, adj - ident * lam])
+    a_mat = pair.centred.complexified() - ident * delta
+    adj = pair.centred_adjoint.complexified()
+    prime = _joint_kernel([a_mat, adj - ident * delta.conjugate()])
+    dprime = _joint_kernel([a_mat, adj - ident * delta])
     basis = _real_span_of_complex(prime + dprime, n)
     return JointEigenstructure(
         s0_basis=basis,
@@ -289,8 +298,11 @@ def _corner_transform(pair: MatrixPair, u_basis: SubspaceBasis) -> tuple[Matrix,
 
     The rows of K = T* H are at hand (W*H = W0*H - (G0/2) U*H), so R_H = K T,
     checked to have the corner shape [[0, 0, I], [0, G, 0], [I, 0, 0]], and by
-    the Gram identity T^-1 = R_H^-1 K, T^-1 N T = R_H^-1 (K (N T)), where
-    R_H^-1 = [[0, 0, I], [0, G^-1, 0], [I, 0, 0]] inverts only G = V*H V.
+    the Gram identity T^-1 = R_H^-1 K, where R_H^-1 =
+    [[0, 0, I], [0, G^-1, 0], [I, 0, 0]] inverts only G = V*H V. The
+    products run on the pair's centred operator C = n d N - s I: they give
+    T^-1 C T = R_H^-1 (K (C T)), and T^-1 N T = (T^-1 C T + s I) / (n d)
+    (``MatrixPair.uncentre``), in O(n^2).
     As det R_H = |det T|^2 det H with det H != 0, T is singular exactly when
     rank R_H < n: a corner-shaped R_H with invertible G proves T invertible."""
     h, n, d = pair.space.h, pair.n, u_basis.dim
@@ -308,9 +320,9 @@ def _corner_transform(pair: MatrixPair, u_basis: SubspaceBasis) -> tuple[Matrix,
     rh = k @ t
     g_inv = _corner_h_middle_inverse(rh, d, n)
     rh._inertia = (pair.space.v_minus, 0, pair.space.v_plus)  # Sylvester's law (module docstring)
-    knt = k @ (pair.n_op @ t)
-    rows = [knt.submatrix(n - d, n, 0, n), g_inv @ knt.submatrix(d, n - d, 0, n), knt.submatrix(0, d, 0, n)]
-    return t, vstack(rows), rh, d
+    kct = k @ (pair.centred @ t)
+    rows = [kct.submatrix(n - d, n, 0, n), g_inv @ kct.submatrix(d, n - d, 0, n), kct.submatrix(0, d, 0, n)]
+    return t, pair.uncentre(vstack(rows)), rh, d
 
 
 def _corner_h_middle_inverse(rh: Matrix, d: int, n: int) -> Matrix:

@@ -64,6 +64,32 @@ _FAMILY_TO_CLI = {v: k for k, v in _CLI_FAMILIES.items()}
 # the errors reported as input errors (exit code 2)
 _INPUT_ERRORS = (SchemaError, NotHermitian, SingularH, ParameterError, ValueError)
 
+# the flags that take a scalar, or for --r a list of scalars; argparse reads
+# a value such as -1/2 or -1+2i, unlike -1, as an option
+_SCALAR_FLAGS = ("--lambda", "--l1", "--l2", "--alpha", "--beta", "--alpha1", "--beta1", "--alpha2", "--beta2", "--r")
+
+
+def _join_scalar_values(argv: list[str]) -> list[str]:
+    """``argv`` with each scalar flag (or an abbreviation of one) that is
+    followed by an argument starting with a single "-" joined to it, as
+    ``--lambda=-1/2`` for ``--lambda -1/2``; nothing after "--" is touched."""
+    out: list[str] = []
+    i = 0
+    while i < len(argv):
+        arg, value = argv[i], argv[i + 1] if i + 1 < len(argv) else ""
+        if arg == "--":
+            return out + argv[i:]
+        if (
+            len(arg) > 2 and "=" not in arg and any(f.startswith(arg) for f in _SCALAR_FLAGS)
+            and value.startswith("-") and not value.startswith("--")
+        ):
+            out.append(f"{arg}={value}")
+            i += 2
+        else:
+            out.append(arg)
+            i += 1
+    return out
+
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -434,7 +460,7 @@ def _cmd_audit(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_scalar_values(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

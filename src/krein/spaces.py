@@ -22,6 +22,19 @@ Hermitian. The only other writer is ``krein.classify._corner_transform``,
 which sets the slot of a reduced Gram matrix T* H T to the inertia of H,
 as Sylvester's law gives it once T is proved invertible.
 
+Each ``MatrixPair`` keeps one centred integer form of its operator N,
+computed once: C = n A - s I, for A = d N the integer form of N and s = tr A,
+so C = n d (N - (tr N / n) I) is a Gaussian-integer matrix, and C^[*] =
+``h_adjoint(C, space)``, the pair's one H-adjoint. The one-class spectrum
+certificate and its nilpotency test, H-normality (C C^[*] = C^[*] C), and
+the joint eigenspaces and corner transform of ``krein.classify`` see N only
+through N - mu I and N^[*] - conj(mu) I, so they all run on C.
+``pair.adjoint`` is derived from C^[*] in O(n^2), as
+N^[*] = (C^[*] + conj(s) I) / (n d). The shift matters for speed: a hidden
+single-eigenvalue witness N = T^-1 (lam I + R) T with R and T real has the
+nonreal diagonal Im lam I, but its C is real, so every product and
+elimination on it takes the real integer path.
+
 The spectrum of a pair is exact and computed once. A spectrum of one class
 (one eigenvalue, or over R one conjugate pair) is certified by a nilpotency
 (:func:`one_class_spectrum`), with O(n^2) trace sums and a few squarings;
@@ -45,7 +58,7 @@ from .exceptions import (
 )
 from .matrices import COMPLEX, REAL, Matrix, _box, _hermitian_inertia, char_poly, hstack
 from .polynomials import Polynomial, Root, poly_roots
-from .scalars import GaussianRational
+from .scalars import GaussianRational, as_scalar
 
 
 def signature(h: Matrix) -> tuple[int, int]:
@@ -88,8 +101,37 @@ def _is_nilpotent(m: Matrix) -> bool:
     return True
 
 
-def one_class_spectrum(m: Matrix) -> tuple[Root, ...]:
-    """The exact spectrum of M when it is one class, else ().
+def _centred_form(m: Matrix) -> tuple[Matrix, int, int]:
+    """(C, s_re, s_im) for the n x n matrix M with integer form A = d M:
+    s = s_re + i s_im = tr A and C = n A - s I, a Gaussian-integer matrix
+    with C = n d (M - (tr M / n) I), so M = (C + s I) / (n d)."""
+    n = m.rows
+    diag = range(0, n * n, n + 1)
+    c_re, c_im = [n * x for x in m._re], [n * y for y in m._im]
+    s_re = sum(m._re[i] for i in diag)
+    s_im = sum(m._im[i] for i in diag) if c_im else 0
+    for i in diag:
+        c_re[i] -= s_re
+        if c_im:
+            c_im[i] -= s_im
+    return Matrix._from_ints(n, n, 1, c_re, c_im, m.field), s_re, s_im
+
+
+def _shifted(m: Matrix, s_re: int, s_im: int, scale: int) -> Matrix:
+    """(M + s I) / scale for the square M, the Gaussian integer s = s_re + i s_im
+    and a positive integer scale, in O(n^2): the inverse of the centring."""
+    n, d = m.rows, m._d
+    re = list(m._re)
+    im = list(m._im) if m._im or not s_im else [0] * len(re)
+    for i in range(0, n * n, n + 1):
+        re[i] += d * s_re
+        if im:
+            im[i] += d * s_im
+    return Matrix._from_ints(n, n, d * scale, re, im, m.field)
+
+
+def one_class_spectrum(pair: MatrixPair) -> tuple[Root, ...]:
+    """The exact spectrum of the pair's operator M when it is one class, else ().
 
     One class is one eigenvalue, or, for a real M, one conjugate pair; the
     result is then ``tuple(poly_roots(char_poly(M)))`` root for root, order
@@ -119,31 +161,24 @@ def one_class_spectrum(m: Matrix) -> tuple[Root, ...]:
     :func:`poly_roots` gives as approximate roots. The roots come in its
     ascending (re, im) order.
 
-    The tests run on Gaussian integers: with A = d M the integer form and
-    s = tr A, the matrix n A - s I = n d C has denominator 1, and
-    D = -tr (n d C)^2 / n = (n d beta)^2 must be the square of an integer.
+    The tests run on Gaussian integers, on the pair's centred operator
+    ``pair.centred``: with A = d M the integer form and s = tr A, it is
+    n A - s I = n d C, and D = -tr (n d C)^2 / n = (n d beta)^2 must be the
+    square of an integer.
     """
-    n, d = m.rows, m._d
+    c, s_re, s_im = pair._centring()
+    n, scale = pair.n, pair.scale
     if not n:
         return ()
-    diag = range(0, n * n, n + 1)
-    c_re, c_im = [n * x for x in m._re], [n * y for y in m._im]
-    s_re = sum(m._re[i] for i in diag)
-    s_im = sum(m._im[i] for i in diag) if c_im else 0
-    for i in diag:
-        c_re[i] -= s_re
-        if c_im:
-            c_im[i] -= s_im
-    c = Matrix._from_ints(n, n, 1, c_re, c_im, m.field)
     if _is_nilpotent(c):
-        return (Root(_box(s_re, s_im, n * d), n, True, not s_im),)
-    if m.field != REAL or n % 2:
+        return (Root(_box(s_re, s_im, scale), n, True, not s_im),)
+    if c.field != REAL or n % 2:
         return ()
     disc = -_square_trace(n, c._re, c._im)[0] // n
     b = isqrt(disc) if disc > 0 else 0
     if not b or b * b != disc or not _is_nilpotent(c @ c + Matrix.identity(n, REAL) * disc):
         return ()
-    alpha, beta = Fraction(s_re, n * d), Fraction(b, n * d)
+    alpha, beta = Fraction(s_re, scale), Fraction(b, scale)
     return (
         Root(GaussianRational(alpha, -beta), n // 2, True, False),
         Root(GaussianRational(alpha, beta), n // 2, True, False),
@@ -202,7 +237,10 @@ class IndefiniteSpace:
 class MatrixPair:
     """An operator together with the space it acts on (the central object here)."""
 
-    __slots__ = ("n_op", "space", "_adjoint", "_char_poly", "_normal", "_spectrum", "_trace_form")
+    __slots__ = (
+        "n_op", "space", "_adjoint", "_centred", "_centred_adjoint", "_char_poly", "_normal", "_spectrum",
+        "_trace_form",
+    )
 
     def __init__(self, n_op: Matrix, space: IndefiniteSpace):
         if not n_op.is_square or n_op.rows != space.dim:
@@ -212,6 +250,8 @@ class MatrixPair:
         self.n_op = n_op
         self.space = space
         self._adjoint = None
+        self._centred = None  # (C, s_re, s_im) of _centred_form(n_op)
+        self._centred_adjoint = None
         self._char_poly = None
         self._normal = None
         self._spectrum = None
@@ -230,10 +270,51 @@ class MatrixPair:
         return self.space.field
 
     @property
+    def scale(self) -> int:
+        """n d, for d the denominator of the operator N: C = n d N - s I."""
+        return self.n * self.n_op._d
+
+    def _centring(self) -> tuple[Matrix, int, int]:
+        if self._centred is None:
+            self._centred = _centred_form(self.n_op)
+        return self._centred
+
+    @property
+    def centred(self) -> Matrix:
+        """The centred operator C = n A - s I, for A = d N the integer form of
+        N and s = tr A: a Gaussian-integer matrix, computed once (module
+        docstring)."""
+        return self._centring()[0]
+
+    @property
+    def centred_adjoint(self) -> Matrix:
+        """C^[*] = n d N^[*] - conj(s) I, computed once by :func:`h_adjoint`:
+        the pair's one H-adjoint."""
+        if self._centred_adjoint is None:
+            self._centred_adjoint = h_adjoint(self.centred, self.space)
+        return self._centred_adjoint
+
+    def centre(self, lam) -> GaussianRational:
+        """delta = n d lam - s, so C - delta I = n d (N - lam I) and, for a
+        real s, C^[*] - delta I = n d (N^[*] - lam I)."""
+        _, s_re, s_im = self._centring()
+        lam = as_scalar(lam)
+        return GaussianRational(lam.re * self.scale - s_re, lam.im * self.scale - s_im)
+
+    def uncentre(self, m: Matrix) -> Matrix:
+        """(M + s I) / (n d), the operator whose centred form is M: N for M = C,
+        and T^-1 N T for M = T^-1 C T."""
+        _, s_re, s_im = self._centring()
+        return _shifted(m, s_re, s_im, self.scale)
+
+    @property
     def adjoint(self) -> Matrix:
-        """The H-adjoint N^[*] of the operator, computed once by :func:`h_adjoint`."""
+        """The H-adjoint N^[*] = (C^[*] + conj(s) I) / (n d) of the operator,
+        derived once from :attr:`centred_adjoint` in O(n^2), with no second
+        :func:`h_adjoint`."""
         if self._adjoint is None:
-            self._adjoint = h_adjoint(self.n_op, self.space)
+            _, s_re, s_im = self._centring()
+            self._adjoint = _shifted(self.centred_adjoint, s_re, -s_im, self.scale)
         return self._adjoint
 
     @property
@@ -262,7 +343,7 @@ class MatrixPair:
         spectrum is not one class. A one-class spectrum is always certified,
         so comparing this with a one-class target decides the spectrum."""
         if self._spectrum is None:
-            self._spectrum = one_class_spectrum(self.n_op)
+            self._spectrum = one_class_spectrum(self)
         return self._spectrum
 
     def __eq__(self, other) -> bool:
@@ -325,11 +406,12 @@ def h_adjoint(a: Matrix, space: IndefiniteSpace) -> Matrix:
 
 
 def is_h_normal(pair: MatrixPair) -> bool:
-    """Exact test that the operator commutes with its H-adjoint; the verdict
-    is kept on the (immutable) pair."""
+    """Exact test that the operator commutes with its H-adjoint, run on the
+    centred operator: C C^[*] == C^[*] C, as [C, C^[*]] = (n d)^2 [N, N^[*]].
+    The verdict is kept on the (immutable) pair."""
     if pair._normal is None:
-        a, adj = pair.n_op, pair.adjoint
-        pair._normal = a @ adj == adj @ a
+        c, adj = pair.centred, pair.centred_adjoint
+        pair._normal = c @ adj == adj @ c
     return pair._normal
 
 

@@ -1,4 +1,5 @@
 import importlib
+import random
 import re
 from fractions import Fraction
 from math import isqrt, prod
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from krein.classify import (
     OUT_OF_SCOPE,
+    _real_span_of_complex,
     bound_window,
     classify,
     joint_eigenspace,
@@ -24,11 +26,11 @@ from krein.exceptions import (
     S0NotNeutral,
     WrongSpectrum,
 )
-from krein.matrices import COMPLEX, REAL, Matrix, _hermitian_inertia, hstack
+from krein.matrices import COMPLEX, REAL, Matrix, _hermitian_inertia, hstack, vstack
 from krein.polynomials import poly_roots
 from krein.scalars import GaussianRational, parse_scalar
 import krein.spaces
-from krein.spaces import MatrixPair, direct_sum
+from krein.spaces import MatrixPair, direct_sum, h_adjoint, is_h_normal
 from krein.witnesses import (
     ALL_FAMILIES,
     admissible_ks,
@@ -40,7 +42,7 @@ from krein.witnesses import (
     witness_real_c_even,
     witness_real_c_odd,
 )
-from test_decompose import _hidden_copies
+from test_decompose import _hidden, _hidden_copies
 from test_polynomials import T, sym, sympy_poly
 
 
@@ -452,7 +454,10 @@ def test_classify_and_reduce_compute_the_h_adjoint_once_per_pair(monkeypatch):
         assert is_h_normal(pair)
         classify(pair)
         reduce(pair)
-        assert calls == [pair.n_op]
+        # the one call takes the centred operator C = n d N - tr(d N) I
+        n, scale = pair.n, pair.n * pair.n_op._d
+        centred = pair.n_op * scale - Matrix.identity(n, pair.field) * (pair.n_op.trace() * pair.n_op._d)
+        assert calls == [centred]
         assert pair.adjoint == real_h_adjoint(pair.n_op, pair.space)
 
 
@@ -516,10 +521,30 @@ def _reduce_witness_pair(w, pair):
     return reduce_conjugate_pair(pair, params[0].re, params[1].re)
 
 
+def _gaussian_hidden_copies(pair, count):
+    """``count`` copies of a complex pair, each hidden by 2n shears
+    I + c e_i e_j^T with c = a + bi, |a| <= 2 and 1 <= |b| <= 2, drawn from
+    one ``random.Random`` stream."""
+    rng = random.Random(20261020)
+    n = pair.n
+    for _ in range(count):
+        shears = [
+            (i, j + (j >= i), GaussianRational(rng.randint(-2, 2), rng.choice((-2, -1, 1, 2))))
+            for i, j in ((rng.randrange(n), rng.randrange(n - 1)) for _ in range(2 * n))
+        ]
+        yield _hidden(pair, shears)
+
+
 def test_corner_reductions_match_the_explicit_inverse():
-    # T^-1 N T read off the Gram identity is the product with the inverse of T
+    # T^-1 N T read off the Gram identity is the product with the inverse of
+    # T; over C, Gaussian-integer shears make the centred operator complex
     for w in _corner_witnesses(4):
-        for pair in [w.pair, *_hidden_copies(w.pair, 3)]:
+        hidden = list(_hidden_copies(w.pair, 3))
+        if w.pair.field == COMPLEX:
+            gaussian = list(_gaussian_hidden_copies(w.pair, 2))
+            assert all(pair.centred._im for pair in gaussian)
+            hidden += gaussian
+        for pair in [w.pair, *hidden]:
             red = _reduce_witness_pair(w, pair)
             t = red.transform
             assert red.reduced_n == t.inverse() @ pair.n_op @ t
@@ -613,3 +638,90 @@ def test_corner_reductions_survive_rational_congruence(case):
     assert t.rank() == n
     assert t @ red.reduced_n == pair.n_op @ t
     assert t.conj_transpose() @ pair.space.h @ t == red.reduced_h
+
+
+# --- the centred operator: everything is invariant under N -> N + mu I ----------
+
+
+def _uncentred_joint_kernel(pair, lam, adjoint_value):
+    """ker(N - lam I) intersected with ker(N^[*] - adjoint_value I) over C,
+    from the uncentred operator and its own H-adjoint."""
+    ident = Matrix.identity(pair.n, COMPLEX)
+    n_op, adj = pair.n_op.complexified(), h_adjoint(pair.n_op, pair.space).complexified()
+    return vstack([n_op - ident * lam, adj - ident * adjoint_value]).kernel_basis()
+
+
+_L1, _L2 = GaussianRational(1, 1), GaussianRational(Fraction(-1, 2), 2)
+
+# (family, pair, eigenvalues): the corner witnesses, and sums of two a
+# witnesses with nonreal eigenvalues, where conj(delta) != delta at an eigenvalue
+_SHIFT_PAIRS = [(w.spec.family, w.pair, w.spec.eigen_params) for w in _corner_witnesses(4)] + [
+    ("sum", direct_sum(witness_complex_a_lower(1, _L1).pair, witness_complex_a_lower(2, _L2).pair), (_L1, _L2)),
+    ("sum", direct_sum(witness_complex_a_upper(1, _L2).pair, witness_complex_a_lower(1, _L1).pair), (_L2, _L1)),
+]
+
+
+@st.composite
+def _shifted_congruences(draw):
+    """A pair of ``_SHIFT_PAIRS`` hidden by shears I + c e_i e_j^T with c a
+    small rational or, over C, Gaussian rational, and a shift mu of the
+    pair's field."""
+    family, plain, params = draw(st.sampled_from(_SHIFT_PAIRS))
+    n, field = plain.n, plain.field
+    small = st.fractions(-2, 2, max_denominator=3)
+    scalar = small if field == REAL else st.builds(GaussianRational, small, small)
+    s = Matrix.identity(n, field)
+    for _ in range(draw(st.integers(1, n))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 2))
+        j += j >= i
+        ents = [1 if a == b else (draw(scalar) if (a, b) == (i, j) else 0) for a in range(n) for b in range(n)]
+        s = s @ Matrix(n, n, ents, field)
+    pair = MatrixPair.from_matrices(s.inverse() @ plain.n_op @ s, s.conj_transpose() @ plain.space.h @ s)
+    mu = draw(st.fractions(-5, 5, max_denominator=7) if field == REAL else st.builds(
+        GaussianRational, st.fractions(-5, 5, max_denominator=7), st.fractions(-5, 5, max_denominator=7)
+    ))
+    return family, pair, params, mu
+
+
+@settings(max_examples=40, deadline=None)
+@given(_shifted_congruences())
+def test_the_pair_computations_are_invariant_under_a_shift(case):
+    family, pair, params, mu = case
+    n, field = pair.n, pair.field
+    ident = Matrix.identity(n, field)
+    shifted = MatrixPair(pair.n_op + ident * mu, pair.space)
+    assert is_h_normal(shifted) and is_h_normal(pair)
+    # the two 2x2 pairs that are not H-normal stay rejected under the shift
+    plane = Matrix.identity(2, field)
+    for rows in ([[0, 1], [0, 0]], [[1, -2], [1, -1]]):
+        n_op = Matrix.from_rows(rows, field)
+        assert not is_h_normal(MatrixPair.from_matrices(n_op, plane))
+        assert not is_h_normal(MatrixPair.from_matrices(n_op + plane * mu, plane))
+    for p in (pair, shifted):
+        assert p.adjoint == h_adjoint(p.n_op, p.space)
+    # the joint eigenspaces at the eigenvalues and at a value that is not one
+    if field == COMPLEX:
+        for z in (*params, params[0] + GaussianRational(1, 1)):
+            ref = joint_eigenspace(pair, z)
+            assert list(ref.s0_basis.vectors) == _uncentred_joint_kernel(pair, z, z.conjugate())
+            assert bool(ref.s0_basis.dim) == (z in params)
+            moved = joint_eigenspace(shifted, z + mu)
+            assert moved.s0_basis.vectors == ref.s0_basis.vectors
+            assert moved.is_neutral_s0 == ref.is_neutral_s0
+        if family == "sum":
+            return
+        red, moved = reduce_single_eigenvalue(pair, params[0]), reduce_single_eigenvalue(shifted, params[0] + mu)
+    else:
+        alpha, beta = params[0].re, params[1].re
+        for a in (alpha, alpha + 1):
+            ref = joint_eigenspace_real(pair, a, beta)
+            z = GaussianRational(a, beta)
+            prime, dprime = _uncentred_joint_kernel(pair, z, z.conjugate()), _uncentred_joint_kernel(pair, z, z)
+            assert (ref.s0_prime_dim, ref.s0_doubleprime_dim) == (len(prime), len(dprime))
+            assert ref.s0_basis.vectors == _real_span_of_complex(prime + dprime, n).vectors
+            moved = joint_eigenspace_real(shifted, a + mu, beta)
+            assert moved.s0_basis.vectors == ref.s0_basis.vectors
+            assert (moved.s0_prime_dim, moved.s0_doubleprime_dim) == (ref.s0_prime_dim, ref.s0_doubleprime_dim)
+        red, moved = reduce_conjugate_pair(pair, alpha, beta), reduce_conjugate_pair(shifted, alpha + mu, beta)
+    assert (moved.transform, moved.reduced_h, moved.block_dims) == (red.transform, red.reduced_h, red.block_dims)
+    assert moved.reduced_n == red.reduced_n + ident * mu

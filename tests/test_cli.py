@@ -520,3 +520,32 @@ def test_a_parameter_past_the_int_digit_limit_is_an_input_error_that_names_it(tm
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines() == [proc.stderr.strip()] and proc.stderr.startswith(f"error: {flag}: ")
+
+
+@pytest.mark.parametrize(
+    "family, k, params, flags, eigen_params, dims",
+    [
+        ("a-lower", 2, ["--lambda", "-1/2"], ["--lambda", "-1/2"], ["-1/2"], [2, 0, 2]),
+        ("a-upper", 2, ["--lambda", "-1+2i"], ["--lambda", "-1+2i"], ["-1+2i"], [2, 4, 2]),
+        ("c-even", 2, ["--alpha", "-3/2", "--beta", "1"], ["--alpha", "-3/2", "--beta", "1"], ["-3/2", "1"], [2, 0, 2]),
+        # abbreviated flags, and a negative value that argparse reads as a number
+        ("a-lower", 1, ["--lamb", "-i"], ["--lam", "-i"], ["-1i"], [1, 0, 1]),
+        ("c-odd", 3, ["--alpha", "-1", "--beta", "1/2"], ["--al", "-1", "--be", "1/2"], ["-1", "1/2"], [2, 2, 2]),
+    ],
+)
+def test_a_negative_scalar_flag_value_is_read_as_the_value(tmp_path, capsys, family, k, params, flags, eigen_params, dims):
+    path = tmp_path / "pair.json"
+    rc, _, err = run(capsys, "generate", "--family", family, "--k", str(k), *params, "--out", str(path))
+    assert (rc, err) == (0, "")
+    assert json.loads(path.read_text())["metadata"]["eigen_params"] == eigen_params
+    rc, out, err = run(capsys, "reduce", str(path), *flags)
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["block_dims"] == dims
+
+
+def test_a_scalar_flag_before_another_option_still_lacks_its_value(tmp_path, capsys):
+    rc, _, err = run(capsys, "generate", "--family", "a-lower", "--k", "1", "--lambda", "--out", str(tmp_path / "p.json"))
+    assert rc == 2 and "argument --lambda: expected one argument" in err
+    # "--al" could be --alpha, --alpha1 or --alpha2: argparse's own usage error
+    rc, _, err = run(capsys, "generate", "--family", "c-even", "--k", "2", "--al", "-3/2", "--beta", "1")
+    assert rc == 2 and "ambiguous option" in err
