@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import suppress
 from fractions import Fraction
 from pathlib import Path
 
@@ -233,7 +234,10 @@ def _cmd_generate(args) -> int:
         else pretty_format(w.pair, meta)
     )
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        try:
+            Path(args.out).write_text(text + "\n", encoding="utf-8")
+        except OSError as exc:
+            raise ParameterError(f"cannot write {args.out}: {exc}") from None
     else:
         print(text)
     return 0
@@ -443,8 +447,13 @@ def _cmd_audit(args) -> int:
     # that stops the run leaves the records before it in the log
     with log:
         for rec, label in _audit_records(families, args):
-            log.write(json.dumps(rec, sort_keys=True) + "\n")
-            log.flush()
+            try:
+                log.write(json.dumps(rec, sort_keys=True) + "\n")
+                log.flush()
+            except OSError as exc:
+                with suppress(OSError):  # closing retries the failed flush
+                    log.close()
+                raise ParameterError(f"cannot write {log_path}: {exc}") from None
             total += 1
             ok += rec["passed"]
             print(f"{'ok' if rec['passed'] else 'FAIL'} {label} ({rec['elapsed_ms']} ms)")

@@ -53,20 +53,26 @@ has no budget and no seed. A pair on which no such x has an exact class that
 splits the space, such as N = [[1, 1], [1, -1]] with H = I over R
 (eigenvalues +-sqrt 2), is ``decomposable`` with no subspace.
 
-Every linear solve here (the commutant, its selfadjoint part, the real span
-of complex vectors and the candidate subspaces) is an exact kernel or pivot
-set read off the one sparse Gauss-Jordan core of :mod:`krein.matrices`. The
-commutant systems are built as integer rows from each matrix's (d, re, im),
-and their kernel vectors go back into that form, so no scalar is boxed: the
-rows of X A - A X = 0 are those of d (X A - A X), with the same kernel. The
-selfadjoint part is {X in commutant : HX Hermitian}: one product H B per
-basis element B, integer rows from the upper triangle of the
-skew-Hermitian defect, and each solution summed over the commutant basis
-written over its common denominator.
+S is one real linear system, reduced once by the sparse Gauss-Jordan core of
+:mod:`krein.matrices`, like every solve here. X commutes with N iff it does
+with the centred operator C = n d N - s I (``pair.centred``); for X = X^[*],
+X N^[*] = N^[*] X is the H-adjoint of XN = NX; and X = X^[*] iff HX is
+Hermitian. So S = {X : XC = CX, HX Hermitian}, with no H^-1, adjoint or
+commutant. Re X_idx and Im X_idx are columns 2 idx and 2 idx + 1 (over R,
+X_idx is column idx). The rows are the real and imaginary parts of the
+Gaussian-integer rows of XC - CX, and Re (HX)_ab - Re (HX)_ba, Im (HX)_ab +
+Im (HX)_ba for a <= b (a < b over R); kernel vectors go back into the integer
+form (d, re, im) of a matrix, so no scalar is boxed. The interleaved columns
+keep the basis canonical: S lies in the commutant A of {N, N^[*]}, so both
+columns of a pivot entry of A's system are pivots, each free column belongs
+to a free entry of A's, in the same order, and the kernel basis (1 at one
+free column, 0 at the others) is the real basis of {X in A : HX Hermitian}
+read off A's own basis. With every Re column first, the basis changes.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -155,7 +161,11 @@ def _sylvester_rows(a: Matrix, n: int) -> list[IntRow]:
 
 
 def commutant_basis(pair: MatrixPair) -> list[Matrix]:
-    """Exact basis of {X : XN = NX and X N^[*] = N^[*] X} over the base field."""
+    """Exact basis of the *-algebra A = {X : XN = NX, X N^[*] = N^[*] X} over
+    the base field: n^2 unknowns against N and its adjoint. The decider does
+    not call it, as :func:`selfadjoint_commutant_basis` solves for S directly;
+    it stays as the whole algebra, whose structure a complete splitting needs,
+    and as the basis from which the tests filter a reference S."""
     n = pair.n
     rows = [row for a in (pair.n_op, pair.adjoint) for row in _sylvester_rows(a, n)]
     out = []
@@ -167,74 +177,46 @@ def commutant_basis(pair: MatrixPair) -> list[Matrix]:
     return out
 
 
-def _real_span_solutions(basis: Sequence[Matrix], h: Matrix) -> list[Matrix]:
-    """Real basis of {X in span(basis) : hX Hermitian}, for a Hermitian h.
-
-    Over the complex field the span is taken over C: the unknowns are the
-    real c_j, c'_j of X = sum (c_j + i c'_j) B_j. With P_j = h B_j, the
-    defect hX - (hX)* = sum c_j (P_j - P_j*) + c'_j i (P_j + P_j*) is
-    skew-Hermitian, so it vanishes when the real and imaginary parts of its
-    upper triangle do. Those are sparse integer rows (every P_j written
-    over one common denominator), and their kernel is read off the one
-    Gauss-Jordan core. Each solution (c_j + i c'_j) = (u_j + i u'_j) / e is
-    summed as sum (u_j + i u'_j) (x + i y) over the integer basis lists
-    (x + i y) / d of :func:`_integer_basis`, into one matrix over e d.
-    """
-    if not basis:
-        return []
-    n, field, m = basis[0].rows, basis[0].field, len(basis)
-    cplx = field == COMPLEX
-    _, pre, pim = _common_integer_form([h @ b for b in basis])
-    pim = pim or [0] * len(pre)
-    offsets = range(0, len(pre), n * n)
-    rows = []
-    for a in range(n):
-        for b in range(a, n):
-            above, below = a * n + b, b * n + a
-            re_row: dict[int, int] = {}
-            im_row: dict[int, int] = {}
-            for j, o in enumerate(offsets):
-                x, y, u, v = pre[o + above], pim[o + above], pre[o + below], pim[o + below]
-                col = 2 * j if cplx else j
-                if x != u:
-                    re_row[col] = x - u
-                if y + v:
-                    im_row[col] = y + v
-                if cplx:  # the entries of i (P + P*)
-                    if v != y:
-                        re_row[col + 1] = v - y
-                    if x + u:
-                        im_row[col + 1] = x + u
-            rows += [(re_row, {}), (im_row, {})]
-    d, sparse = _integer_basis(basis, n)
-    out = []
-    for e, sol in _integer_kernel(_integer_gauss_jordan(rows), 2 * m if cplx else m):
-        xre, xim = [0] * (n * n), [0] * (n * n)
-        for col, (u, _) in sol.items():
-            j, imaginary = divmod(col, 2) if cplx else (col, 0)
-            a, b = (0, u) if imaginary else (u, 0)
-            for idx, x, y in sparse[j]:  # (a + i b) (x + i y)
-                xre[idx] += a * x - b * y
-                xim[idx] += a * y + b * x
-        out.append(Matrix._from_ints(n, n, e * d, xre, xim, field))
-    return out
-
-
 def selfadjoint_commutant_basis(pair: MatrixPair) -> list[Matrix]:
-    """Real basis of the selfadjoint part {X in commutant : X^[*] = X}, that is
-    of the X with HX Hermitian."""
-    return _real_span_solutions(commutant_basis(pair), pair.space.h)
-
-
-def _integer_basis(basis: Sequence[Matrix], n: int) -> tuple[int, list[list[tuple[int, int, int]]]]:
-    """(d, sparse): the basis over its common denominator d, that is
-    B_j = sum (x + i y) e_idx / d over the (idx, x, y) of sparse[j]."""
-    d, bre, bim = _common_integer_form(basis)
-    bim = bim or [0] * len(bre)
-    return d, [
-        [(idx, bre[t], bim[t]) for idx, t in enumerate(range(o, o + n * n)) if bre[t] or bim[t]]
-        for o in range(0, len(bre), n * n)
-    ]
+    """Real basis of S = {X : XN = NX, X^[*] = X}, the kernel of one real
+    integer system in the entries of X (module docstring): the rows of
+    X C = C X for the pair's centred operator C, and those of "HX is
+    Hermitian". It computes no H^-1, no adjoint and no commutant."""
+    n, cplx = pair.n, pair.field == COMPLEX
+    rows: list[IntRow] = []
+    for re, im in _sylvester_rows(pair.centred, n):
+        if cplx:  # (x + iy)(u + iv) = (xu - yv) + i(xv + yu), for X_idx = u + iv
+            rows.append(({2 * c: x for c, x in re.items()} | {2 * c + 1: -y for c, y in im.items()}, {}))
+            rows.append(({2 * c: y for c, y in im.items()} | {2 * c + 1: x for c, x in re.items()}, {}))
+        else:
+            rows.append((re, im))
+    h = pair.space.h
+    him = h._im or [0] * (n * n)
+    hrows = [[(t - o, h._re[t], him[t]) for t in range(o, o + n) if h._re[t] or him[t]] for o in range(0, n * n, n)]
+    for a in range(n):
+        for b in range(a if cplx else a + 1, n):
+            # Re and Im of (HX)_ab - conj((HX)_ba), for (HX)_pq = sum_k H_pk X_kq
+            re_row: dict[int, int] = defaultdict(int)
+            im_row: dict[int, int] = defaultdict(int)
+            for p, q, sign in ((a, b, 1), (b, a, -1)):
+                for k, x, y in hrows[p]:
+                    idx = k * n + q
+                    if not cplx:
+                        re_row[idx] += sign * x
+                        continue
+                    re_row[2 * idx] += sign * x
+                    re_row[2 * idx + 1] -= sign * y
+                    im_row[2 * idx] += y
+                    im_row[2 * idx + 1] += x
+            rows += [({c: v for c, v in part.items() if v}, {}) for part in (re_row, im_row) if any(part.values())]
+    out = []
+    for d, vec in _integer_kernel(_integer_gauss_jordan(rows), 2 * n * n if cplx else n * n):
+        parts = [0] * (n * n), [0] * (n * n)
+        for col, (x, _) in vec.items():
+            idx, imaginary = divmod(col, 2) if cplx else (col, 0)
+            parts[imaginary][idx] = x
+        out.append(Matrix._from_ints(n, n, d, *parts, pair.field))
+    return out
 
 
 def _trace_form(pair: MatrixPair) -> tuple[tuple[Matrix, ...], dict]:
@@ -245,7 +227,13 @@ def _trace_form(pair: MatrixPair) -> tuple[tuple[Matrix, ...], dict]:
     if pair._trace_form is None:
         n = pair.n
         basis = tuple(selfadjoint_commutant_basis(pair))
-        _, sparse = _integer_basis(basis, n)
+        # B_j over the common denominator d: the (idx, x, y) of its nonzero entries (x + i y) / d
+        _, bre, bim = _common_integer_form(basis)
+        bim = bim or [0] * len(bre)
+        sparse = [
+            [(t - o, bre[t], bim[t]) for t in range(o, o + n * n) if bre[t] or bim[t]]
+            for o in range(0, len(bre), n * n)
+        ]
         # d^2 tr(B_i B_j) = sum over the entries (a, b) of B_i of B_i[a, b] B_j[b, a];
         # it is real for selfadjoint B_i, B_j
         flipped = [{(idx % n) * n + idx // n: (x, y) for idx, x, y in b} for b in sparse]

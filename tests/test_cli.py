@@ -437,6 +437,27 @@ def test_audit_unwritable_log_is_an_input_error(tmp_path, capsys):
     assert "cannot write" in err
 
 
+_DEV_FULL = Path("/dev/full")
+_needs_dev_full = pytest.mark.skipif(not _DEV_FULL.exists(), reason="no /dev/full device")
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory", pytest.param("dev-full", marks=_needs_dev_full)])
+def test_generate_to_an_unwritable_path_is_an_input_error(tmp_path, capsys, where):
+    # a missing directory or a directory fails the open; /dev/full opens and fails the write
+    out = {"missing-dir": tmp_path / "missing" / "x.json", "directory": tmp_path, "dev-full": _DEV_FULL}[where]
+    rc, _, err = run(capsys, "generate", "--family", "b", "--k", "1", "--out", str(out))
+    assert rc == 2
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+
+
+@_needs_dev_full
+def test_audit_log_whose_write_fails_is_an_input_error(capsys):
+    rc, out, err = run(capsys, "audit", "--kmax", "1", "--families", "b", "--log", str(_DEV_FULL))
+    assert rc == 2
+    assert err.startswith(f"error: cannot write {_DEV_FULL}: ") and err.count("\n") == 1
+    assert "passed" not in out
+
+
 def test_audit_records_a_failing_case_and_goes_on(tmp_path, capsys, monkeypatch):
     import krein.cli
     from krein.exceptions import CertificateCheckFailed

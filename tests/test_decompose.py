@@ -340,25 +340,54 @@ def _units(field):
     return [1, -1] + ([I_UNIT, -I_UNIT] if field == COMPLEX else [])
 
 
+def _rational_shears(field):
+    """+-1/2, and over C also +-(1+i)/2 and 2+i: shear coefficients that give
+    the hidden N and H denominators and, over C, nonreal non-unit entries."""
+    half = Fraction(1, 2)
+    cplx = [GaussianRational(half, half), GaussianRational(-half, -half), GaussianRational(2, 1)]
+    return [half, -half] + (cplx if field == COMPLEX else [])
+
+
 @st.composite
-def _unimodular_congruences(draw):
-    """A small pair and the pair hidden by shears with c = +-1 (or +-i over C)."""
+def _congruences(draw, coefficients):
+    """A small pair and the pair hidden by shears with c drawn from coefficients(field)."""
     pair = draw(st.sampled_from(_SMALL_PAIRS))()
     n = pair.n
     shears = []
     for _ in range(draw(st.integers(1, 2 * n))):
         i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 2))
-        shears.append((i, j + (j >= i), draw(st.sampled_from(_units(pair.field)))))
+        shears.append((i, j + (j >= i), draw(st.sampled_from(coefficients(pair.field)))))
     return pair, _hidden(pair, shears)
 
 
-@settings(max_examples=25, deadline=None)
-@given(_unimodular_congruences())
+def _unimodular_congruences():
+    """A small pair and the pair hidden by shears with c = +-1 (or +-i over C)."""
+    return _congruences(_units)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.one_of(_unimodular_congruences(), _congruences(_rational_shears)))
 def test_selfadjoint_basis_matches_the_reference_under_congruence(pairs):
     _, pair = pairs
     assert [repr(x) for x in selfadjoint_commutant_basis(pair)] == [
         repr(x) for x in reference_selfadjoint_basis(pair)
     ]
+
+
+def test_the_selfadjoint_commutant_needs_no_inverse_adjoint_or_commutant(monkeypatch):
+    # S is solved on the centred operator and H alone: H^-1, the adjoint and
+    # the commutant of {N, N^[*]} are never computed
+    import krein.decompose
+
+    calls = []
+    commutant = krein.decompose.commutant_basis
+    monkeypatch.setattr(krein.decompose, "commutant_basis", lambda pair: calls.append(pair) or commutant(pair))
+    for w in (witness_complex_a_upper(2, 1), build_witness("real-c-odd", 3, {})):
+        pair = MatrixPair.from_matrices(w.pair.n_op, w.pair.space.h)
+        assert selfadjoint_commutant_basis(pair)
+        assert pair.space._h_inv is None
+        assert pair._centred_adjoint is None
+    assert calls == []
 
 
 # --- certificates ------------------------------------------------------------------
